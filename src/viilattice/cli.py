@@ -24,7 +24,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .configio import config_from_text, config_to_doc
+from .configio import config_to_doc, load_config
 from .curves import (
     CurveConfig,
     find_cycles,
@@ -135,11 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_selftest)
 
     return parser
-
-
-def _load(path: str) -> CurveConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_text(fh.read())
 
 
 def _emit(doc: dict) -> None:
@@ -262,7 +257,7 @@ class _InternalError(RuntimeError):
 
 
 def _cmd_classify(args) -> int:
-    config = _load(args.file)
+    config = load_config(args.file)
     report = validate(config)
     doc: dict = {
         "command": "classify",
@@ -300,7 +295,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_nac(args) -> int:
-    config = _load(args.file)
+    config = load_config(args.file)
     doc: dict = {"command": "nac"}
     try:
         nac_doc, sol = _nac_section(config, args.m)
@@ -315,7 +310,7 @@ def _cmd_nac(args) -> int:
 
 
 def _cmd_index(args) -> int:
-    config = _load(args.file)
+    config = load_config(args.file)
     sol = solve_nac(config, 1)
     if isinstance(sol, NoSolution):
         _emit({"command": "index", "index": None, "reason": sol.reason})
@@ -335,7 +330,7 @@ def _enum_cap() -> int | None:
 
 
 def _cmd_enumerate(args) -> int:
-    config = _load(args.file)
+    config = load_config(args.file)
     reps = enumerate_representations(config, cap=_enum_cap())
     limit = args.max_solutions
     truncated = limit is not None and limit < len(reps)

@@ -24,7 +24,6 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import DomainError, InvalidConfigError, StructureError
-from .linalg import determinant, leading_principal_minors
 
 SMOOTH_RATIONAL = "smooth_rational"
 NODAL_RATIONAL = "nodal_rational"
@@ -56,6 +55,7 @@ class CurveConfig:
     intersections: tuple[tuple[int, int, int], ...] = ()
     _mult: dict = field(init=False, repr=False, compare=False)
     _by_id: dict = field(init=False, repr=False, compare=False)
+    _adj: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         curves = tuple(self.curves)
@@ -84,10 +84,18 @@ class CurveConfig:
             mult[key] = m
             normalized.append((key[0], key[1], m))
         normalized.sort()
+        position = {c.id: k for k, c in enumerate(curves)}
+        adj: dict[int, list[tuple[int, int]]] = {c.id: [] for c in curves}
+        for (i, j), m in mult.items():
+            adj[i].append((j, m))
+            adj[j].append((i, m))
+        for pairs in adj.values():
+            pairs.sort(key=lambda pair: position[pair[0]])
         object.__setattr__(self, "curves", curves)
         object.__setattr__(self, "intersections", tuple(normalized))
         object.__setattr__(self, "_mult", mult)
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_adj", adj)
 
     def mult(self, i: int, j: int) -> int:
         if i == j:
@@ -104,15 +112,8 @@ class CurveConfig:
         return tuple(c.id for c in self.curves)
 
     def neighbors(self, cid: int) -> list[tuple[int, int]]:
-        """(other id, multiplicity) pairs for every curve meeting cid."""
-        out = []
-        for c in self.curves:
-            if c.id == cid:
-                continue
-            m = self.mult(cid, c.id)
-            if m > 0:
-                out.append((c.id, m))
-        return out
+        """(other id, multiplicity) pairs for every curve meeting cid, in listing order."""
+        return list(self._adj.get(cid, ()))
 
 
 @dataclass(frozen=True)
@@ -206,10 +207,11 @@ def intersection_matrix(config: CurveConfig) -> list[list[int]]:
 def is_negative_definite(matrix: list[list[int]]) -> str:
     """Exact definiteness verdict: "definite", "semidefinite" or "neither".
 
-    Definiteness is read off the leading principal minors (signs must
-    alternate starting negative).  When that fails, the semidefinite verdict
-    needs every principal minor of -M to be non-negative, so we fall back to
-    scanning all of them, bailing out at the first negative one.
+    One symmetric fraction-free (Bareiss) elimination of -M in listing
+    order; each pivot has the sign of a Schur complement's diagonal entry.
+    A negative pivot, or a zero pivot with a nonzero remaining row (a 2 x 2
+    principal minor is then negative), refutes semidefiniteness.  A zero
+    pivot with a zero row is a null direction, dropped as semidefinite.
     """
     n = len(matrix)
     for i, row in enumerate(matrix):
@@ -218,19 +220,21 @@ def is_negative_definite(matrix: list[list[int]]) -> str:
         for j in range(n):
             if matrix[i][j] != matrix[j][i]:
                 raise DomainError("matrix must be symmetric")
-    if n == 0:
-        return DEFINITE
-    leading = leading_principal_minors(matrix)
-    if all((d > 0) if (k % 2 == 0) else (d < 0) for k, d in enumerate(leading, 1)):
-        # (-1)^k det(M_k) > 0 for every k
-        return DEFINITE
-    neg = [[-x for x in row] for row in matrix]
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(n), size):
-            sub = [[neg[a][b] for b in subset] for a in subset]
-            if determinant(sub) < 0:
-                return NEITHER
-    return SEMIDEFINITE
+    a = [[-x for x in row] for row in matrix]  # upper triangle is kept current
+    verdict, prev = DEFINITE, 1
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot < 0 or (pivot == 0 and any(a[k][k + 1 :])):
+            return NEITHER
+        if pivot == 0:
+            verdict = SEMIDEFINITE
+            continue
+        for i in range(k + 1, n):
+            for j in range(i, n):
+                # exact by the Sylvester identity driving Bareiss elimination
+                a[i][j] = (a[i][j] * pivot - a[k][i] * a[k][j]) // prev
+        prev = pivot
+    return verdict
 
 
 # --- cycle decomposition ---------------------------------------------------

@@ -5,7 +5,7 @@ code: the library routine under test on one side, and either a closed
 formula or a deliberately naive reference implementation on the other
 (cofactor determinants instead of fraction-free elimination, unpruned
 product search instead of the backtracking enumerator, the all-principal-
-minors test instead of the leading-minor ladder).  A suite passes only
+minors test instead of symmetric elimination).  A suite passes only
 when the two routes agree everywhere.
 
 Suites are deterministic: randomized ones draw from a seeded generator, so
@@ -724,7 +724,7 @@ def _suite_definiteness_oracle(seed: int) -> SuiteResult:
         "definiteness-oracle",
         True,
         checks,
-        "minor-sign classifier agrees with the all-principal-minors oracle "
+        "symmetric elimination agrees with the all-principal-minors oracle "
         "on every sampled matrix",
     )
 

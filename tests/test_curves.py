@@ -29,6 +29,7 @@ from viilattice import (
     singrat_config,
     validate,
 )
+from viilattice.selftest import definiteness_oracle
 
 
 def ring(selfs, b2=None, kind=SMOOTH_RATIONAL):
@@ -126,6 +127,15 @@ def test_neighbors_and_mult():
     assert config.mult(1, 0) == 1
     assert config.mult(0, 3) == 0
     assert config.neighbors(1) == [(0, 1), (2, 1)]
+    # listing order rather than pair order, a fresh list, and [] for an unknown id
+    listed = CurveConfig(
+        3,
+        tuple(Curve(i, SMOOTH_RATIONAL, -2) for i in (2, 0, 1)),
+        ((0, 1, 1), (1, 2, 1)),
+    )
+    listed.neighbors(1).clear()
+    assert listed.neighbors(1) == [(2, 1), (0, 1)]
+    assert listed.neighbors(7) == []
 
 
 # --- intersection matrix and definiteness -----------------------------------
@@ -143,10 +153,16 @@ def test_definiteness_fixed_points():
     assert is_negative_definite([[-2, 1], [1, -2]]) == DEFINITE
     assert is_negative_definite([[-2, 2], [2, -2]]) == SEMIDEFINITE
     assert is_negative_definite([[-1, 2], [2, -1]]) == NEITHER
-    # semidefinite with a zero leading block in front: leading minors alone
-    # would pass a sign test that the full scan must refute
+    # a zero pivot in front: dropped when its row is zero, refuting when not
     assert is_negative_definite([[0, 0], [0, -1]]) == SEMIDEFINITE
     assert is_negative_definite([[0, 1], [1, 0]]) == NEITHER
+    # zero pivots that appear only mid-elimination, after a nonzero first pivot
+    mid_zero_row = [[-1, -1, -1], [-1, -1, -1], [-1, -1, -2]]
+    mid_zero_pivot = [[-1, -1, 0], [-1, -1, -1], [0, -1, -1]]
+    assert is_negative_definite(mid_zero_row) == SEMIDEFINITE
+    assert is_negative_definite(mid_zero_pivot) == NEITHER
+    assert definiteness_oracle(mid_zero_row) == SEMIDEFINITE
+    assert definiteness_oracle(mid_zero_pivot) == NEITHER
 
 
 def test_definiteness_requires_symmetric_square():
@@ -157,9 +173,43 @@ def test_definiteness_requires_symmetric_square():
 
 
 def test_enoki_matrices_semidefinite():
-    for n in range(1, 7):
+    for n in (*range(1, 7), 24, 40):
         m = intersection_matrix(enoki_cycle_config(n))
         assert is_negative_definite(m) == SEMIDEFINITE
+
+
+def test_large_matrices_definite():
+    assert is_negative_definite(intersection_matrix(singrat_config(160, 159))) == DEFINITE
+    assert is_negative_definite(intersection_matrix(ring([-3] + [-2] * 39))) == DEFINITE
+
+
+def _symmetric(size, entries):
+    m = [[0] * size for _ in range(size)]
+    pairs = [(i, j) for i in range(size) for j in range(i, size)]
+    for (i, j), v in zip(pairs, entries):
+        m[i][j] = m[j][i] = v
+    return m
+
+
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.tuples(
+            st.lists(
+                st.integers(min_value=-4, max_value=4),
+                min_size=n * (n + 1) // 2,
+                max_size=n * (n + 1) // 2,
+            ).map(lambda entries: _symmetric(n, entries)),
+            st.permutations(range(n)),
+        )
+    )
+)
+def test_definiteness_invariant_under_relabelling(case):
+    # the verdict of P M P^T must not depend on which pivot comes first
+    m, perm = case
+    permuted = [[m[a][b] for b in perm] for a in perm]
+    verdict = is_negative_definite(m)
+    assert is_negative_definite(permuted) == verdict
+    assert definiteness_oracle(m) == verdict
 
 
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=7))
