@@ -29,7 +29,6 @@ from .curves import (
     CurveConfig,
     find_cycles,
     intersection_matrix,
-    is_negative_definite,
     sigma_classify,
     validate,
 )
@@ -272,9 +271,8 @@ def _cmd_classify(args) -> int:
     if not report.valid:
         _emit(doc)
         return EXIT_INVALID
-    matrix = intersection_matrix(config)
-    doc["matrix"] = matrix
-    doc["definiteness"] = is_negative_definite(matrix)
+    doc["matrix"] = intersection_matrix(config)
+    doc["definiteness"] = config.elimination[0]
     doc["cycles"] = _cycles_section(config)
     doc["sigma_classification"] = _sigma_section(config)
     try:

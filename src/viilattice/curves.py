@@ -20,8 +20,10 @@ tied to two cycle members, is structurally impossible and rejected.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import DomainError, InvalidConfigError, StructureError
 
@@ -115,6 +117,12 @@ class CurveConfig:
         """(other id, multiplicity) pairs for every curve meeting cid, in listing order."""
         return list(self._adj.get(cid, ()))
 
+    @functools.cached_property
+    def elimination(self) -> tuple[str, tuple[Fraction, ...] | None]:
+        """(definiteness verdict, level-1 solution of M k = -K.D if definite, else None)."""
+        matrix = intersection_matrix(self)  # validates before any degree is read
+        return _symmetric_elimination(matrix, [adjunction_degree(c) for c in self.curves])
+
 
 @dataclass(frozen=True)
 class ValidationIssue:
@@ -205,13 +213,19 @@ def intersection_matrix(config: CurveConfig) -> list[list[int]]:
 
 
 def is_negative_definite(matrix: list[list[int]]) -> str:
-    """Exact definiteness verdict: "definite", "semidefinite" or "neither".
+    """Exact definiteness verdict: "definite", "semidefinite" or "neither"."""
+    return _symmetric_elimination(matrix, [0] * len(matrix))[0]
 
-    One symmetric fraction-free (Bareiss) elimination of -M in listing
-    order; each pivot has the sign of a Schur complement's diagonal entry.
-    A negative pivot, or a zero pivot with a nonzero remaining row (a 2 x 2
-    principal minor is then negative), refutes semidefiniteness.  A zero
-    pivot with a zero row is a null direction, dropped as semidefinite.
+
+def _symmetric_elimination(matrix: list[list[int]], column: list[int]) -> tuple:
+    """Definiteness verdict of M and, if definite, the exact x with -M x = column.
+
+    One symmetric fraction-free (Bareiss) elimination of [-M | column] in
+    listing order; each pivot has the sign of a Schur complement's diagonal
+    entry.  A negative pivot, or a zero pivot with a nonzero remaining row
+    (a 2 x 2 principal minor is then negative), refutes semidefiniteness.
+    A zero pivot with a zero row is a null direction, dropped as
+    semidefinite.  x is back-substituted only on a definite verdict.
     """
     n = len(matrix)
     for i, row in enumerate(matrix):
@@ -220,21 +234,27 @@ def is_negative_definite(matrix: list[list[int]]) -> str:
         for j in range(n):
             if matrix[i][j] != matrix[j][i]:
                 raise DomainError("matrix must be symmetric")
-    a = [[-x for x in row] for row in matrix]  # upper triangle is kept current
+    a = [[-v for v in row] + [c] for row, c in zip(matrix, column)]  # upper part kept current
     verdict, prev = DEFINITE, 1
     for k in range(n):
         pivot = a[k][k]
-        if pivot < 0 or (pivot == 0 and any(a[k][k + 1 :])):
-            return NEITHER
+        if pivot < 0 or (pivot == 0 and any(a[k][k + 1 : n])):
+            return NEITHER, None
         if pivot == 0:
             verdict = SEMIDEFINITE
             continue
         for i in range(k + 1, n):
-            for j in range(i, n):
+            for j in range(i, n + 1):
                 # exact by the Sylvester identity driving Bareiss elimination
                 a[i][j] = (a[i][j] * pivot - a[k][i] * a[k][j]) // prev
         prev = pivot
-    return verdict
+    if verdict != DEFINITE:
+        return verdict, None
+    # prev is now the last pivot det(-M), and det(-M) * x is integral by Cramer's rule
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        y[i] = (prev * a[i][n] - sum(a[i][j] * y[j] for j in range(i + 1, n))) // a[i][i]
+    return verdict, tuple(Fraction(v, prev) for v in y)
 
 
 # --- cycle decomposition ---------------------------------------------------

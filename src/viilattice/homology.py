@@ -44,8 +44,6 @@ from .curves import (
     CurveConfig,
     CycleRecord,
     find_cycles,
-    intersection_matrix,
-    is_negative_definite,
     require_valid,
 )
 from .errors import DomainError, EnumerationCapError
@@ -89,9 +87,7 @@ def enumerate_representations(
             f"{len(cycles)} cycles found; at most two can coexist (the rank "
             "splits between them)"
         )
-    covering = bool(config.curves) and is_negative_definite(
-        intersection_matrix(config)
-    ) == DEFINITE
+    covering = bool(config.curves) and config.elimination[0] == DEFINITE
     order = _search_order(config, cycles)
     found = list(_search(config, cycles, order, covering, torsion=False))
     torsion = False
@@ -436,7 +432,7 @@ def verify_representation(config: CurveConfig, rep: Representation) -> Verificat
         )
     )
 
-    if cycles and config.curves and is_negative_definite(intersection_matrix(config)) == DEFINITE:
+    if cycles and config.curves and config.elimination[0] == DEFINITE:
         touched = set()
         for vec in vectors:
             touched.update(t for t, x in enumerate(vec) if x != 0)

@@ -32,11 +32,9 @@ from .curves import (
     adjunction_degree,
     find_cycles,
     intersection_matrix,
-    is_negative_definite,
     require_valid,
 )
 from .errors import DomainError
-from .linalg import solve_exact
 
 
 @dataclass(frozen=True)
@@ -63,17 +61,13 @@ def solve_nac(config: CurveConfig, m: int) -> NacSolution | NoSolution:
         raise DomainError(f"level m must be a positive integer, got {m}")
     if not config.curves:
         return NoSolution("no curves: nothing can support an anticanonical divisor")
-    matrix = intersection_matrix(config)
     rhs = [-m * adjunction_degree(c) for c in config.curves]
-    verdict = is_negative_definite(matrix)
+    verdict, level_one = config.elimination
 
     if verdict == DEFINITE:
-        k = solve_exact(matrix, rhs)
-        # a definite form is invertible, so the solve cannot fail
-        square = sum(ki * ri for ki, ri in zip(k, rhs))  # k^T M k = k^T rhs
-        return _accept(config, m, tuple(k), square)
-
-    if verdict == SEMIDEFINITE:
+        # the coefficients are linear in m
+        k = tuple(m * x for x in level_one)
+    elif verdict == SEMIDEFINITE:
         if not any(c.kind == ELLIPTIC for c in config.curves):
             return NoSolution(
                 "degenerate form without an elliptic curve: on the square-zero-cycle "
@@ -82,23 +76,15 @@ def solve_nac(config: CurveConfig, m: int) -> NacSolution | NoSolution:
             )
         # parabolic candidate: every coefficient equal to m, index 1
         k = tuple(Fraction(m) for _ in config.curves)
-        residual_ok = all(
-            sum(matrix[i][j] * k[j] for j in range(len(k))) == rhs[i]
-            for i in range(len(k))
-        )
-        if not residual_ok:
+        if any(m * sum(row) != r for row, r in zip(intersection_matrix(config), rhs)):
             return NoSolution(
                 "degenerate form: the parabolic coefficient vector does not solve "
                 "the pairing system"
             )
-        square = sum(
-            k[i] * matrix[i][j] * k[j]
-            for i in range(len(k))
-            for j in range(len(k))
-        )
-        return _accept(config, m, k, square, parabolic=True)
-
-    return NoSolution("intersection form is not negative (semi)definite")
+    else:
+        return NoSolution("intersection form is not negative (semi)definite")
+    square = sum(ki * ri for ki, ri in zip(k, rhs))  # k^T M k = k^T rhs once M k = rhs
+    return _accept(config, m, k, square, parabolic=verdict == SEMIDEFINITE)
 
 
 def _accept(config, m, coeffs, square, parabolic=False) -> NacSolution | NoSolution:

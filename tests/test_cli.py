@@ -1,14 +1,20 @@
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
 from viilattice import (
     ConfigParseError,
+    CurveConfig,
     config_from_text,
     config_to_text,
     enoki_cycle_config,
+    intersection_matrix,
     singrat_config,
+    solve_nac,
 )
+from viilattice import curves, linalg
 from viilattice.cli import main
 
 
@@ -224,6 +230,67 @@ def test_enumerate_cap_env_override(capsys, singrat3_file, monkeypatch):
     code, doc, _ = run(capsys, ["enumerate", singrat3_file])
     assert code == 0
     assert doc["count"] == 1
+
+
+# --- work per configuration ------------------------------------------------------
+
+
+@pytest.fixture
+def elimination_calls(monkeypatch):
+    """Count symmetric eliminations; make the general linalg routines unusable."""
+    calls = []
+    original = curves._symmetric_elimination
+
+    def counting(matrix, column):
+        calls.append(len(matrix))
+        return original(matrix, column)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("linalg is not part of the pipeline")
+
+    monkeypatch.setattr(curves, "_symmetric_elimination", counting)
+    for name in ("solve_exact", "determinant"):
+        banned = getattr(linalg, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("viilattice"):
+                for key, value in list(vars(module).items()):
+                    if value is banned:
+                        monkeypatch.setattr(module, key, forbidden)
+    return calls
+
+
+def test_classify_eliminates_once(capsys, singrat3_file, elimination_calls):
+    code, doc, _ = run(capsys, ["classify", singrat3_file])
+    assert code == 0
+    assert doc["nac"]["index"] == 2
+    assert doc["nac_at_index"]["status"] == "solved"
+    assert elimination_calls == [3]
+
+
+def test_enumerate_eliminates_once_not_per_representation(
+    capsys, enoki3_file, elimination_calls
+):
+    code, doc, _ = run(capsys, ["enumerate", enoki3_file])
+    assert code == 0
+    assert doc["count"] == 2
+    assert len(doc["representations"]) == 2
+    assert elimination_calls == [3]
+
+
+def test_cached_elimination_stays_out_of_equality_and_matrix_copies():
+    config = singrat_config(3, 2)
+    before = hash(config)
+    cached = config.elimination
+    assert cached == ("definite", (Fraction(3, 2), Fraction(1), Fraction(1, 2)))
+    fresh = CurveConfig(config.b2, config.curves, config.intersections)
+    assert config == fresh
+    assert hash(config) == hash(fresh) == before
+    matrix = intersection_matrix(config)
+    matrix[0][0] = 7
+    matrix[1][2] = matrix[2][1] = -5
+    assert config.elimination == cached
+    assert solve_nac(config, 2) == solve_nac(fresh, 2)
+    assert solve_nac(config, 2).coeffs == (Fraction(3), Fraction(2), Fraction(1))
 
 
 # --- germ -----------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -29,6 +31,7 @@ from viilattice import (
     singrat_config,
     validate,
 )
+from viilattice.curves import _symmetric_elimination
 from viilattice.selftest import definiteness_oracle
 
 
@@ -210,6 +213,46 @@ def test_definiteness_invariant_under_relabelling(case):
     verdict = is_negative_definite(m)
     assert is_negative_definite(permuted) == verdict
     assert definiteness_oracle(m) == verdict
+
+
+def _gram_form(size, entries, shifts):
+    # -(B^T B + diag(shifts)): negative semidefinite, and definite for most draws
+    b = [entries[i * size : (i + 1) * size] for i in range(size)]
+    return [
+        [-sum(b[t][i] * b[t][j] for t in range(size)) - (shifts[i] if i == j else 0)
+         for j in range(size)]
+        for i in range(size)
+    ]
+
+
+@given(
+    st.integers(min_value=0, max_value=6).flatmap(
+        lambda n: st.tuples(
+            st.one_of(
+                st.lists(
+                    st.integers(min_value=-4, max_value=4),
+                    min_size=n * (n + 1) // 2,
+                    max_size=n * (n + 1) // 2,
+                ).map(lambda entries: _symmetric(n, entries)),
+                st.builds(
+                    lambda entries, shifts: _gram_form(n, entries, shifts),
+                    st.lists(st.integers(min_value=-2, max_value=2), min_size=n * n, max_size=n * n),
+                    st.lists(st.integers(min_value=0, max_value=1), min_size=n, max_size=n),
+                ),
+            ),
+            st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n),
+        )
+    )
+)
+def test_elimination_solves_the_column_on_definite_forms(case):
+    m, column = case
+    verdict, x = _symmetric_elimination(m, column)
+    assert verdict == definiteness_oracle(m)
+    if verdict != DEFINITE:
+        assert x is None
+        return
+    assert all(type(v) is Fraction for v in x)
+    assert [-sum(a * b for a, b in zip(row, x)) for row in m] == column
 
 
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=7))

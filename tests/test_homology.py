@@ -1,18 +1,26 @@
+import random
+
 import pytest
 
 from viilattice import (
+    ELLIPTIC,
     Curve,
     CurveConfig,
     DomainError,
     EnumerationCapError,
     LatticeClass,
     NODAL_RATIONAL,
+    NoSolution,
     Representation,
     SMOOTH_RATIONAL,
+    StructureError,
     canonical_form,
     enoki_cycle_config,
     enumerate_representations,
+    index_of,
+    sigma_classify,
     singrat_config,
+    solve_nac,
     type_b_exclusion_check,
     verify_representation,
 )
@@ -296,3 +304,67 @@ def test_type_b_candidates_exist_but_fail_locally():
         type(report.checks[0])(curve_id=1, candidate_count=2, locally_consistent_count=0),
     )
     assert not report.any_locally_consistent
+
+
+# --- relabelling invariance -----------------------------------------------------
+
+
+def _cycle_with_trees(rng):
+    b2 = rng.randint(1, 5)
+    length = rng.randint(1, b2)
+    if length == 1:
+        curves = [Curve(0, NODAL_RATIONAL, -rng.randint(0, 3))]
+        meets = []
+    else:
+        curves = [Curve(i, SMOOTH_RATIONAL, -rng.randint(2, 4)) for i in range(length)]
+        meets = [(0, 1, 2)] if length == 2 else [(i, (i + 1) % length, 1) for i in range(length)]
+    # each tree curve meets exactly one earlier curve, so every tree hangs off one root
+    for i in range(length, b2 - (rng.random() < 0.2)):
+        curves.append(Curve(i, SMOOTH_RATIONAL, -rng.randint(2, 4)))
+        meets.append((rng.randrange(i), i, 1))
+    if rng.random() < 0.2:
+        curves.append(Curve(len(curves), ELLIPTIC, -rng.randint(1, b2)))
+    return CurveConfig(b2, tuple(curves), tuple(meets))
+
+
+def _relabelled(config, rng, shift):
+    order = list(config.curves)
+    rng.shuffle(order)
+    curves = tuple(Curve(c.id + shift, c.kind, c.self_int) for c in order)
+    meets = [(i + shift, j + shift, m) for i, j, m in config.intersections]
+    rng.shuffle(meets)
+    return CurveConfig(config.b2, curves, tuple(meets))
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except (DomainError, StructureError) as exc:
+        return type(exc).__name__
+
+
+def _invariants(config, shift):
+    sol = solve_nac(config, 1)
+    coeffs = (
+        None
+        if isinstance(sol, NoSolution)
+        else {c.id - shift: k for c, k in zip(config.curves, sol.coeffs)}
+    )
+    return (
+        config.elimination[0],
+        _outcome(lambda: sigma_classify(config).verdict),
+        index_of(config),
+        coeffs,
+        _outcome(lambda: len(enumerate_representations(config))),
+    )
+
+
+def test_verdicts_invariant_under_relabelling():
+    rng = random.Random(2004)
+    configs = [singrat_config(n, p) for n in range(2, 6) for p in range(n)]
+    configs += [enoki_cycle_config(n, e) for n in range(1, 6) for e in (False, True)]
+    configs += [_cycle_with_trees(rng) for _ in range(40)]
+    for config in configs:
+        shift = rng.randint(1, 50)
+        moved = _relabelled(config, rng, shift)
+        assert _invariants(moved, shift) == _invariants(config, 0), config
