@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -164,16 +165,22 @@ def _nac_section(config: CurveConfig, m: int) -> tuple[dict, NacSolution | None]
     if isinstance(sol, NoSolution):
         return {"m": m, "status": "no_solution", "reason": sol.reason}, None
     # defensive recomputation straight from the matrix; a mismatch means the
-    # solver and the report pipeline disagree, which is an internal error
+    # solver and the report pipeline disagree, which is an internal error.
+    # With the common denominator cleared the sum is over integers.
     matrix = intersection_matrix(config)
+    den = math.lcm(*(k.denominator for k in sol.coeffs))
+    scaled = [k.numerator * (den // k.denominator) for k in sol.coeffs]
     square = sum(
-        sol.coeffs[i] * matrix[i][j] * sol.coeffs[j]
-        for i in range(len(matrix))
-        for j in range(len(matrix))
+        scaled[i] * a * scaled[j]
+        for i, row in enumerate(matrix)
+        for j, a in enumerate(row)
+        if a
     )
-    if square != -m * m * config.b2 or int(square) != sol.self_int_check:
+    want = -m * m * config.b2
+    if square != want * den * den or want != sol.self_int_check:
         raise _InternalError(
-            f"solver self-intersection check failed: {square} vs {sol.self_int_check}"
+            "solver self-intersection check failed: "
+            f"{Fraction(square, den * den)} vs {sol.self_int_check}"
         )
     section = {
         "m": m,

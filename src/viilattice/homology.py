@@ -21,12 +21,29 @@ lattice:
     in the twisted case.
 
 The enumerator backtracks over candidate classes (cycle curves first, then
-branches outward, then the rest), pruning on (a) and (b) as it goes, and
-reports only one representative per orbit of the basis-renumbering
-symmetry: class sums are rotated into right-aligned blocks and the
-lexicographically least assignment (by normal-form keys) is kept.  The
-twisted search runs only when the plain one comes back empty and the
-configuration carries a single cycle.
+branches outward, then the rest), pruning on (a) and (b) as it goes.  Every
+constraint above is invariant under renumbering the basis, so the search
+walks orbits of that symmetry rather than labellings:
+
+- An index's *column* is its entries in the classes placed so far.  A
+  permutation of indices with equal columns fixes every placed class and
+  maps completions to completions, so a candidate is tried only when, on
+  each set of indices with one column, its entries in index order run +1
+  first, then -1, then 0.  The untouched indices (all-zero columns) form one
+  such set.  Each orbit of candidates under those permutations has exactly
+  one such member, so every orbit of solutions keeps a representative (by
+  induction on the depth: permute equal-column indices of a solution until
+  the next class is of that form).
+- Two complete assignments lie in one orbit exactly when their multisets
+  of basis columns (one index's coefficients read down the curves) agree,
+  so the raw solutions are deduplicated by that multiset.
+
+Each remaining orbit is canonicalised once: class sums are rotated into
+right-aligned blocks and the lexicographically least assignment (by
+normal-form keys) is kept.  That form depends only on the orbit, so the
+output does not depend on which member the search found.  The twisted
+search runs only when the plain one comes back empty and the configuration
+carries a single cycle.
 
 The search is a pure function of the configuration: candidates and state
 are immutable values, so independent subtrees could be explored in
@@ -94,10 +111,12 @@ def enumerate_representations(
     if not found and len(cycles) == 1:
         found = list(_search(config, cycles, order, covering, torsion=True))
         torsion = True
-    canonical: dict = {}
-    for vectors in found:
-        key, rep = _canonicalize(config, cycles, vectors, torsion)
-        canonical.setdefault(key, rep)
+    # the multiset of basis columns is an exact orbit invariant, so each
+    # orbit is canonicalised once
+    orbits = {tuple(sorted(zip(*vectors))): vectors for vectors in found}
+    canonical = dict(
+        _canonicalize(config, cycles, vectors, torsion) for vectors in orbits.values()
+    )
     return [canonical[key] for key in sorted(canonical)]
 
 
@@ -159,8 +178,12 @@ def _candidate_vectors(n: int, curve) -> list[tuple[int, ...]]:
     return out
 
 
+_ENTRY_RANK = {1: 0, -1: 1, 0: 2}
+
+
 def _search(config, cycles, order, covering, torsion):
-    """Backtracking generator yielding complete vector assignments."""
+    """Backtracking generator yielding complete vector assignments, at least
+    one per orbit of the basis-renumbering symmetry."""
     n = config.b2
     curves = config.curves
     ids = [c.id for c in curves]
@@ -169,6 +192,19 @@ def _search(config, cycles, order, covering, torsion):
     used_bases: set[int] = set()
     blowup_sets: list[tuple[int, frozenset[int]]] = []  # (position, set)
     index_load = [0] * n  # how many blowup sets contain each basis index
+    column: list[tuple[int, ...]] = [()] * n  # each index's placed entries
+
+    def ok_interchangeable(vec: tuple[int, ...]) -> bool:
+        # indices with equal columns are interchangeable: keep only the
+        # candidate whose entries on each such set run +1, then -1, then 0
+        # in index order
+        rank: dict[tuple[int, ...], int] = {}
+        for t, x in enumerate(vec):
+            r = _ENTRY_RANK[x]
+            if r < rank.get(column[t], 0):
+                return False
+            rank[column[t]] = r
+        return True
 
     def ok_pairwise(p: int, vec: tuple[int, ...]) -> bool:
         for q, other in assigned.items():
@@ -179,6 +215,8 @@ def _search(config, cycles, order, covering, torsion):
 
     def place(p: int, vec: tuple[int, ...]):
         assigned[p] = vec
+        for t, x in enumerate(vec):
+            column[t] += (x,)
         if curves[p].kind == SMOOTH_RATIONAL:
             base = vec.index(1)
             blow = frozenset(t for t, x in enumerate(vec) if x == -1)
@@ -191,6 +229,8 @@ def _search(config, cycles, order, covering, torsion):
 
     def unplace(p: int, token) -> None:
         del assigned[p]
+        for t in range(n):
+            column[t] = column[t][:-1]
         if token is not None:
             base, blow = token
             used_bases.discard(base)
@@ -216,6 +256,8 @@ def _search(config, cycles, order, covering, torsion):
         p = order[depth]
         smooth = curves[p].kind == SMOOTH_RATIONAL
         for vec in candidates[p]:
+            if not ok_interchangeable(vec):
+                continue
             if smooth and not ok_blowups(vec):
                 continue
             if not ok_pairwise(p, vec):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -14,7 +15,7 @@ from viilattice import (
     singrat_config,
     solve_nac,
 )
-from viilattice import curves, linalg
+from viilattice import cli, curves, linalg
 from viilattice.cli import main
 
 
@@ -146,6 +147,33 @@ def test_classify_missing_file(capsys):
     assert code == 1
     assert doc is None
     assert "No such file" in err
+
+
+@pytest.mark.parametrize("command", ["classify", "nac"])
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        {"coeffs": lambda k: (k[0] + 1,) + k[1:]},
+        {"coeffs": lambda k: k[:-1] + (k[-1] + Fraction(1, 3),)},
+        {"self_int_check": lambda s: s - 1},
+    ],
+)
+def test_corrupted_solution_exits_internal(capsys, monkeypatch, singrat3_file, command, corrupt):
+    # the report recomputes the square from the matrix, so a solver answer
+    # that disagrees with it is an internal inconsistency
+    solve = cli.solve_nac
+
+    def corrupted(config, m):
+        sol = solve(config, m)
+        return dataclasses.replace(
+            sol, **{name: f(getattr(sol, name)) for name, f in corrupt.items()}
+        )
+
+    monkeypatch.setattr(cli, "solve_nac", corrupted)
+    code, doc, err = run(capsys, [command, singrat3_file])
+    assert code == 2
+    assert doc is None
+    assert "solver self-intersection check failed" in err
 
 
 def test_malformed_json_exits_invalid(capsys, tmp_path):

@@ -1,6 +1,10 @@
+import itertools
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from viilattice import (
     ELLIPTIC,
@@ -24,6 +28,8 @@ from viilattice import (
     type_b_exclusion_check,
     verify_representation,
 )
+from viilattice import homology
+from viilattice.selftest import _naive_candidates, brute_force_representations
 
 
 def coeff_table(rep):
@@ -128,6 +134,74 @@ def test_unrepresentable_config_yields_empty_list():
         ((0, 1, 1),),
     )
     assert enumerate_representations(config) == []
+
+
+def _ring(r, self_int):
+    return CurveConfig(
+        r,
+        tuple(Curve(i, SMOOTH_RATIONAL, self_int) for i in range(r)),
+        tuple((i, (i + 1) % r, 1) for i in range(r)),
+    )
+
+
+def _signs(rep):
+    """(odd_ih, one '+-0' row per class); none of the pinned classes is twisted."""
+    assert not any(c.torsion2 for c in rep.classes)
+    rows = ("".join("+-0"[(1, -1, 0).index(x)] for x in c.coeffs) for c in rep.classes)
+    return (rep.odd_ih, tuple(rows))
+
+
+# canonical outputs at b2 = 5 and 6, recorded before the search broke the
+# basis symmetry; the listing order of the orbits is part of the output
+PINNED = [
+    (
+        enoki_cycle_config(5, False),
+        [
+            (False, ("+-000", "0+-00", "00+-0", "000+-", "-000+")),
+            (False, ("+-000", "-0+00", "00-+0", "000-+", "0+00-")),
+        ],
+    ),
+    (
+        enoki_cycle_config(5, True),
+        [
+            (False, ("+-000", "0+-00", "00+-0", "000+-", "-000+", "-----")),
+            (False, ("+-000", "-0+00", "00-+0", "000-+", "0+00-", "-----")),
+        ],
+    ),
+    (
+        enoki_cycle_config(6, False),
+        [
+            (False, ("+-0000", "0+-000", "00+-00", "000+-0", "0000+-", "-0000+")),
+            (False, ("+-0000", "-0+000", "00-+00", "000-+0", "0000-+", "0+000-")),
+        ],
+    ),
+    (
+        enoki_cycle_config(6, True),
+        [
+            (False, ("+-0000", "0+-000", "00+-00", "000+-0", "0000+-", "-0000+", "------")),
+            (False, ("+-0000", "-0+000", "00-+00", "000-+0", "0000-+", "0+000-", "------")),
+        ],
+    ),
+    (
+        singrat_config(6, 5),
+        [
+            (False, ("0-----", "-+0000", "0-+000", "00-+00", "000-+0", "0000-+")),
+        ],
+    ),
+    (
+        _ring(5, -3),
+        [
+            (True, ("+--00", "0+0--", "-0-+0", "0-+0-", "-00-+")),
+            (True, ("+--00", "-00+-", "0+--0", "--00+", "00+--")),
+        ],
+    ),
+    (_ring(6, -3), []),
+]
+
+
+@pytest.mark.parametrize("config, expected", PINNED)
+def test_pinned_outputs_at_rank_five_and_six(config, expected):
+    assert [_signs(r) for r in enumerate_representations(config)] == expected
 
 
 # --- guards -------------------------------------------------------------------
@@ -272,6 +346,108 @@ def test_canonical_form_quotients_basis_renumbering():
     assert canonical_form(config, twisted) == rep
 
 
+@pytest.fixture
+def work(monkeypatch):
+    """Count the search's raw solutions and the canonicaliser's calls."""
+    counts = {"raw": 0, "canonical": 0}
+    search, canonicalize = homology._search, homology._canonicalize
+
+    def counting_search(*args, **kwargs):
+        for vectors in search(*args, **kwargs):
+            counts["raw"] += 1
+            yield vectors
+
+    def counting_canonicalize(*args):
+        counts["canonical"] += 1
+        return canonicalize(*args)
+
+    monkeypatch.setattr(homology, "_search", counting_search)
+    monkeypatch.setattr(homology, "_canonicalize", counting_canonicalize)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "config, orbits",
+    # walking every relabelling gave 5! x 2 = 240 raw solutions and as many
+    # canonicalisations on the first, 6! = 720 on the second
+    [(enoki_cycle_config(5, True), 2), (singrat_config(6, 5), 1)],
+)
+def test_enumerate_canonicalises_once_per_orbit(work, config, orbits):
+    assert len(enumerate_representations(config)) == orbits
+    assert work == {"raw": orbits, "canonical": orbits}
+
+
+def test_orbit_dedupe_absorbs_every_relabelling(work, monkeypatch):
+    # fed every basis relabelling of each solution, the enumerator still
+    # canonicalises once per orbit and reports the same forms
+    config = enoki_cycle_config(5, True)
+    expected = enumerate_representations(config)
+    search = homology._search
+
+    def every_labelling(*args, **kwargs):
+        for vectors in search(*args, **kwargs):
+            for perm in itertools.permutations(range(config.b2)):
+                yield tuple(tuple(v[t] for t in perm) for v in vectors)
+
+    monkeypatch.setattr(homology, "_search", every_labelling)
+    work["canonical"] = 0
+    assert enumerate_representations(config) == expected
+    assert work["canonical"] == len(expected) == 2
+
+
+@st.composite
+def small_cycle_configs(draw):
+    """A cycle (nodal loop, double curve or ring) with trees and maybe an
+    elliptic curve, rank at most 4."""
+    b2 = draw(st.integers(1, 4))
+    length = draw(st.integers(1, b2))
+    smooth = st.sampled_from((2, 2, 3, 4))  # (-2)-curves are the likeliest to represent
+    if length == 1:
+        curves = [Curve(0, NODAL_RATIONAL, -draw(st.integers(0, 3)))]
+        meets = []
+    else:
+        curves = [Curve(i, SMOOTH_RATIONAL, -draw(smooth)) for i in range(length)]
+        meets = [(0, 1, 2)] if length == 2 else [(i, (i + 1) % length, 1) for i in range(length)]
+    for i in range(length, draw(st.integers(length, b2))):
+        curves.append(Curve(i, SMOOTH_RATIONAL, -draw(smooth)))
+        meets.append((draw(st.integers(0, i - 1)), i, 1))
+    if draw(st.booleans()):
+        curves.append(Curve(len(curves), ELLIPTIC, -draw(st.integers(1, b2))))
+    return CurveConfig(b2, tuple(curves), tuple(meets))
+
+
+def _fingerprints(reps):
+    return [(r.odd_ih,) + tuple((c.coeffs, c.torsion2) for c in r.classes) for r in reps]
+
+
+# representable members, listed in a drawn order: the symmetry breaking
+# depends on which basis indices the search order touches first
+_ORACLE_FAMILIES = [singrat_config(n, p) for n in range(1, 5) for p in range(n)]
+_ORACLE_FAMILIES += [enoki_cycle_config(n, e) for n in range(1, 4) for e in (False, True)]
+_ORACLE_FAMILIES += [triangle_config()]
+
+
+@settings(max_examples=100)
+@given(
+    st.one_of(
+        small_cycle_configs(),
+        st.tuples(
+            st.sampled_from(_ORACLE_FAMILIES),
+            st.randoms(use_true_random=False),
+            st.integers(0, 50),
+        ).map(lambda args: _relabelled(*args)),
+    )
+)
+def test_enumeration_matches_unpruned_oracle(config):
+    # the oracle walks the full product of candidate classes, with no pruning
+    # and no symmetry breaking, and keeps one canonical form per orbit; the
+    # budget on that product admits about nine random draws in ten
+    assume(math.prod(len(_naive_candidates(config.b2, c)) for c in config.curves) <= 2000)
+    assert sorted(_fingerprints(enumerate_representations(config))) == sorted(
+        _fingerprints(brute_force_representations(config))
+    )
+
+
 # --- the -2L exclusion diagnostic ---------------------------------------------
 
 
@@ -362,7 +538,8 @@ def _invariants(config, shift):
 def test_verdicts_invariant_under_relabelling():
     rng = random.Random(2004)
     configs = [singrat_config(n, p) for n in range(2, 6) for p in range(n)]
-    configs += [enoki_cycle_config(n, e) for n in range(1, 6) for e in (False, True)]
+    configs += [enoki_cycle_config(n, e) for n in range(1, 7) for e in (False, True)]
+    configs += [_ring(5, -3), _ring(6, -3)]
     configs += [_cycle_with_trees(rng) for _ in range(40)]
     for config in configs:
         shift = rng.randint(1, 50)
