@@ -200,15 +200,12 @@ def require_valid(config: CurveConfig) -> None:
 def intersection_matrix(config: CurveConfig) -> list[list[int]]:
     """Symmetric integer matrix in the order the curves are listed."""
     require_valid(config)
-    ids = config.ids()
-    n = len(ids)
-    m = [[0] * n for _ in range(n)]
-    for a in range(n):
-        m[a][a] = config.curve(ids[a]).self_int
-        for b in range(a + 1, n):
-            v = config.mult(ids[a], ids[b])
-            m[a][b] = v
-            m[b][a] = v
+    position = {c.id: a for a, c in enumerate(config.curves)}
+    m = [[0] * len(position) for _ in position]
+    for a, c in enumerate(config.curves):
+        m[a][a] = c.self_int
+    for i, j, v in config.intersections:
+        m[position[i]][position[j]] = m[position[j]][position[i]] = v
     return m
 
 

@@ -38,12 +38,14 @@ walks orbits of that symmetry rather than labellings:
   of basis columns (one index's coefficients read down the curves) agree,
   so the raw solutions are deduplicated by that multiset.
 
-Each remaining orbit is canonicalised once: class sums are rotated into
-right-aligned blocks and the lexicographically least assignment (by
-normal-form keys) is kept.  That form depends only on the orbit, so the
-output does not depend on which member the search found.  The twisted
-search runs only when the plain one comes back empty and the configuration
-carries a single cycle.
+Each remaining orbit is canonicalised once, to its least member by
+normal-form keys among those whose cycle class sums fill right-aligned
+blocks.  That form depends only on the orbit, so the output does not depend
+on which member the search found.  It is built by ordered partition
+refinement in O(curves x b2), not by trying the b2! renumberings: each
+choice is forced by the key, so the refinement never branches (see
+``_canonicalize``).  The twisted search runs only when the plain one comes
+back empty and the configuration carries a single cycle.
 
 The search is a pure function of the configuration: candidates and state
 are immutable values, so independent subtrees could be explored in
@@ -53,6 +55,7 @@ parallel without coordination; the implementation here is sequential.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .curves import (
@@ -303,52 +306,53 @@ def _sums_admissible(config, cycles, assigned, covering, torsion, n) -> bool:
 
 
 def _canonicalize(config, cycles, vectors, torsion):
-    """Rotate cycle supports into right-aligned blocks, then take the
-    lexicographic minimum over the remaining basis permutations."""
+    """(key, form) of the orbit's least member, by ordered partition refinement.
+
+    A cell pairs basis indices with an interval of as many targets (``low``
+    is each index's least target): the cycle supports start on their
+    right-aligned blocks, the other indices below them.  Curve by curve in
+    listing order, a cell's indices carrying the curve's +1 entry, then its
+    -1 entries, take the cell's least targets.  The key compares curve by
+    curve, base before blowups, and a cell's indices are interchangeable for
+    the curves fixed so far, so only that choice minimises the current key.
+    Indices left sharing a cell have equal columns; each cell maps onto its
+    targets in index order, as the first least renumbering would.
+    """
     n = config.b2
     pos = {c.id: i for i, c in enumerate(config.curves)}
     ordered = sorted(cycles, key=lambda rec: (-rec.length, min(rec.member_ids)))
-    raw_supports = []
+    supports = []
     for rec in ordered:
-        total = [0] * n
-        for cid in rec.member_ids:
-            for t, x in enumerate(vectors[pos[cid]]):
-                total[t] += x
-        raw_supports.append(frozenset(t for t, x in enumerate(total) if x == -1))
-    blocks = []
-    hi = n
-    for support in raw_supports:
-        blocks.append(frozenset(range(hi - len(support), hi)))
+        total = map(sum, zip(*(vectors[pos[cid]] for cid in rec.member_ids)))
+        supports.append([t for t, x in enumerate(total) if x == -1])
+    low, hi = [0] * n, n
+    for support in supports:
         hi -= len(support)
+        for t in support:
+            low[t] = hi
+    if n - hi != len(set().union(*supports)):
+        raise DomainError("cycle class sums overlap, so no canonical form exists")
 
-    best_key = None
-    best_vectors = None
-    for perm in itertools.permutations(range(n)):
-        if any(
-            frozenset(perm[t] for t in support) != block
-            for support, block in zip(raw_supports, blocks)
-        ):
-            continue
-        moved = []
-        for vec in vectors:
-            out = [0] * n
-            for t, x in enumerate(vec):
-                out[perm[t]] = x
-            moved.append(tuple(out))
-        key = (torsion, tuple(_class_key(c, v) for c, v in zip(config.curves, moved)))
-        if best_key is None or key < best_key:
-            best_key = key
-            best_vectors = moved
-    twisted_singletons = (
-        {rec.member_ids[0] for rec in cycles if len(rec.member_ids) == 1}
-        if torsion
-        else set()
-    )
+    def split(picked: set[int]) -> None:
+        taken = Counter(low[t] for t in picked)
+        for t in range(n):
+            if t not in picked:
+                low[t] += taken[low[t]]
+
+    for curve, vec in zip(config.curves, vectors):
+        if curve.kind == SMOOTH_RATIONAL:
+            if vec.count(1) != 1:
+                raise DomainError(f"curve {curve.id} needs a class with one +1 entry")
+            split({vec.index(1)})
+        split({t for t, x in enumerate(vec) if x == -1})
+    inverse = sorted(range(n), key=low.__getitem__)
+    moved = [tuple(vec[t] for t in inverse) for vec in vectors]
+    key = (torsion, tuple(_class_key(c, v) for c, v in zip(config.curves, moved)))
+    twisted = {rec.member_ids[0] for rec in cycles if torsion and len(rec.member_ids) == 1}
     classes = tuple(
-        LatticeClass(v, torsion2=c.id in twisted_singletons)
-        for c, v in zip(config.curves, best_vectors)
+        LatticeClass(v, torsion2=c.id in twisted) for c, v in zip(config.curves, moved)
     )
-    return best_key, Representation(classes, odd_ih=torsion)
+    return key, Representation(classes, odd_ih=torsion)
 
 
 def _class_key(curve, vec: tuple[int, ...]):
@@ -359,10 +363,8 @@ def _class_key(curve, vec: tuple[int, ...]):
 
 def canonical_form(config: CurveConfig, rep: Representation) -> Representation:
     """The canonical representative of ``rep``'s basis-renumbering orbit."""
-    cycles = find_cycles(config)
-    vectors = tuple(c.coeffs for c in rep.classes)
-    _, canon = _canonicalize(config, cycles, vectors, rep.odd_ih)
-    return canon
+    vectors = [c.coeffs for c in rep.classes]
+    return _canonicalize(config, find_cycles(config), vectors, rep.odd_ih)[1]
 
 
 # --- independent re-verification ---------------------------------------------

@@ -149,6 +149,61 @@ def test_matrix_shape():
     assert m == [[-2, 1, 0], [1, -2, 1], [0, 1, -2]]
 
 
+def _matrix_by_pairs(config):
+    """One mult() lookup per pair of listed curves."""
+    return [
+        [c.self_int if a == b else config.mult(c.id, d.id) for b, d in enumerate(config.curves)]
+        for a, c in enumerate(config.curves)
+    ]
+
+
+@st.composite
+def meeting_configs(draw):
+    """Valid curve lists with arbitrary meetings, ids and listing order."""
+    size = draw(st.integers(1, 8))
+    ids = draw(st.lists(st.integers(-20, 60), min_size=size, max_size=size, unique=True))
+    kinds = [draw(st.sampled_from((SMOOTH_RATIONAL, NODAL_RATIONAL))) for _ in ids]
+    if draw(st.booleans()):
+        kinds[0] = ELLIPTIC
+    curves = [
+        Curve(cid, kind, -draw(st.integers(2 if kind == SMOOTH_RATIONAL else 0, 6)))
+        for cid, kind in zip(ids, kinds)
+    ]
+    pairs = draw(
+        st.dictionaries(
+            st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda p: p[0] < p[1]),
+            st.integers(0, 3),
+        )
+    )
+    meets = [(j, i, m) if draw(st.booleans()) else (i, j, m) for (i, j), m in pairs.items()]
+    return CurveConfig(size, tuple(curves), tuple(meets))
+
+
+@given(meeting_configs(), st.randoms(use_true_random=False))
+def test_matrix_matches_pairwise_construction(config, rng):
+    matrix = intersection_matrix(config)
+    assert matrix == _matrix_by_pairs(config)
+    # a relabelled copy (listing order permuted, ids shifted) gives P M P^T
+    order = list(range(len(config.curves)))
+    rng.shuffle(order)
+    listed = [config.curves[a] for a in order]
+    moved = CurveConfig(
+        config.b2,
+        tuple(Curve(c.id + 100, c.kind, c.self_int) for c in listed),
+        tuple((i + 100, j + 100, m) for i, j, m in reversed(config.intersections)),
+    )
+    assert intersection_matrix(moved) == _matrix_by_pairs(moved)
+    assert intersection_matrix(moved) == [[matrix[a][b] for b in order] for a in order]
+    # a fresh list per call
+    matrix[0][0] += 1
+    assert intersection_matrix(config) == _matrix_by_pairs(config)
+
+
+def test_matrix_requires_valid_config():
+    with pytest.raises(InvalidConfigError):
+        intersection_matrix(CurveConfig(1, (Curve(0, SMOOTH_RATIONAL, -1),), ()))
+
+
 def test_definiteness_fixed_points():
     assert is_negative_definite([[-1]]) == DEFINITE
     assert is_negative_definite([[0]]) == SEMIDEFINITE

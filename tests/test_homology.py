@@ -29,6 +29,8 @@ from viilattice import (
     verify_representation,
 )
 from viilattice import homology
+from viilattice.curves import find_cycles
+from viilattice.homology import _class_key
 from viilattice.selftest import _naive_candidates, brute_force_representations
 
 
@@ -346,6 +348,25 @@ def test_canonical_form_quotients_basis_renumbering():
     assert canonical_form(config, twisted) == rep
 
 
+def test_canonical_form_rejects_overlapping_cycle_supports():
+    # two nodal loops on the same basis index: no renumbering separates them
+    config = CurveConfig(
+        2, (Curve(0, NODAL_RATIONAL, -1), Curve(1, NODAL_RATIONAL, -1)), ()
+    )
+    rep = Representation((LatticeClass((-1, 0)), LatticeClass((-1, 0))))
+    with pytest.raises(DomainError, match="overlap"):
+        canonical_form(config, rep)
+
+
+def test_canonical_form_rejects_smooth_class_without_single_base():
+    config = singrat_config(3, 2)
+    rep = enumerate_representations(config)[0]
+    for coeffs in ((0, -1, -1), (1, 1, -1)):
+        classes = (rep.classes[0], LatticeClass(coeffs), rep.classes[2])
+        with pytest.raises(DomainError, match="one \\+1 entry"):
+            canonical_form(config, Representation(classes))
+
+
 @pytest.fixture
 def work(monkeypatch):
     """Count the search's raw solutions and the canonicaliser's calls."""
@@ -396,10 +417,10 @@ def test_orbit_dedupe_absorbs_every_relabelling(work, monkeypatch):
 
 
 @st.composite
-def small_cycle_configs(draw):
+def small_cycle_configs(draw, max_b2=4):
     """A cycle (nodal loop, double curve or ring) with trees and maybe an
-    elliptic curve, rank at most 4."""
-    b2 = draw(st.integers(1, 4))
+    elliptic curve, rank at most max_b2."""
+    b2 = draw(st.integers(1, max_b2))
     length = draw(st.integers(1, b2))
     smooth = st.sampled_from((2, 2, 3, 4))  # (-2)-curves are the likeliest to represent
     if length == 1:
@@ -446,6 +467,141 @@ def test_enumeration_matches_unpruned_oracle(config):
     assert sorted(_fingerprints(enumerate_representations(config))) == sorted(
         _fingerprints(brute_force_representations(config))
     )
+
+
+# --- canonicalisation by refinement against the permutation oracle ------------
+
+
+# the oracle: the lexicographic minimum over every basis permutation, which
+# is the definition the refinement in homology._canonicalize must reproduce
+def _brute_force_canonicalize(config, cycles, vectors, torsion):
+    """Rotate cycle supports into right-aligned blocks, then take the
+    lexicographic minimum over the remaining basis permutations."""
+    n = config.b2
+    pos = {c.id: i for i, c in enumerate(config.curves)}
+    ordered = sorted(cycles, key=lambda rec: (-rec.length, min(rec.member_ids)))
+    raw_supports = []
+    for rec in ordered:
+        total = [0] * n
+        for cid in rec.member_ids:
+            for t, x in enumerate(vectors[pos[cid]]):
+                total[t] += x
+        raw_supports.append(frozenset(t for t, x in enumerate(total) if x == -1))
+    blocks = []
+    hi = n
+    for support in raw_supports:
+        blocks.append(frozenset(range(hi - len(support), hi)))
+        hi -= len(support)
+
+    best_key = None
+    best_vectors = None
+    for perm in itertools.permutations(range(n)):
+        if any(
+            frozenset(perm[t] for t in support) != block
+            for support, block in zip(raw_supports, blocks)
+        ):
+            continue
+        moved = []
+        for vec in vectors:
+            out = [0] * n
+            for t, x in enumerate(vec):
+                out[perm[t]] = x
+            moved.append(tuple(out))
+        key = (torsion, tuple(_class_key(c, v) for c, v in zip(config.curves, moved)))
+        if best_key is None or key < best_key:
+            best_key = key
+            best_vectors = moved
+    twisted_singletons = (
+        {rec.member_ids[0] for rec in cycles if len(rec.member_ids) == 1}
+        if torsion
+        else set()
+    )
+    classes = tuple(
+        LatticeClass(v, torsion2=c.id in twisted_singletons)
+        for c, v in zip(config.curves, best_vectors)
+    )
+    return best_key, Representation(classes, odd_ih=torsion)
+
+
+def _relabel_basis(vectors, perm):
+    return tuple(tuple(vec[perm[t]] for t in range(len(vec))) for vec in vectors)
+
+
+def _assert_matches_oracle(config, rng):
+    cycles = find_cycles(config)
+    reps = enumerate_representations(config)
+    for rep in reps:
+        perm = list(range(config.b2))
+        rng.shuffle(perm)
+        vectors = _relabel_basis([c.coeffs for c in rep.classes], perm)
+        args = (config, cycles, vectors, rep.odd_ih)
+        assert homology._canonicalize(*args) == _brute_force_canonicalize(*args)
+    return reps
+
+
+# representable members up to rank 6, the twisted (-3) rings among them;
+# random cycles with trees rarely represent beyond rank 4
+_RANK_SIX_FAMILIES = [singrat_config(n, p) for n in range(2, 7) for p in range(n)]
+_RANK_SIX_FAMILIES += [enoki_cycle_config(n, e) for n in range(2, 7) for e in (False, True)]
+_RANK_SIX_FAMILIES += [_ring(r, s) for r in range(3, 7) for s in (-2, -3)]
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(
+        small_cycle_configs(max_b2=6),
+        st.tuples(
+            st.sampled_from(_RANK_SIX_FAMILIES),
+            st.randoms(use_true_random=False),
+            st.integers(0, 50),
+        ).map(lambda args: _relabelled(*args)),
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_refinement_matches_permutation_oracle(config, rng):
+    # every orbit under a random basis renumbering: same key, same form
+    _assert_matches_oracle(config, rng)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [enoki_cycle_config(7, False), enoki_cycle_config(7, True), singrat_config(7, 6), _ring(7, -3)],
+)
+def test_refinement_matches_permutation_oracle_at_rank_seven(config):
+    assert _assert_matches_oracle(config, random.Random(7))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [enoki_cycle_config(n, e) for n in (8, 9, 10) for e in (False, True)]
+    + [singrat_config(n, n - 1) for n in (8, 9, 10)]
+    + [_ring(9, -3)],
+)
+def test_canonical_form_idempotent_and_relabelling_invariant_beyond_the_cap(config):
+    rng = random.Random(config.b2)
+    reps = enumerate_representations(config, cap=10)
+    assert reps
+    for rep in reps:
+        assert canonical_form(config, rep) == rep
+        for _ in range(3):
+            perm = list(range(config.b2))
+            rng.shuffle(perm)
+            vectors = _relabel_basis([c.coeffs for c in rep.classes], perm)
+            moved = Representation(
+                tuple(LatticeClass(v, c.torsion2) for v, c in zip(vectors, rep.classes)),
+                rep.odd_ih,
+            )
+            assert canonical_form(config, moved) == rep
+
+
+def test_enumerate_tries_no_basis_permutations(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("canonical forms are refined, not searched")
+
+    monkeypatch.setattr(homology.itertools, "permutations", forbidden)
+    config, expected = PINNED[3]
+    assert config == enoki_cycle_config(6, True)
+    assert [_signs(r) for r in enumerate_representations(config)] == expected
 
 
 # --- the -2L exclusion diagnostic ---------------------------------------------
