@@ -335,9 +335,11 @@ def _enum_cap() -> int | None:
 
 
 def _cmd_enumerate(args) -> int:
+    limit = args.max_solutions
+    if limit is not None and limit < 0:
+        raise DomainError(f"--max-solutions must be a non-negative integer, got {limit}")
     config = load_config(args.file)
     reps = enumerate_representations(config, cap=_enum_cap())
-    limit = args.max_solutions
     truncated = limit is not None and limit < len(reps)
     shown = reps[:limit] if truncated else reps
     entries = []

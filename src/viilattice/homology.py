@@ -21,9 +21,29 @@ lattice:
     in the twisted case.
 
 The enumerator backtracks over candidate classes (cycle curves first, then
-branches outward, then the rest), pruning on (a) and (b) as it goes.  Every
-constraint above is invariant under renumbering the basis, so the search
-walks orbits of that symmetry rather than labellings:
+branches outward, then the rest), pruning on (a) and (b) as it goes.  Its
+state is integers.  A class is a pair of bitmasks over the basis indices,
+``plus`` for its +1 entry and ``minus`` for its -1 entries, so a pairwise
+product is four ``int.bit_count`` calls checked against the intersection
+matrix.  The candidates of one (kind, self-intersection) are built once per
+search, grouped by base, and a used base skips its whole group.  The
+blowup sets of the placed smooth curves are kept with two masks, the
+indices in exactly one set (``load1``) and in two (``load2``), so "no index
+in three blowup sets" reads ``minus & load2 == 0``.  Tuple vectors are built
+only at a leaf.
+
+Constraint (b) also gives a counting bound, checked before any candidate is
+built: each index lies in at most two blowup sets, so the smooth curves'
+blowup sizes -C^2 - 1 add up to at most 2*b2 (with b2 smooth curves this
+is sigma <= 3*b2).  The bound only restates (b), so it removes no
+solution.  It needs no check below the root: a placement that respects
+``minus & load2 == 0`` lowers the free capacity 2*#free + #load-1 by
+exactly its blowup size, as much as it lowers the demand of the curves
+left.  The companion bound, #smooth <= #unused bases, holds at the root by
+validation (at most b2 rational curves) and keeps its slack the same way.
+
+Every constraint above is invariant under renumbering the basis, so the
+search walks orbits of that symmetry rather than labellings:
 
 - An index's *column* is its entries in the classes placed so far.  A
   permutation of indices with equal columns fixes every placed class and
@@ -33,10 +53,22 @@ walks orbits of that symmetry rather than labellings:
   such set.  Each orbit of candidates under those permutations has exactly
   one such member, so every orbit of solutions keeps a representative (by
   induction on the depth: permute equal-column indices of a solution until
-  the next class is of that form).
+  the next class is of that form).  The sets are cell masks, split by each
+  placed class; the rule is a prefix test per cell on ``plus`` and on
+  ``plus | minus``, and one-index cells are dropped since they always pass.
 - Two complete assignments lie in one orbit exactly when their multisets
   of basis columns (one index's coefficients read down the curves) agree,
   so the raw solutions are deduplicated by that multiset.
+
+The plain and the twisted case share the candidates and every pruning rule
+and differ only in (c) and (e), so the tree is walked once: each leaf runs
+the plain test and, on a configuration with a single cycle, the twisted one
+when the plain one fails.  No configuration has leaves of both kinds.  The
+entries of a class add up to C^2 + 2 for a smooth curve and C^2 otherwise,
+so a cycle's class sum adds up to the same number at every leaf.  A plain
+sum adds up to length - b2, a twisted one to -b2 with length b2 by (e), and
+length = 0 cannot meet length = b2.  So twisted solutions come out exactly
+when there is no plain one.
 
 Each remaining orbit is canonicalised once, to its least member by
 normal-form keys among those whose cycle class sums fill right-aligned
@@ -44,12 +76,7 @@ blocks.  That form depends only on the orbit, so the output does not depend
 on which member the search found.  It is built by ordered partition
 refinement in O(curves x b2), not by trying the b2! renumberings: each
 choice is forced by the key, so the refinement never branches (see
-``_canonicalize``).  The twisted search runs only when the plain one comes
-back empty and the configuration carries a single cycle.
-
-The search is a pure function of the configuration: candidates and state
-are immutable values, so independent subtrees could be explored in
-parallel without coordination; the implementation here is sequential.
+``_canonicalize``).
 """
 
 from __future__ import annotations
@@ -64,6 +91,7 @@ from .curves import (
     CurveConfig,
     CycleRecord,
     find_cycles,
+    intersection_matrix,
     require_valid,
 )
 from .errors import DomainError, EnumerationCapError
@@ -108,15 +136,11 @@ def enumerate_representations(
             "splits between them)"
         )
     covering = bool(config.curves) and config.elimination[0] == DEFINITE
-    order = _search_order(config, cycles)
-    found = list(_search(config, cycles, order, covering, torsion=False))
-    torsion = False
-    if not found and len(cycles) == 1:
-        found = list(_search(config, cycles, order, covering, torsion=True))
-        torsion = True
+    found = list(_search(config, cycles, _search_order(config, cycles), covering))
+    torsion = bool(found) and found[0][0]
     # the multiset of basis columns is an exact orbit invariant, so each
     # orbit is canonicalised once
-    orbits = {tuple(sorted(zip(*vectors))): vectors for vectors in found}
+    orbits = {tuple(sorted(zip(*vectors))): vectors for _, vectors in found}
     canonical = dict(
         _canonicalize(config, cycles, vectors, torsion) for vectors in orbits.values()
     )
@@ -154,151 +178,136 @@ def _search_order(config: CurveConfig, cycles: list[CycleRecord]) -> list[int]:
     return order
 
 
-def _candidate_vectors(n: int, curve) -> list[tuple[int, ...]]:
-    """Every lattice vector the curve's kind and self-intersection allow."""
-    out: list[tuple[int, ...]] = []
-    if curve.kind == SMOOTH_RATIONAL:
-        size = -curve.self_int - 1
-        if size > n - 1:
-            return out
-        for base in range(n):
-            rest = [t for t in range(n) if t != base]
-            for blowups in itertools.combinations(rest, size):
-                v = [0] * n
-                v[base] = 1
-                for t in blowups:
-                    v[t] = -1
-                out.append(tuple(v))
-    else:
-        size = -curve.self_int
-        if size > n:
-            return out
-        for support in itertools.combinations(range(n), size):
-            v = [0] * n
-            for t in support:
-                v[t] = -1
-            out.append(tuple(v))
-    return out
+def _candidate_masks(n: int, smooth: bool, self_int: int) -> list[tuple[int, list[int]]]:
+    """The curve's candidate classes as (plus mask, minus masks) groups, one
+    group per base for a smooth curve, a single group with plus 0 otherwise.
+    Bit t stands for basis index t; minus masks run in lexicographic order."""
+    size = -self_int - 1 if smooth else -self_int
+    subsets = [sum(1 << t for t in s) for s in itertools.combinations(range(n), size)]
+    if not smooth:
+        return [(0, subsets)]
+    return [(1 << base, [m for m in subsets if not m >> base & 1]) for base in range(n)]
 
 
-_ENTRY_RANK = {1: 0, -1: 1, 0: 2}
-
-
-def _search(config, cycles, order, covering, torsion):
-    """Backtracking generator yielding complete vector assignments, at least
-    one per orbit of the basis-renumbering symmetry."""
+def _search(config, cycles, order, covering):
+    """Backtracking generator over one tree, yielding (torsion, vectors) for
+    complete assignments, at least one per orbit of the basis-renumbering
+    symmetry; the twisted test runs only on a single cycle."""
     n = config.b2
     curves = config.curves
-    ids = [c.id for c in curves]
-    candidates = {p: _candidate_vectors(n, curves[p]) for p in order}
-    assigned: dict[int, tuple[int, ...]] = {}
-    used_bases: set[int] = set()
-    blowup_sets: list[tuple[int, frozenset[int]]] = []  # (position, set)
-    index_load = [0] * n  # how many blowup sets contain each basis index
-    column: list[tuple[int, ...]] = [()] * n  # each index's placed entries
+    smooth = [curves[p].kind == SMOOTH_RATIONAL for p in order]
+    # the counting bound from (b), before any candidate is built
+    if sum(-curves[p].self_int - 1 for p, s in zip(order, smooth) if s) > 2 * n:
+        return
+    cache: dict[tuple[bool, int], list] = {}
+    pools = []
+    for p, s in zip(order, smooth):
+        key = (s, curves[p].self_int)
+        if key not in cache:
+            cache[key] = _candidate_masks(n, *key)
+        pools.append(cache[key])
+    mult = intersection_matrix(config)
+    pos = {c.id: i for i, c in enumerate(curves)}
+    members = [([pos[cid] for cid in rec.member_ids], rec.length) for rec in cycles]
+    full = (1 << n) - 1
+    placed: list[tuple[int, int, int]] = []  # (position, plus, minus) by depth
+    blow_sets: list[int] = []  # minus masks of the placed smooth curves
 
-    def ok_interchangeable(vec: tuple[int, ...]) -> bool:
-        # indices with equal columns are interchangeable: keep only the
-        # candidate whose entries on each such set run +1, then -1, then 0
-        # in index order
-        rank: dict[tuple[int, ...], int] = {}
-        for t, x in enumerate(vec):
-            r = _ENTRY_RANK[x]
-            if r < rank.get(column[t], 0):
-                return False
-            rank[column[t]] = r
-        return True
-
-    def ok_pairwise(p: int, vec: tuple[int, ...]) -> bool:
-        for q, other in assigned.items():
-            want = config.mult(ids[p], ids[q])
-            if -sum(x * y for x, y in zip(vec, other)) != want:
-                return False
-        return True
-
-    def place(p: int, vec: tuple[int, ...]):
-        assigned[p] = vec
-        for t, x in enumerate(vec):
-            column[t] += (x,)
-        if curves[p].kind == SMOOTH_RATIONAL:
-            base = vec.index(1)
-            blow = frozenset(t for t, x in enumerate(vec) if x == -1)
-            used_bases.add(base)
-            blowup_sets.append((p, blow))
-            for t in blow:
-                index_load[t] += 1
-            return base, blow
-        return None
-
-    def unplace(p: int, token) -> None:
-        del assigned[p]
-        for t in range(n):
-            column[t] = column[t][:-1]
-        if token is not None:
-            base, blow = token
-            used_bases.discard(base)
-            blowup_sets.pop()
-            for t in blow:
-                index_load[t] -= 1
-
-    def ok_blowups(vec: tuple[int, ...]) -> bool:
-        base = vec.index(1)
-        if base in used_bases:
-            return False
-        blow = frozenset(t for t, x in enumerate(vec) if x == -1)
-        for _, other in blowup_sets:
-            if len(blow & other) > 1:
-                return False
-        return all(index_load[t] < 2 for t in blow)
-
-    def extend(depth: int):
-        if depth == len(order):
-            if _sums_admissible(config, cycles, assigned, covering, torsion, n):
-                yield dict(assigned)
-            return
+    def fits(depth, cells, used, load2):
+        """(plus, minus) of each candidate for the curve at ``depth`` that
+        passes (a), (b) and the interchangeability rule."""
         p = order[depth]
-        smooth = curves[p].kind == SMOOTH_RATIONAL
-        for vec in candidates[p]:
-            if not ok_interchangeable(vec):
-                continue
-            if smooth and not ok_blowups(vec):
-                continue
-            if not ok_pairwise(p, vec):
-                continue
-            token = place(p, vec)
-            yield from extend(depth + 1)
-            unplace(p, token)
+        checks = [(P, M, mult[p][q]) for q, P, M in placed]
+        sets, load2 = (blow_sets, load2) if smooth[depth] else ((), 0)
+        for plus, group in pools[depth]:
+            if plus & used or any(c & plus and c & (plus - 1) for c in cells):
+                continue  # a used base, or an equal-column index below it
+            for minus in group:
+                if minus & load2 or any((minus & b) & ((minus & b) - 1) for b in sets):
+                    continue
+                bits = plus | minus
+                for c in cells:
+                    # on each equal-column set the entries run +1, -1, 0 in
+                    # index order: the indices the class misses lie above
+                    # those it meets
+                    rest = c & ~bits
+                    if rest and (rest & -rest) < (c & bits):
+                        break
+                else:
+                    for P, M, want in checks:
+                        if (
+                            (plus & P).bit_count()
+                            - (plus & M).bit_count()
+                            - (minus & P).bit_count()
+                            + (minus & M).bit_count()
+                            + want
+                        ):
+                            break
+                    else:
+                        yield plus, minus
 
-    for complete in extend(0):
-        yield tuple(complete[i] for i in range(len(curves)))
+    def extend(depth, cells, used, load1, load2):
+        # cells: the equal-column sets of two or more indices, as masks;
+        # load1/load2: the indices in exactly one/two blowup sets
+        if depth == len(order):
+            touched = 0
+            for _, plus, minus in placed:
+                touched |= plus | minus
+            if covering and touched != full:
+                return
+            vectors = [None] * len(curves)
+            for p, plus, minus in placed:
+                vectors[p] = _vector(n, plus, minus)
+            if _sums_admissible(members, vectors, n, torsion=False):
+                yield False, tuple(vectors)
+            elif len(cycles) == 1 and _sums_admissible(members, vectors, n, torsion=True):
+                yield True, tuple(vectors)
+            return
+        for plus, minus in fits(depth, cells, used, load2):
+            split = [
+                part
+                for c in cells
+                for part in (c & minus, c & ~(plus | minus))
+                if part & (part - 1)
+            ]
+            placed.append((order[depth], plus, minus))
+            if smooth[depth]:
+                blow_sets.append(minus)
+                # minus misses load2, so its load-1 indices move to load 2
+                # and the others to load 1
+                yield from extend(
+                    depth + 1, split, used | plus, load1 ^ minus, load2 | (load1 & minus)
+                )
+                blow_sets.pop()
+            else:
+                yield from extend(depth + 1, split, used, load1, load2)
+            placed.pop()
+
+    yield from extend(0, [full] if n > 1 else [], 0, 0, 0)
 
 
-def _sums_admissible(config, cycles, assigned, covering, torsion, n) -> bool:
-    pos = {c.id: i for i, c in enumerate(config.curves)}
-    supports: list[frozenset[int]] = []
-    for rec in cycles:
-        total = [0] * n
-        for cid in rec.member_ids:
-            for t, x in enumerate(assigned[pos[cid]]):
-                total[t] += x
+def _vector(n: int, plus: int, minus: int) -> tuple[int, ...]:
+    return tuple((plus >> t & 1) - (minus >> t & 1) for t in range(n))
+
+
+def _sums_admissible(members, vectors, n, torsion) -> bool:
+    """Constraints (c) and (e) at a leaf; ``members`` holds each cycle's
+    curve positions and length."""
+    supports = 0
+    for positions, length in members:
+        total = [sum(column) for column in zip(*(vectors[p] for p in positions))]
         if any(x not in (0, -1) for x in total):
             return False
-        zeros = sum(1 for x in total if x == 0)
-        if zeros != (0 if torsion else rec.length):
+        zeros = total.count(0)
+        if zeros != (0 if torsion else length):
             return False
-        square = -sum(x * x for x in total)
-        if rec.length - square != (2 if torsion else 1) * n:
+        # the entries are 0/-1, so the square is minus the number of -1s
+        if length + n - zeros != (2 if torsion else 1) * n:
             return False
-        supports.append(frozenset(t for t, x in enumerate(total) if x == -1))
-    for a, b in itertools.combinations(supports, 2):
-        if a & b:
+        support = sum(1 << t for t, x in enumerate(total) if x)
+        if support & supports:
             return False
-    if covering:
-        touched = set()
-        for vec in assigned.values():
-            touched.update(t for t, x in enumerate(vec) if x != 0)
-        if touched != set(range(n)):
-            return False
+        supports |= support
     return True
 
 
@@ -603,7 +612,9 @@ def _type_b_candidates(n: int, self_int: int) -> list[tuple[int, ...]]:
 
 
 def _neighbor_pool(n: int, curve) -> list[tuple[int, ...]]:
-    pool = _candidate_vectors(n, curve)
-    if curve.kind == SMOOTH_RATIONAL:
-        pool = pool + _type_b_candidates(n, curve.self_int)
+    smooth = curve.kind == SMOOTH_RATIONAL
+    groups = _candidate_masks(n, smooth, curve.self_int)
+    pool = [_vector(n, plus, minus) for plus, group in groups for minus in group]
+    if smooth:
+        pool += _type_b_candidates(n, curve.self_int)
     return pool

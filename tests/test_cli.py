@@ -240,6 +240,20 @@ def test_enumerate_truncation(capsys, enoki3_file):
     assert len(doc["representations"]) == 1
 
 
+def test_enumerate_refuses_negative_max_solutions(capsys, tmp_path):
+    # -1 used to slice off the last representation and report it as truncated
+    path = tmp_path / "enoki5.json"
+    path.write_text(config_to_text(enoki_cycle_config(5, True)))
+    code, doc, err = run(capsys, ["enumerate", str(path), "--max-solutions", "-1"])
+    assert code == 1
+    assert doc is None
+    assert "--max-solutions must be a non-negative integer" in err
+    for limit in (0, 1):
+        code, doc, _ = run(capsys, ["enumerate", str(path), "--max-solutions", str(limit)])
+        assert code == 0
+        assert (doc["count"], doc["truncated"], len(doc["representations"])) == (2, True, limit)
+
+
 def test_enumerate_cap_refusal(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text(config_to_text(singrat_config(9, 8)))

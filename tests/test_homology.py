@@ -29,7 +29,7 @@ from viilattice import (
     verify_representation,
 )
 from viilattice import homology
-from viilattice.curves import find_cycles
+from viilattice.curves import DEFINITE, find_cycles
 from viilattice.homology import _class_key
 from viilattice.selftest import _naive_candidates, brute_force_representations
 
@@ -406,9 +406,9 @@ def test_orbit_dedupe_absorbs_every_relabelling(work, monkeypatch):
     search = homology._search
 
     def every_labelling(*args, **kwargs):
-        for vectors in search(*args, **kwargs):
+        for torsion, vectors in search(*args, **kwargs):
             for perm in itertools.permutations(range(config.b2)):
-                yield tuple(tuple(v[t] for t in perm) for v in vectors)
+                yield torsion, tuple(tuple(v[t] for t in perm) for v in vectors)
 
     monkeypatch.setattr(homology, "_search", every_labelling)
     work["canonical"] = 0
@@ -602,6 +602,231 @@ def test_enumerate_tries_no_basis_permutations(monkeypatch):
     config, expected = PINNED[3]
     assert config == enoki_cycle_config(6, True)
     assert [_signs(r) for r in enumerate_representations(config)] == expected
+
+
+# --- the bitmask search against the tuple search it replaced ------------------
+
+
+# the oracle: the tuple-vector search as it stood before the bitmask rewrite,
+# copied verbatim (names prefixed), one traversal per torsion flag
+def _reference_candidate_vectors(n: int, curve) -> list[tuple[int, ...]]:
+    """Every lattice vector the curve's kind and self-intersection allow."""
+    out: list[tuple[int, ...]] = []
+    if curve.kind == SMOOTH_RATIONAL:
+        size = -curve.self_int - 1
+        if size > n - 1:
+            return out
+        for base in range(n):
+            rest = [t for t in range(n) if t != base]
+            for blowups in itertools.combinations(rest, size):
+                v = [0] * n
+                v[base] = 1
+                for t in blowups:
+                    v[t] = -1
+                out.append(tuple(v))
+    else:
+        size = -curve.self_int
+        if size > n:
+            return out
+        for support in itertools.combinations(range(n), size):
+            v = [0] * n
+            for t in support:
+                v[t] = -1
+            out.append(tuple(v))
+    return out
+
+
+_REFERENCE_ENTRY_RANK = {1: 0, -1: 1, 0: 2}
+
+
+def _reference_search(config, cycles, order, covering, torsion):
+    """Backtracking generator yielding complete vector assignments, at least
+    one per orbit of the basis-renumbering symmetry."""
+    n = config.b2
+    curves = config.curves
+    ids = [c.id for c in curves]
+    candidates = {p: _reference_candidate_vectors(n, curves[p]) for p in order}
+    assigned: dict[int, tuple[int, ...]] = {}
+    used_bases: set[int] = set()
+    blowup_sets: list[tuple[int, frozenset[int]]] = []  # (position, set)
+    index_load = [0] * n  # how many blowup sets contain each basis index
+    column: list[tuple[int, ...]] = [()] * n  # each index's placed entries
+
+    def ok_interchangeable(vec: tuple[int, ...]) -> bool:
+        # indices with equal columns are interchangeable: keep only the
+        # candidate whose entries on each such set run +1, then -1, then 0
+        # in index order
+        rank: dict[tuple[int, ...], int] = {}
+        for t, x in enumerate(vec):
+            r = _REFERENCE_ENTRY_RANK[x]
+            if r < rank.get(column[t], 0):
+                return False
+            rank[column[t]] = r
+        return True
+
+    def ok_pairwise(p: int, vec: tuple[int, ...]) -> bool:
+        for q, other in assigned.items():
+            want = config.mult(ids[p], ids[q])
+            if -sum(x * y for x, y in zip(vec, other)) != want:
+                return False
+        return True
+
+    def place(p: int, vec: tuple[int, ...]):
+        assigned[p] = vec
+        for t, x in enumerate(vec):
+            column[t] += (x,)
+        if curves[p].kind == SMOOTH_RATIONAL:
+            base = vec.index(1)
+            blow = frozenset(t for t, x in enumerate(vec) if x == -1)
+            used_bases.add(base)
+            blowup_sets.append((p, blow))
+            for t in blow:
+                index_load[t] += 1
+            return base, blow
+        return None
+
+    def unplace(p: int, token) -> None:
+        del assigned[p]
+        for t in range(n):
+            column[t] = column[t][:-1]
+        if token is not None:
+            base, blow = token
+            used_bases.discard(base)
+            blowup_sets.pop()
+            for t in blow:
+                index_load[t] -= 1
+
+    def ok_blowups(vec: tuple[int, ...]) -> bool:
+        base = vec.index(1)
+        if base in used_bases:
+            return False
+        blow = frozenset(t for t, x in enumerate(vec) if x == -1)
+        for _, other in blowup_sets:
+            if len(blow & other) > 1:
+                return False
+        return all(index_load[t] < 2 for t in blow)
+
+    def extend(depth: int):
+        if depth == len(order):
+            if _reference_sums_admissible(config, cycles, assigned, covering, torsion, n):
+                yield dict(assigned)
+            return
+        p = order[depth]
+        smooth = curves[p].kind == SMOOTH_RATIONAL
+        for vec in candidates[p]:
+            if not ok_interchangeable(vec):
+                continue
+            if smooth and not ok_blowups(vec):
+                continue
+            if not ok_pairwise(p, vec):
+                continue
+            token = place(p, vec)
+            yield from extend(depth + 1)
+            unplace(p, token)
+
+    for complete in extend(0):
+        yield tuple(complete[i] for i in range(len(curves)))
+
+
+def _reference_sums_admissible(config, cycles, assigned, covering, torsion, n) -> bool:
+    pos = {c.id: i for i, c in enumerate(config.curves)}
+    supports: list[frozenset[int]] = []
+    for rec in cycles:
+        total = [0] * n
+        for cid in rec.member_ids:
+            for t, x in enumerate(assigned[pos[cid]]):
+                total[t] += x
+        if any(x not in (0, -1) for x in total):
+            return False
+        zeros = sum(1 for x in total if x == 0)
+        if zeros != (0 if torsion else rec.length):
+            return False
+        square = -sum(x * x for x in total)
+        if rec.length - square != (2 if torsion else 1) * n:
+            return False
+        supports.append(frozenset(t for t, x in enumerate(total) if x == -1))
+    for a, b in itertools.combinations(supports, 2):
+        if a & b:
+            return False
+    if covering:
+        touched = set()
+        for vec in assigned.values():
+            touched.update(t for t, x in enumerate(vec) if x != 0)
+        if touched != set(range(n)):
+            return False
+    return True
+
+
+def _orbit_set(pairs):
+    return {(torsion, tuple(sorted(zip(*vectors)))) for torsion, vectors in pairs}
+
+
+def _assert_same_orbits(config):
+    """The search's orbits, keyed by column multiset, equal the oracle's."""
+    cycles = find_cycles(config)
+    order = homology._search_order(config, cycles)
+    covering = bool(config.curves) and config.elimination[0] == DEFINITE
+    found = [(False, v) for v in _reference_search(config, cycles, order, covering, False)]
+    if not found and len(cycles) == 1:
+        found = [(True, v) for v in _reference_search(config, cycles, order, covering, True)]
+    orbits = _orbit_set(homology._search(config, cycles, order, covering))
+    assert orbits == _orbit_set(found)
+    return orbits
+
+
+_SEARCH_FAMILIES = [singrat_config(n, p) for n in range(1, 7) for p in range(n)]
+_SEARCH_FAMILIES += [enoki_cycle_config(n, e) for n in range(1, 7) for e in (False, True)]
+_SEARCH_FAMILIES += [_ring(r, self_int) for r in range(3, 9) for self_int in (-2, -3, -4)]
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(
+        small_cycle_configs(max_b2=6),
+        st.tuples(
+            st.sampled_from(_SEARCH_FAMILIES),
+            st.randoms(use_true_random=False),
+            st.integers(0, 50),
+        ).map(lambda args: _relabelled(*args)),
+    )
+)
+def test_search_matches_reference_search(config):
+    _assert_same_orbits(config)
+
+
+def test_search_matches_reference_search_on_rings():
+    torsions = set()
+    for r in range(3, 9):
+        for self_int in (-2, -3, -4):
+            torsions |= {torsion for torsion, _ in _assert_same_orbits(_ring(r, self_int))}
+    assert torsions == {False, True}  # both the plain and the twisted leaf test
+
+
+def test_root_bound_refuses_before_any_candidate(monkeypatch):
+    # twelve (-4)-curves need 36 blowup slots; twelve indices hold at most 24
+    def forbidden(*args):
+        raise AssertionError("candidate classes built")
+
+    monkeypatch.setattr(homology, "_candidate_masks", forbidden)
+    assert enumerate_representations(_ring(12, -4), cap=12) == []
+    with pytest.raises(AssertionError, match="candidate classes built"):
+        enumerate_representations(_ring(6, -3))
+
+
+@pytest.mark.parametrize("config, count", [(_ring(6, -3), 0), (_ring(5, -3), 2)])
+def test_single_cycle_search_walks_the_tree_once(monkeypatch, config, count):
+    # an empty plain search used to be followed by a second, twisted traversal
+    calls = []
+    search = homology._search
+
+    def counting_search(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(homology, "_search", counting_search)
+    assert len(find_cycles(config)) == 1
+    assert len(enumerate_representations(config)) == count
+    assert len(calls) == 1
 
 
 # --- the -2L exclusion diagnostic ---------------------------------------------
