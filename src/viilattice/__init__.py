@@ -71,11 +71,9 @@ from .homology import (
     DEFAULT_CAP,
     ConstraintResult,
     Representation,
-    TypeBExclusionReport,
     VerificationReport,
     canonical_form,
     enumerate_representations,
-    type_b_exclusion_check,
     verify_representation,
 )
 from .lattice import (

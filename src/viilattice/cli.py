@@ -12,7 +12,8 @@ Commands:
 Reports go to standard output as JSON (selftest prints plain lines),
 errors to standard error.  Rational numbers are rendered exactly as
 "p/q" strings, never as decimals.  Exit codes: 0 success, 1 invalid
-input, 2 internal inconsistency, 3 enumeration cap refusal.  The
+input, 2 internal inconsistency, 3 enumeration cap refusal.  An integer
+beyond the interpreter's int/str digit limit is invalid input.  The
 environment variable VII_ENUM_CAP overrides the enumeration cap.
 """
 
@@ -91,6 +92,16 @@ def main(argv: list[str] | None = None) -> int:
         OSError,
     ) as exc:
         print(str(exc), file=sys.stderr)
+        return EXIT_INVALID
+    except ValueError as exc:
+        # the interpreter refuses to read or print an int beyond its digit limit
+        if "integer string conversion" not in str(exc):
+            raise
+        print(
+            f"refused: an integer in the input or the report has more than "
+            f"{sys.get_int_max_str_digits()} digits",
+            file=sys.stderr,
+        )
         return EXIT_INVALID
 
 
@@ -329,9 +340,12 @@ def _enum_cap() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ConfigParseError(f"VII_ENUM_CAP must be an integer, got {raw!r}")
+    if cap < 0:
+        raise DomainError(f"VII_ENUM_CAP must be a non-negative integer, got {cap}")
+    return cap
 
 
 def _cmd_enumerate(args) -> int:

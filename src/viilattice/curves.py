@@ -110,9 +110,6 @@ class CurveConfig:
         except KeyError:
             raise DomainError(f"no curve with id {cid}") from None
 
-    def ids(self) -> tuple[int, ...]:
-        return tuple(c.id for c in self.curves)
-
     def neighbors(self, cid: int) -> list[tuple[int, int]]:
         """(other id, multiplicity) pairs for every curve meeting cid, in listing order."""
         return list(self._adj.get(cid, ()))

@@ -13,6 +13,8 @@ moduli, which are rational for exact inputs.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -126,6 +128,44 @@ class _Arith:
         return str(v)
 
 
+def _refuse_unprintable(s, p, q) -> None:
+    """Refuse s * (b^k - c^j), for p = (b, k) and q = (c, j), before computing
+    it when it could not be printed within the interpreter's int/str limit.
+
+    The height H(z) = N(denominator ideal) * max(1, |z|^2) on Q(i) has
+    H(z^k) = H(z)^k, H(1/z) = H(z), H(zw) <= H(z)H(w) and H(z + w) <=
+    4H(z)H(w).  A result that prints within L digits has common denominator
+    D < 10^(2L), so N(denominator ideal) <= D^2 < 10^(4L), and modulus below
+    2 * 10^L, so H < 4 * 10^(6L); then H(b)^k <= 16 * 10^(6L) * H(s) *
+    H(c)^j, and the same with p and q swapped.  One spare bit covers the
+    float log of 10.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit or _lift_exact(s).is_zero():
+        return
+    budget = 5 + 6 * limit * Fraction(math.log2(10)) + _log2_height(s, upper=True)
+    for (b, k), (c, j) in ((p, q), (q, p)):
+        if k * _log2_height(b, upper=False) > budget + j * _log2_height(c, upper=True):
+            raise DomainError(
+                f"the resonance term would have more than {limit} digits, "
+                "beyond the interpreter's int/str limit"
+            )
+
+
+def _log2_height(x, upper: bool) -> Fraction:
+    """log2 H(x), bounded through x = (A + Bi)/D with D the common denominator:
+    D^2 / gcd(A^2 + B^2, D^2) <= N(denominator ideal) <= D^2, since the ideal
+    is D over gcd(A + Bi, D).  The float logs err by far less than the slack."""
+    z = _lift_exact(x)
+    den = math.lcm(z.re.denominator, z.im.denominator)
+    ideal = den * den
+    if not upper:
+        ideal //= math.gcd(int(z.abs2() * ideal), ideal)
+    value = ideal * max(Fraction(1), z.abs2())
+    log = Fraction(math.log2(value.numerator) - math.log2(value.denominator))
+    return log + Fraction(1, 2**30) if upper else log - Fraction(1, 2**30)
+
+
 @dataclass(frozen=True)
 class Condition:
     name: str
@@ -212,6 +252,8 @@ def validate_strong(germ: HopfGermStrong) -> GermVerdict:
             f"need |a|^2 < |alpha|^2 < 1, got {ar.render(t2)}, {ar.render(a2)}",
         ),
     ]
+    if ar.exact:
+        _refuse_unprintable(germ.s, (germ.a, germ.m), (germ.alpha, germ.m + 1))
     resonance = ar.sub(ar.pow(germ.a, germ.m), ar.pow(germ.alpha, germ.m + 1))
     obstruction = ar.mul(resonance, ar.lift(germ.s))
     conditions.append(
@@ -250,6 +292,8 @@ def validate_primary(germ: HopfGermPrimary) -> GermVerdict:
             f"need |alpha1|^2 <= |alpha2|^2 < 1, got {ar.render(m1)}, {ar.render(m2)}",
         ),
     ]
+    if ar.exact:
+        _refuse_unprintable(germ.s, (germ.alpha2, germ.m), (germ.alpha1, 1))
     resonance = ar.sub(ar.pow(germ.alpha2, germ.m), ar.lift(germ.alpha1))
     obstruction = ar.mul(resonance, ar.lift(germ.s))
     conditions.append(

@@ -95,7 +95,7 @@ from .curves import (
     require_valid,
 )
 from .errors import DomainError, EnumerationCapError
-from .lattice import LatticeClass, TypeA, classify_normal_form, type_b_class
+from .lattice import LatticeClass, TypeA, classify_normal_form
 
 DEFAULT_CAP = 8
 
@@ -517,104 +517,3 @@ def verify_representation(config: CurveConfig, rep: Representation) -> Verificat
     )
     return VerificationReport(tuple(results))
 
-
-# --- diagnostic: why the -2L pattern never appears on cycle components -------
-
-
-@dataclass(frozen=True)
-class TypeBCurveCheck:
-    curve_id: int
-    candidate_count: int
-    locally_consistent_count: int
-
-
-@dataclass(frozen=True)
-class TypeBExclusionReport:
-    applicable: bool
-    reason: str
-    external_curve: int | None = None
-    cycle_member_ids: tuple[int, ...] = ()
-    checks: tuple[TypeBCurveCheck, ...] = ()
-
-    @property
-    def any_locally_consistent(self) -> bool:
-        return any(c.locally_consistent_count for c in self.checks)
-
-
-def type_b_exclusion_check(config: CurveConfig) -> TypeBExclusionReport:
-    """Diagnostic sweep over -2L_i - L_I patterns on a cycle component.
-
-    When some curve outside a cycle meets it with total multiplicity one,
-    every curve of that cycle's component is known to carry the
-    exceptional-curve pattern; the enumerator hard-codes this by only ever
-    assigning such patterns to smooth rational curves.  This check tries
-    the excluded patterns anyway and reports whether any of them could even
-    satisfy the pairwise products with its neighbors' candidate classes.
-    """
-    require_valid(config)
-    n = config.b2
-    cycles = find_cycles(config)
-    target = None
-    external = None
-    for rec in cycles:
-        members = set(rec.member_ids)
-        for c in config.curves:
-            if c.id in members:
-                continue
-            if sum(config.mult(c.id, mid) for mid in members) == 1:
-                target, external = rec, c.id
-                break
-        if target:
-            break
-    if target is None:
-        return TypeBExclusionReport(
-            False, "no curve outside a cycle meets it with total multiplicity 1"
-        )
-    component = set(target.member_ids)
-    for br in target.branches:
-        component.update(br.member_ids)
-    checks = []
-    for cid in sorted(component):
-        curve = config.curve(cid)
-        if curve.kind != SMOOTH_RATIONAL:
-            continue
-        cands = _type_b_candidates(n, curve.self_int)
-        consistent = 0
-        for vec in cands:
-            if all(
-                any(
-                    -sum(x * y for x, y in zip(vec, other)) == mult
-                    for other in _neighbor_pool(n, config.curve(u))
-                )
-                for u, mult in config.neighbors(cid)
-            ):
-                consistent += 1
-        checks.append(TypeBCurveCheck(cid, len(cands), consistent))
-    return TypeBExclusionReport(
-        True,
-        "external curve meets the cycle in exactly one point",
-        external,
-        target.member_ids,
-        tuple(checks),
-    )
-
-
-def _type_b_candidates(n: int, self_int: int) -> list[tuple[int, ...]]:
-    size = -self_int - 4
-    if size < 0 or size > n - 1:
-        return []
-    out = []
-    for base in range(n):
-        rest = [t for t in range(n) if t != base]
-        for blowups in itertools.combinations(rest, size):
-            out.append(type_b_class(n, base, blowups).coeffs)
-    return out
-
-
-def _neighbor_pool(n: int, curve) -> list[tuple[int, ...]]:
-    smooth = curve.kind == SMOOTH_RATIONAL
-    groups = _candidate_masks(n, smooth, curve.self_int)
-    pool = [_vector(n, plus, minus) for plus, group in groups for minus in group]
-    if smooth:
-        pool += _type_b_candidates(n, curve.self_int)
-    return pool

@@ -256,32 +256,34 @@ def representation_fixtures() -> list[tuple[str, CurveConfig]]:
 
 
 # --- the suites --------------------------------------------------------------
+#
+# A suite returns (checks, detail) when it passes and raises _SuiteFailed,
+# with the checks counted so far, at its first failure.
 
 
-def _suite_determinant_grid(seed: int) -> SuiteResult:
+class _SuiteFailed(Exception):
+    def __init__(self, checks: int, detail: str):
+        super().__init__(detail)
+        self.checks = checks
+        self.detail = detail
+
+
+def _suite_determinant_grid(seed: int) -> tuple[int, str]:
     checks = 0
     for n in range(2, 11):
         for p in range(0, n):
             matrix = intersection_matrix(singrat_config(n, p))
             formula = (-1) ** (p + 1) * ((n - 1) * (p + 1) - p)
             if determinant(matrix) != formula or det_cofactor(matrix) != formula:
-                return SuiteResult(
-                    "singrat-determinant-grid",
-                    False,
-                    checks,
-                    f"determinant disagreement at n={n}, p={p}",
-                )
+                raise _SuiteFailed(checks, f"determinant disagreement at n={n}, p={p}")
             checks += 2
-    return SuiteResult(
-        "singrat-determinant-grid",
-        True,
-        checks,
+    return checks, (
         "elimination and cofactor expansion both match the closed formula "
-        "for n in [2,10]",
+        "for n in [2,10]"
     )
 
 
-def _suite_closed_form_grid(seed: int) -> SuiteResult:
+def _suite_closed_form_grid(seed: int) -> tuple[int, str]:
     checks = 0
     for n in range(2, 11):
         for p in range(0, n):
@@ -290,9 +292,7 @@ def _suite_closed_form_grid(seed: int) -> SuiteResult:
                 cf = singrat_closed_form(n, p, m)
                 sol = solve_nac(config, m)
                 if isinstance(sol, NacSolution) != cf.consistent:
-                    return SuiteResult(
-                        "singrat-closed-form-grid",
-                        False,
+                    raise _SuiteFailed(
                         checks,
                         f"solver and closed form disagree on consistency at "
                         f"n={n}, p={p}, m={m}",
@@ -303,39 +303,23 @@ def _suite_closed_form_grid(seed: int) -> SuiteResult:
                     for i in range(p + 1)
                 )
                 if cf.coeffs != want:
-                    return SuiteResult(
-                        "singrat-closed-form-grid",
-                        False,
-                        checks,
-                        f"closed-form coefficients drifted at n={n}, p={p}, m={m}",
+                    raise _SuiteFailed(
+                        checks, f"closed-form coefficients drifted at n={n}, p={p}, m={m}"
                     )
                 checks += 1
                 if cf.consistent:
                     if sol.coeffs != want or not sol.effective:
-                        return SuiteResult(
-                            "singrat-closed-form-grid",
-                            False,
-                            checks,
-                            f"solver coefficients differ at n={n}, p={p}, m={m}",
+                        raise _SuiteFailed(
+                            checks, f"solver coefficients differ at n={n}, p={p}, m={m}"
                         )
                     checks += 1
         if index_of(singrat_config(n, n - 1)) != n - 1:
-            return SuiteResult(
-                "singrat-closed-form-grid",
-                False,
-                checks,
-                f"index at n={n} is not n-1",
-            )
+            raise _SuiteFailed(checks, f"index at n={n} is not n-1")
         checks += 1
-    return SuiteResult(
-        "singrat-closed-form-grid",
-        True,
-        checks,
-        "solver output equals the closed form on the whole grid; index is n-1",
-    )
+    return checks, "solver output equals the closed form on the whole grid; index is n-1"
 
 
-def _suite_worked_instance(seed: int) -> SuiteResult:
+def _suite_worked_instance(seed: int) -> tuple[int, str]:
     config = singrat_config(3, 2)
     matrix = intersection_matrix(config)
     failures = []
@@ -365,17 +349,12 @@ def _suite_worked_instance(seed: int) -> SuiteResult:
             )
             if square != -m * m * 3:
                 failures.append(f"square at m={m}")
-    return SuiteResult(
-        "singrat-worked-instance",
-        not failures,
-        8,
-        "k=(3/2,1,1/2), k=(3,2,1), det=-4, squares -m^2*3"
-        if not failures
-        else "failed: " + ", ".join(failures),
-    )
+    if failures:
+        raise _SuiteFailed(8, "failed: " + ", ".join(failures))
+    return 8, "k=(3/2,1,1/2), k=(3,2,1), det=-4, squares -m^2*3"
 
 
-def _suite_random_nac(seed: int) -> SuiteResult:
+def _suite_random_nac(seed: int) -> tuple[int, str]:
     rng = random.Random(seed)
     checks = 0
     accepted = 0
@@ -386,9 +365,7 @@ def _suite_random_nac(seed: int) -> SuiteResult:
             sol = solve_nac(config, m)
             if isinstance(sol, NoSolution):
                 if not sol.reason:
-                    return SuiteResult(
-                        "random-nac-self-intersection", False, checks, "empty reason"
-                    )
+                    raise _SuiteFailed(checks, "empty reason")
                 continue
             accepted += 1
             square = sum(
@@ -397,71 +374,40 @@ def _suite_random_nac(seed: int) -> SuiteResult:
                 for j in range(size)
             )
             if square != -m * m * config.b2:
-                return SuiteResult(
-                    "random-nac-self-intersection",
-                    False,
-                    checks,
-                    f"accepted divisor square {square} != {-m * m * config.b2}",
+                raise _SuiteFailed(
+                    checks, f"accepted divisor square {square} != {-m * m * config.b2}"
                 )
             if any(k < 0 for k in sol.coeffs):
-                return SuiteResult(
-                    "random-nac-self-intersection",
-                    False,
-                    checks,
-                    "accepted divisor with a negative coefficient",
-                )
+                raise _SuiteFailed(checks, "accepted divisor with a negative coefficient")
             if any((k * sol.index / m).denominator != 1 for k in sol.coeffs):
-                return SuiteResult(
-                    "random-nac-self-intersection",
-                    False,
-                    checks,
-                    "index does not clear the denominators",
-                )
+                raise _SuiteFailed(checks, "index does not clear the denominators")
             checks += 3
     if accepted == 0:
-        return SuiteResult(
-            "random-nac-self-intersection", False, checks, "no solution accepted"
-        )
-    return SuiteResult(
-        "random-nac-self-intersection",
-        True,
-        checks,
+        raise _SuiteFailed(checks, "no solution accepted")
+    return checks, (
         f"{accepted} accepted divisors recomputed against the matrix "
-        "(square law, positivity, index)",
+        "(square law, positivity, index)"
     )
 
 
-def _suite_p0_impossibility(seed: int) -> SuiteResult:
+def _suite_p0_impossibility(seed: int) -> tuple[int, str]:
     checks = 0
     for n in range(2, 11):
-        cf = singrat_closed_form(n, 0, 1)
-        if cf.consistent:
-            return SuiteResult(
-                "singrat-p0-impossibility", False, checks, f"p=0 consistent at n={n}"
-            )
-        sol = solve_nac(singrat_config(n, 0), 1)
-        if not isinstance(sol, NoSolution):
-            return SuiteResult(
-                "singrat-p0-impossibility", False, checks, f"solver accepts p=0 at n={n}"
-            )
+        if singrat_closed_form(n, 0, 1).consistent:
+            raise _SuiteFailed(checks, f"p=0 consistent at n={n}")
+        if not isinstance(solve_nac(singrat_config(n, 0), 1), NoSolution):
+            raise _SuiteFailed(checks, f"solver accepts p=0 at n={n}")
         checks += 2
     for n in range(2, 61):
         # the obstruction in integers: n(n-1) is strictly between consecutive squares
         target = n * (n - 1)
         if isqrt(target) ** 2 == target:
-            return SuiteResult(
-                "singrat-p0-impossibility", False, checks, f"n(n-1) square at n={n}"
-            )
+            raise _SuiteFailed(checks, f"n(n-1) square at n={n}")
         checks += 1
-    return SuiteResult(
-        "singrat-p0-impossibility",
-        True,
-        checks,
-        "p=0 inconsistent for n in [2,10]; n(n-1) never a square up to 60",
-    )
+    return checks, "p=0 inconsistent for n in [2,10]; n(n-1) never a square up to 60"
 
 
-def _suite_enumerator_oracle(seed: int) -> SuiteResult:
+def _suite_enumerator_oracle(seed: int) -> tuple[int, str]:
     checks = 0
     for name, config in representation_fixtures():
         if config.b2 > 4:
@@ -471,41 +417,31 @@ def _suite_enumerator_oracle(seed: int) -> SuiteResult:
         if sorted(_rep_fingerprint(r) for r in mine) != sorted(
             _rep_fingerprint(r) for r in naive
         ):
-            return SuiteResult(
-                "enumerator-oracle-equivalence",
-                False,
+            raise _SuiteFailed(
                 checks,
                 f"pruned and unpruned enumerations differ on {name} "
                 f"({len(mine)} vs {len(naive)})",
             )
         for rep in mine:
             if not verify_representation(config, rep).ok:
-                return SuiteResult(
-                    "enumerator-oracle-equivalence",
-                    False,
-                    checks,
-                    f"enumerated representation fails verification on {name}",
+                raise _SuiteFailed(
+                    checks, f"enumerated representation fails verification on {name}"
                 )
         checks += 1 + len(mine)
-    return SuiteResult(
-        "enumerator-oracle-equivalence",
-        True,
-        checks,
+    return checks, (
         "pruned enumeration matches the unpruned product search on every "
-        "rank <= 4 fixture",
+        "rank <= 4 fixture"
     )
 
 
-def _suite_sharp_c_b2(seed: int) -> SuiteResult:
+def _suite_sharp_c_b2(seed: int) -> tuple[int, str]:
     checks = 0
     for name, config in representation_fixtures():
         if config.b2 > 4:
             continue
         reps = enumerate_representations(config)
         if not reps:
-            return SuiteResult(
-                "sharp-c-b2-law", False, checks, f"no representation on {name}"
-            )
+            raise _SuiteFailed(checks, f"no representation on {name}")
         cycles = find_cycles(config)
         pos = {c.id: i for i, c in enumerate(config.curves)}
         for rep in reps:
@@ -517,9 +453,7 @@ def _suite_sharp_c_b2(seed: int) -> SuiteResult:
                 square = -sum(x * x for x in total)
                 want = (2 if rep.odd_ih else 1) * config.b2
                 if rec.length - square != want:
-                    return SuiteResult(
-                        "sharp-c-b2-law",
-                        False,
+                    raise _SuiteFailed(
                         checks,
                         f"{name}: #C - C^2 = {rec.length - square}, expected {want}",
                     )
@@ -530,98 +464,67 @@ def _suite_sharp_c_b2(seed: int) -> SuiteResult:
             # the intersection-data route must agree with the homology route
             crosscheck = sigma_classify(config).torsion_crosscheck
             if crosscheck != reps[0].odd_ih:
-                return SuiteResult(
-                    "sharp-c-b2-law",
-                    False,
-                    checks,
-                    f"{name}: torsion cross-check disagrees with the enumeration",
+                raise _SuiteFailed(
+                    checks, f"{name}: torsion cross-check disagrees with the enumeration"
                 )
             checks += 1
-    return SuiteResult(
-        "sharp-c-b2-law",
-        True,
-        checks,
+    return checks, (
         "#C - C^2 equals b2 (2*b2 in the twisted case) on every fixture, "
-        "and the sigma cross-check agrees",
+        "and the sigma cross-check agrees"
     )
 
 
-def _suite_representation_uniqueness(seed: int) -> SuiteResult:
+def _suite_representation_uniqueness(seed: int) -> tuple[int, str]:
     checks = 0
     for n in (2, 3, 4):
         config = singrat_config(n, n - 1)
         reps = enumerate_representations(config)
         if len(reps) != 1:
-            return SuiteResult(
-                "singrat-representation-uniqueness",
-                False,
-                checks,
-                f"{len(reps)} representations at n={n}, expected 1",
-            )
+            raise _SuiteFailed(checks, f"{len(reps)} representations at n={n}, expected 1")
         rep = reps[0]
         expected = [LatticeClass(tuple(0 if t == 0 else -1 for t in range(n)))]
         for i in range(1, n):
             expected.append(type_a_class(n, i, frozenset({i - 1})))
         if rep.odd_ih or list(rep.classes) != expected:
-            return SuiteResult(
-                "singrat-representation-uniqueness",
-                False,
-                checks,
-                f"canonical representation at n={n} is not the chain pattern",
+            raise _SuiteFailed(
+                checks, f"canonical representation at n={n} is not the chain pattern"
             )
         if not verify_representation(config, rep).ok:
-            return SuiteResult(
-                "singrat-representation-uniqueness",
-                False,
-                checks,
-                f"canonical representation at n={n} fails verification",
+            raise _SuiteFailed(
+                checks, f"canonical representation at n={n} fails verification"
             )
         checks += 3
-    return SuiteResult(
-        "singrat-representation-uniqueness",
-        True,
-        checks,
+    return checks, (
         "exactly one representation for n in {2,3,4}: the tail class plus "
-        "the difference chain",
+        "the difference chain"
     )
 
 
-def _suite_enoki_pipeline(seed: int) -> SuiteResult:
+def _suite_enoki_pipeline(seed: int) -> tuple[int, str]:
     checks = 0
     for n in range(1, 7):
         for zeros in (True, False):
             tail = (0,) * n if zeros else tuple(1 if i == 0 else 0 for i in range(n))
             germ = EnokiGerm(Fraction(1, 2), n, tail)
             if not is_contracting(germ) or is_parabolic(germ) != zeros:
-                return SuiteResult(
-                    "enoki-germ-pipeline", False, checks, f"germ flags wrong at n={n}"
-                )
+                raise _SuiteFailed(checks, f"germ flags wrong at n={n}")
             real = realize_enoki(germ)
             cls = sigma_classify(real.config)
             if cls.sigma != 2 * n or cls.verdict != ENOKI_CLASS:
-                return SuiteResult(
-                    "enoki-germ-pipeline",
-                    False,
-                    checks,
-                    f"sigma = {cls.sigma} (verdict {cls.verdict}) at n={n}",
+                raise _SuiteFailed(
+                    checks, f"sigma = {cls.sigma} (verdict {cls.verdict}) at n={n}"
                 )
             sol = solve_nac(real.config, 1)
             if real.has_nac != isinstance(sol, NacSolution):
-                return SuiteResult(
-                    "enoki-germ-pipeline",
-                    False,
-                    checks,
-                    f"divisor verdict does not match the tail flag at n={n}",
+                raise _SuiteFailed(
+                    checks, f"divisor verdict does not match the tail flag at n={n}"
                 )
             if isinstance(sol, NacSolution):
                 if not sol.parabolic or sol.index != 1 or set(sol.coeffs) != {
                     Fraction(1)
                 }:
-                    return SuiteResult(
-                        "enoki-germ-pipeline",
-                        False,
-                        checks,
-                        f"parabolic divisor is not the unit vector at n={n}",
+                    raise _SuiteFailed(
+                        checks, f"parabolic divisor is not the unit vector at n={n}"
                     )
             checks += 4
     for bad in (Fraction(0), Fraction(1), Fraction(3, 2)):
@@ -630,19 +533,14 @@ def _suite_enoki_pipeline(seed: int) -> SuiteResult:
         except DomainError:
             checks += 1
         else:
-            return SuiteResult(
-                "enoki-germ-pipeline", False, checks, f"non-contraction t={bad} accepted"
-            )
-    return SuiteResult(
-        "enoki-germ-pipeline",
-        True,
-        checks,
+            raise _SuiteFailed(checks, f"non-contraction t={bad} accepted")
+    return checks, (
         "germ to surface to trichotomy to divisor agrees with the tail flag "
-        "for n in [1,6]",
+        "for n in [1,6]"
     )
 
 
-def _suite_star_recurrence(seed: int) -> SuiteResult:
+def _suite_star_recurrence(seed: int) -> tuple[int, str]:
     rng = random.Random(seed + 1)
     checks = 0
     accepted = 0
@@ -654,12 +552,7 @@ def _suite_star_recurrence(seed: int) -> SuiteResult:
             accepted += 1
             report = verify_star_recurrence(config, sol)
             if not report.ok:
-                return SuiteResult(
-                    "star-recurrence",
-                    False,
-                    checks,
-                    "recurrence fails on an accepted divisor",
-                )
+                raise _SuiteFailed(checks, "recurrence fails on an accepted divisor")
             checks += max(1, len(report.checks))
     config = singrat_config(4, 3)
     sol = solve_nac(config, 1)
@@ -671,22 +564,17 @@ def _suite_star_recurrence(seed: int) -> SuiteResult:
         sol.self_int_check,
     )
     if verify_star_recurrence(config, bumped).ok:
-        return SuiteResult(
-            "star-recurrence", False, checks, "perturbed divisor passes the recurrence"
-        )
+        raise _SuiteFailed(checks, "perturbed divisor passes the recurrence")
     checks += 1
     if accepted == 0:
-        return SuiteResult("star-recurrence", False, checks, "no accepted divisors")
-    return SuiteResult(
-        "star-recurrence",
-        True,
-        checks,
+        raise _SuiteFailed(checks, "no accepted divisors")
+    return checks, (
         f"recurrence holds at every interior curve across {accepted} accepted "
-        "divisors and detects a perturbed one",
+        "divisors and detects a perturbed one"
     )
 
 
-def _suite_definiteness_oracle(seed: int) -> SuiteResult:
+def _suite_definiteness_oracle(seed: int) -> tuple[int, str]:
     rng = random.Random(seed + 2)
     checks = 0
     matrices = []
@@ -713,45 +601,40 @@ def _suite_definiteness_oracle(seed: int) -> SuiteResult:
         mine = is_negative_definite(m)
         ref = definiteness_oracle(m)
         if mine != ref:
-            return SuiteResult(
-                "definiteness-oracle",
-                False,
-                checks,
-                f"disagreement on {m}: {mine} vs {ref}",
-            )
+            raise _SuiteFailed(checks, f"disagreement on {m}: {mine} vs {ref}")
         checks += 1
-    return SuiteResult(
-        "definiteness-oracle",
-        True,
-        checks,
+    return checks, (
         "symmetric elimination agrees with the all-principal-minors oracle "
-        "on every sampled matrix",
+        "on every sampled matrix"
     )
 
 
-_SUITES = [
-    ("singrat-determinant-grid", _suite_determinant_grid),
-    ("singrat-closed-form-grid", _suite_closed_form_grid),
-    ("singrat-worked-instance", _suite_worked_instance),
-    ("random-nac-self-intersection", _suite_random_nac),
-    ("singrat-p0-impossibility", _suite_p0_impossibility),
-    ("enumerator-oracle-equivalence", _suite_enumerator_oracle),
-    ("sharp-c-b2-law", _suite_sharp_c_b2),
-    ("singrat-representation-uniqueness", _suite_representation_uniqueness),
-    ("enoki-germ-pipeline", _suite_enoki_pipeline),
-    ("star-recurrence", _suite_star_recurrence),
-    ("definiteness-oracle", _suite_definiteness_oracle),
-]
+_SUITES = {
+    "singrat-determinant-grid": _suite_determinant_grid,
+    "singrat-closed-form-grid": _suite_closed_form_grid,
+    "singrat-worked-instance": _suite_worked_instance,
+    "random-nac-self-intersection": _suite_random_nac,
+    "singrat-p0-impossibility": _suite_p0_impossibility,
+    "enumerator-oracle-equivalence": _suite_enumerator_oracle,
+    "sharp-c-b2-law": _suite_sharp_c_b2,
+    "singrat-representation-uniqueness": _suite_representation_uniqueness,
+    "enoki-germ-pipeline": _suite_enoki_pipeline,
+    "star-recurrence": _suite_star_recurrence,
+    "definiteness-oracle": _suite_definiteness_oracle,
+}
 
-SUITE_NAMES = [name for name, _ in _SUITES]
+SUITE_NAMES = list(_SUITES)
 
 
 def run_suite(name: str, seed: int = 0) -> SuiteResult:
-    for suite_name, fn in _SUITES:
-        if suite_name == name:
-            return fn(seed)
-    raise DomainError(f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}")
+    if name not in _SUITES:
+        raise DomainError(f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}")
+    try:
+        checks, detail = _SUITES[name](seed)
+    except _SuiteFailed as exc:
+        return SuiteResult(name, False, exc.checks, exc.detail)
+    return SuiteResult(name, True, checks, detail)
 
 
 def run_all(seed: int = 0) -> list[SuiteResult]:
-    return [fn(seed) for _, fn in _SUITES]
+    return [run_suite(name, seed) for name in SUITE_NAMES]

@@ -1,13 +1,18 @@
 import dataclasses
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 from viilattice import (
+    NODAL_RATIONAL,
+    SMOOTH_RATIONAL,
     ConfigParseError,
+    Curve,
     CurveConfig,
+    NacSolution,
     config_from_text,
     config_to_text,
     enoki_cycle_config,
@@ -15,7 +20,7 @@ from viilattice import (
     singrat_config,
     solve_nac,
 )
-from viilattice import cli, curves, linalg
+from viilattice import cli, curves, linalg, selftest
 from viilattice.cli import main
 
 
@@ -273,6 +278,43 @@ def test_enumerate_cap_env_override(capsys, singrat3_file, monkeypatch):
     assert code == 0
     assert doc["count"] == 1
 
+    # a negative cap used to refuse every input with exit 3
+    monkeypatch.setenv("VII_ENUM_CAP", "-1")
+    code, doc, err = run(capsys, ["enumerate", singrat3_file])
+    assert (code, doc) == (1, None)
+    assert "VII_ENUM_CAP must be a non-negative integer, got -1" in err
+
+    monkeypatch.setenv("VII_ENUM_CAP", "eight")
+    code, doc, err = run(capsys, ["enumerate", singrat3_file])
+    assert (code, doc) == (1, None)
+    assert "VII_ENUM_CAP must be an integer, got 'eight'" in err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        # "no index in three blowup sets" decides this one
+        CurveConfig(
+            4,
+            (Curve(0, NODAL_RATIONAL, -3),)
+            + tuple(Curve(i, SMOOTH_RATIONAL, -3) for i in range(1, 4)),
+            (),
+        ),
+        # "two blowup sets share at most one index" decides this one
+        CurveConfig(
+            4,
+            tuple(Curve(i, SMOOTH_RATIONAL, s) for i, s in enumerate((-4, -2, -4))),
+            ((0, 1, 2),),
+        ),
+    ],
+    ids=["three-blowup-sets", "shared-pair"],
+)
+def test_enumerate_blowup_rules_leave_nothing(capsys, tmp_path, config):
+    path = tmp_path / "blowups.json"
+    path.write_text(config_to_text(config))
+    code, doc, _ = run(capsys, ["enumerate", str(path)])
+    assert (code, doc["count"], doc["representations"]) == (0, 0, [])
+
 
 # --- work per configuration ------------------------------------------------------
 
@@ -420,6 +462,73 @@ def test_germ_parameter_errors(capsys):
     assert code == 1 and "cannot parse number" in err
 
 
+# --- the interpreter's int/str digit limit ---------------------------------------
+
+
+def _smooth_config_text(b2: str, digits: list[str]) -> str:
+    curves = ", ".join(
+        f'{{"id": {i}, "kind": "smooth_rational", "self_int": -{d}}}'
+        for i, d in enumerate(digits)
+    )
+    pairs = "[[0, 1, 1]]" if len(digits) == 2 else "[]"
+    return f'{{"b2": {b2}, "curves": [{curves}], "intersections": {pairs}}}'
+
+
+NINES_5000 = "9" * 5000
+NINES_3000 = "9" * 3000
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["germ", "hopf-strong", "alpha=1/2", "a=1/8", "s=1", "m=4762"], None),
+        (["germ", "hopf-primary", "alpha1=1/8", "alpha2=1/3+1/5j", "s=1", "m=10000"], None),
+        (["classify"], _smooth_config_text("1", [NINES_5000])),
+        (["enumerate"], _smooth_config_text("1", [NINES_5000])),
+        (["classify"], _smooth_config_text(NINES_5000, ["2"])),
+        (["enumerate"], _smooth_config_text(NINES_5000, ["2"])),
+        (["classify"], _smooth_config_text("2", [NINES_3000, NINES_3000])),
+        (["nac", "--m", "3"], _smooth_config_text("2", [NINES_3000, NINES_3000])),
+        (["index"], _smooth_config_text("2", [NINES_3000, NINES_3000])),
+    ],
+    ids=[
+        "strong-m4762",
+        "primary-m10000",
+        "classify-self-int",
+        "enumerate-self-int",
+        "classify-b2",
+        "enumerate-b2",
+        "classify-report",
+        "nac-report",
+        "index-report",
+    ],
+)
+def test_digit_limit_is_refused_cleanly(capsys, tmp_path, argv, text):
+    if text is not None:
+        path = tmp_path / "big.json"
+        path.write_text(text)
+        argv = [argv[0], str(path), *argv[1:]]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err
+
+
+@pytest.mark.parametrize("alpha", ["1/2", "1/4"])
+def test_germ_resonance_beyond_digit_limit_is_refused_fast(capsys, alpha):
+    code, doc, _ = run(capsys, ["germ", "hopf-strong", f"alpha={alpha}", "a=1/8", "s=1", "m=4761"])
+    assert (code, doc["valid"]) == (0, False)
+    # computing the exact powers at m = 1000000 would take about 10 s
+    start = time.perf_counter()
+    code = main(["germ", "hopf-strong", f"alpha={alpha}", "a=1/8", "s=1", "m=1000000"])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert "resonance term would have more than" in err
+    assert elapsed < 1
+
+
 # --- usage and selftest -----------------------------------------------------------
 
 
@@ -448,3 +557,27 @@ def test_selftest_runs_clean(capsys):
     )
     assert lines[-1].endswith("11/11 suites passed")
     assert not any(line.startswith("FAIL") for line in lines)
+
+
+def test_selftest_reports_failing_suites(capsys, monkeypatch):
+    solve = selftest.solve_nac
+
+    def bumped(config, m):
+        sol = solve(config, m)
+        if isinstance(sol, NacSolution):
+            sol = dataclasses.replace(sol, coeffs=(sol.coeffs[0] + 1,) + sol.coeffs[1:])
+        return sol
+
+    monkeypatch.setattr(selftest, "solve_nac", bumped)
+    code = main(["selftest", "--seed", "3"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL singrat-closed-form-grid (6 checks): solver coefficients differ at n=2, p=1, m=1",
+        "FAIL singrat-worked-instance (8 checks): failed: m=1 coefficients, "
+        "m=2 coefficients, square at m=1, square at m=2",
+        "FAIL random-nac-self-intersection (0 checks): accepted divisor square -4 != -1",
+        "FAIL enoki-germ-pipeline (0 checks): parabolic divisor is not the unit vector at n=1",
+        "FAIL star-recurrence (4 checks): recurrence fails on an accepted divisor",
+    ]
+    assert lines[-1] == "6/11 suites passed"

@@ -25,7 +25,6 @@ from viilattice import (
     sigma_classify,
     singrat_config,
     solve_nac,
-    type_b_exclusion_check,
     verify_representation,
 )
 from viilattice import homology
@@ -311,6 +310,50 @@ def test_verify_covering_waived_on_degenerate_forms():
     report = verify_representation(config, rep)
     assert result(report, "basis-covering").ok
     assert "not applicable" in result(report, "basis-covering").detail
+
+
+def three_blowup_config():
+    """A nodal (-3)-curve and three disjoint smooth (-3)-curves at rank 4."""
+    curves = (Curve(0, NODAL_RATIONAL, -3),) + tuple(
+        Curve(i, SMOOTH_RATIONAL, -3) for i in range(1, 4)
+    )
+    return CurveConfig(4, curves, ())
+
+
+def test_three_blowup_rule_decides_the_enumeration():
+    # without the rule the search returns two orbits, each of which fails
+    # re-verification because basis index 0 lies in all three blowup sets
+    assert enumerate_representations(three_blowup_config()) == []
+
+
+def test_verify_flags_index_in_three_blowup_sets():
+    classes = ((0, -1, -1, -1), (-1, 1, -1, 0), (-1, 0, 1, -1), (-1, -1, 0, 1))
+    rep = Representation(tuple(LatticeClass(v) for v in classes))
+    report = verify_representation(three_blowup_config(), rep)
+    assert [(r.name, r.detail) for r in report.results if not r.ok] == [
+        ("exceptional-multiplicities", "a basis index appears in three blowup sets")
+    ]
+
+
+def shared_pair_config():
+    """A (-4)-curve and a (-2)-curve meeting twice, and a disjoint (-4)-curve."""
+    curves = tuple(Curve(i, SMOOTH_RATIONAL, s) for i, s in enumerate((-4, -2, -4)))
+    return CurveConfig(4, curves, ((0, 1, 2),))
+
+
+def test_shared_pair_rule_decides_the_enumeration():
+    # without the rule the search returns one orbit, which fails
+    # re-verification: the two (-4)-curves share blowup indices 2 and 3
+    assert enumerate_representations(shared_pair_config()) == []
+
+
+def test_verify_flags_blowup_sets_sharing_two_indices():
+    classes = ((1, -1, -1, -1), (-1, 1, 0, 0), (-1, -1, 1, -1))
+    rep = Representation(tuple(LatticeClass(v) for v in classes))
+    report = verify_representation(shared_pair_config(), rep)
+    assert [(r.name, r.detail) for r in report.results if not r.ok] == [
+        ("exceptional-multiplicities", "two blowup sets share more than one index")
+    ]
 
 
 def test_verify_length_mismatch():
@@ -827,40 +870,6 @@ def test_single_cycle_search_walks_the_tree_once(monkeypatch, config, count):
     assert len(find_cycles(config)) == 1
     assert len(enumerate_representations(config)) == count
     assert len(calls) == 1
-
-
-# --- the -2L exclusion diagnostic ---------------------------------------------
-
-
-def test_type_b_excluded_on_chain_family():
-    report = type_b_exclusion_check(singrat_config(4, 3))
-    assert report.applicable
-    assert report.external_curve == 1
-    assert report.cycle_member_ids == (0,)
-    # (-2)-curves are too shallow to carry a doubled base pattern
-    assert all(c.candidate_count == 0 for c in report.checks)
-    assert not report.any_locally_consistent
-
-
-def test_type_b_not_applicable_without_single_meeting():
-    report = type_b_exclusion_check(enoki_cycle_config(3))
-    assert not report.applicable
-    assert report.external_curve is None
-    assert "multiplicity 1" in report.reason
-
-
-def test_type_b_candidates_exist_but_fail_locally():
-    config = CurveConfig(
-        2,
-        (Curve(0, NODAL_RATIONAL, -2), Curve(1, SMOOTH_RATIONAL, -4)),
-        ((0, 1, 1),),
-    )
-    report = type_b_exclusion_check(config)
-    assert report.applicable
-    assert report.checks == (
-        type(report.checks[0])(curve_id=1, candidate_count=2, locally_consistent_count=0),
-    )
-    assert not report.any_locally_consistent
 
 
 # --- relabelling invariance -----------------------------------------------------
