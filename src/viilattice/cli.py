@@ -20,6 +20,7 @@ environment variable VII_ENUM_CAP overrides the enumeration cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -105,6 +106,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INVALID
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="viilattice",
@@ -149,23 +151,58 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(_plain(doc), indent=2))
+    """Print a report as json.dumps(indent=2) would, with each Fraction as
+    its exact "p/q" string (integers without the slash)."""
+    out: list[str] = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    sys.stdout.write("".join(out))
 
 
-def _plain(value):
-    """Recursively rewrite a report into JSON-encodable values.
+def _write(value, newline: str, out: list[str]) -> None:
+    """Append the indented JSON text of value to out; newline is the line
+    break and indentation that close value."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, Fraction):
+        out.append(_quote(str(value)))
+    elif value is None or value is True or value is False:
+        out.append(_CONSTANTS[value])
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            out.append(sep)
+            out.append(_quote(key))  # report keys are str; any other raises TypeError
+            out.append(": ")
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(item) is int for item in value):  # a matrix row, in one join
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(value))  # a float as json writes it; TypeError otherwise
 
-    Fractions become exact "p/q" strings (integers without the slash);
-    floats are allowed only inside germ reports, where they echo what the
-    caller supplied.
-    """
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
+
+_quote = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 # --- shared report sections ---------------------------------------------------

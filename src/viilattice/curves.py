@@ -120,6 +120,11 @@ class CurveConfig:
         matrix = intersection_matrix(self)  # validates before any degree is read
         return _symmetric_elimination(matrix, [adjunction_degree(c) for c in self.curves])
 
+    @functools.cached_property
+    def cycles(self) -> tuple[CycleRecord, ...]:
+        """The cycle decomposition; read it through :func:`find_cycles`."""
+        return _decompose(self)
+
 
 @dataclass(frozen=True)
 class ValidationIssue:
@@ -267,9 +272,10 @@ class CycleRecord:
     branches: tuple[Branch, ...] = ()
 
 
-def find_cycles(config: CurveConfig) -> list[CycleRecord]:
+def find_cycles(config: CurveConfig) -> tuple[CycleRecord, ...]:
     """Decompose the dual graph into cycles with their branches.
 
+    The decomposition is computed once per configuration and cached on it.
     Smooth rational curves are pruned to the 2-core of their intersection
     graph (counting multiplicities); what survives must be a disjoint union
     of simple closed chains, each one an r-cycle with r >= 2.  Nodal and
@@ -277,6 +283,10 @@ def find_cycles(config: CurveConfig) -> list[CycleRecord]:
     are assigned to the unique cycle member they touch, or reported as
     isolated by :func:`partition_curves`.
     """
+    return config.cycles
+
+
+def _decompose(config: CurveConfig) -> tuple[CycleRecord, ...]:
     require_valid(config)
     smooth = [c.id for c in config.curves if c.kind == SMOOTH_RATIONAL]
     smooth_set = set(smooth)
@@ -352,7 +362,7 @@ def find_cycles(config: CurveConfig) -> list[CycleRecord]:
             for _, members in sorted(assigned.get(root, [])):
                 branches.append(Branch(root, tuple(members)))
         out.append(CycleRecord(rec.member_ids, rec.length, tuple(branches)))
-    return out
+    return tuple(out)
 
 
 def _walk_cycle(config: CurveConfig, core: set[int], start: int) -> list[int]:
@@ -395,7 +405,7 @@ def _tree_component(config: CurveConfig, start: int, pool: set[int]) -> list[int
 
 
 def partition_curves(
-    config: CurveConfig, cycles: list[CycleRecord]
+    config: CurveConfig, cycles: tuple[CycleRecord, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Split curve ids into (cycle members, branch members, isolated)."""
     cycle_ids = {cid for rec in cycles for cid in rec.member_ids}

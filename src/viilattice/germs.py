@@ -137,8 +137,10 @@ def _refuse_unprintable(s, p, q) -> None:
     4H(z)H(w).  A result that prints within L digits has common denominator
     D < 10^(2L), so N(denominator ideal) <= D^2 < 10^(4L), and modulus below
     2 * 10^L, so H < 4 * 10^(6L); then H(b)^k <= 16 * 10^(6L) * H(s) *
-    H(c)^j, and the same with p and q swapped.  One spare bit covers the
-    float log of 10.
+    H(c)^j, and the same with p and q swapped.  H is computed exactly, so
+    the bounds on log2 H differ only by the float error of the logs, which
+    the slack of _log2_height covers; one spare bit covers the float log
+    of 10.
     """
     limit = sys.get_int_max_str_digits()
     if not limit or _lift_exact(s).is_zero():
@@ -153,14 +155,18 @@ def _refuse_unprintable(s, p, q) -> None:
 
 
 def _log2_height(x, upper: bool) -> Fraction:
-    """log2 H(x), bounded through x = (A + Bi)/D with D the common denominator:
-    D^2 / gcd(A^2 + B^2, D^2) <= N(denominator ideal) <= D^2, since the ideal
-    is D over gcd(A + Bi, D).  The float logs err by far less than the slack."""
+    """An upper or lower bound on log2 H(x), apart from it by the slack alone.
+
+    Write x = (A + Bi)/D with D the common denominator, so gcd(A, B, D) = 1.
+    The denominator ideal is D / gcd(A + Bi, D) in the Gaussian integers.
+    That gcd ideal is the lattice spanned by A + Bi, i(A + Bi), D and iD,
+    whose index is the gcd of its 2 x 2 minors, gcd(A^2 + B^2, AD, BD, D^2)
+    = gcd(A^2 + B^2, D).  So N(denominator ideal) = D^2 / gcd(A^2 + B^2, D)
+    exactly.  The float logs err by far less than the slack.
+    """
     z = _lift_exact(x)
     den = math.lcm(z.re.denominator, z.im.denominator)
-    ideal = den * den
-    if not upper:
-        ideal //= math.gcd(int(z.abs2() * ideal), ideal)
+    ideal = den * den // math.gcd(int(z.abs2() * den * den), den)
     value = ideal * max(Fraction(1), z.abs2())
     log = Fraction(math.log2(value.numerator) - math.log2(value.denominator))
     return log + Fraction(1, 2**30) if upper else log - Fraction(1, 2**30)

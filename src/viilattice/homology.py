@@ -147,7 +147,7 @@ def enumerate_representations(
     return [canonical[key] for key in sorted(canonical)]
 
 
-def _search_order(config: CurveConfig, cycles: list[CycleRecord]) -> list[int]:
+def _search_order(config: CurveConfig, cycles: tuple[CycleRecord, ...]) -> list[int]:
     """Positions into config.curves: cycle members, then branches, then the rest."""
     pos = {c.id: i for i, c in enumerate(config.curves)}
     order: list[int] = []

@@ -1,10 +1,15 @@
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
 import sys
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viilattice import (
     NODAL_RATIONAL,
@@ -361,6 +366,35 @@ def test_enumerate_eliminates_once_not_per_representation(
     assert elimination_calls == [3]
 
 
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Count cycle decompositions."""
+    calls = []
+    original = curves._decompose
+
+    def counting(config):
+        calls.append(config.b2)
+        return original(config)
+
+    monkeypatch.setattr(curves, "_decompose", counting)
+    return calls
+
+
+def test_cycle_decomposition_runs_once_per_configuration(capsys, tmp_path, decompositions):
+    path = tmp_path / "enoki5.json"
+    path.write_text(config_to_text(enoki_cycle_config(5, True)))
+    code, doc, _ = run(capsys, ["enumerate", str(path)])
+    assert (code, len(doc["representations"])) == (0, 2)
+    assert decompositions == [5]
+    # the cycles, sigma and structure sections all read the decomposition
+    code, doc, _ = run(capsys, ["classify", str(path)])
+    assert code == 0
+    assert len(doc["cycles"]) == 2
+    assert doc["sigma_classification"]["verdict"] == "enoki_class"
+    assert len(doc["structure"]["cycles"]) == 1
+    assert decompositions == [5, 5]
+
+
 def test_cached_elimination_stays_out_of_equality_and_matrix_copies():
     config = singrat_config(3, 2)
     before = hash(config)
@@ -462,6 +496,167 @@ def test_germ_parameter_errors(capsys):
     assert code == 1 and "cannot parse number" in err
 
 
+# --- report output ----------------------------------------------------------------
+
+
+def _plain(value):
+    """The old report rewrite, kept as the writer's oracle: each Fraction
+    becomes its exact "p/q" string and tuples become lists, ready for
+    json.dumps(indent=2)."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+class _CountingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+texts = st.text(st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600')))
+huge = st.integers(min_value=2**64, max_value=2**300)
+leaves = st.one_of(
+    st.fractions(),
+    st.builds(Fraction, st.integers() | huge, st.integers(min_value=1) | huge),
+    st.integers(),
+    huge,
+    huge.map(lambda n: -n),
+    st.booleans(),
+    st.none(),
+    texts,
+    st.floats(),
+)
+documents = st.recursive(
+    leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(st.integers() | huge, max_size=6),
+        st.dictionaries(texts, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200)
+@given(documents)
+def test_writer_matches_indented_json(doc):
+    stream = _CountingStream()
+    with contextlib.redirect_stdout(stream):
+        cli._emit(doc)
+    assert stream.getvalue() == json.dumps(_plain(doc), indent=2) + "\n"
+    assert stream.writes == 1
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"a": [1, {2, 3}]}, {"z": [1j]}, {"a": {Fraction(1, 2): 1}}, {1: 2}],
+    ids=["set", "complex", "fraction-key", "int-key"],
+)
+def test_writer_refuses_what_it_cannot_encode(capsys, doc):
+    # every report key is a str literal; json would write an int key as a string
+    with pytest.raises(TypeError):
+        cli._emit(doc)
+    assert capsys.readouterr().out == ""
+
+
+def _ring(r: int, self_int: int) -> CurveConfig:
+    curves_ = tuple(Curve(i, SMOOTH_RATIONAL, self_int) for i in range(r))
+    return CurveConfig(r, curves_, tuple((i, (i + 1) % r, 1) for i in range(r)))
+
+
+CONFIG_COMMANDS = (["classify"], ["nac", "--m", "1"], ["nac", "--m", "2"], ["nac", "--m", "3"], ["index"])
+CORPUS = {
+    "singrat": (
+        [singrat_config(n, p) for n in (*range(1, 13), 20, 40, 60) for p in sorted({0, n // 2, n - 1})],
+        CONFIG_COMMANDS,
+    ),
+    "enoki": (
+        [enoki_cycle_config(n, elliptic) for n in range(1, 12) for elliptic in (False, True)],
+        CONFIG_COMMANDS,
+    ),
+    "rings": ([_ring(r, -3) for r in range(3, 11)], CONFIG_COMMANDS),
+    "enumerate": (
+        [
+            enoki_cycle_config(5, True),
+            enoki_cycle_config(5),
+            singrat_config(5, 4),
+            singrat_config(6, 5),
+            _ring(5, -3),
+            _ring(6, -3),
+            CurveConfig(
+                6,
+                tuple(Curve(i, SMOOTH_RATIONAL, -3 if i == 0 else -2) for i in range(6)),
+                tuple((i, (i + 1) % 5, 1) for i in range(5)) + ((2, 5, 1),),
+            ),
+        ],
+        (["enumerate"], ["enumerate", "--max-solutions", "1"]),
+    ),
+}
+GERM_COMMANDS = [
+    ["hopf-strong", "alpha=0.6", "a=0.4", "s=0", "m=1"],
+    ["hopf-strong", "alpha=3/5", "a=2/5j", "s=0", "m=1"],
+    ["hopf-strong", "alpha=1/2", "a=1/8", "s=1", "m=4761"],
+    ["hopf-strong", "alpha=1/4", "a=1/8", "s=1", "m=4761"],
+    ["hopf-strong", "alpha=1/4+1/4j", "a=1/4", "s=1", "m=1000"],
+    ["hopf-strong", "alpha=1/2", "a=1/4", "s=0", "m=1"],
+    ["hopf-primary", "alpha1=0.3", "alpha2=0.6", "s=1", "m=2"],
+    ["hopf-primary", "alpha1=1/4", "alpha2=1/2", "s=1", "m=2"],
+    ["hopf-primary", "alpha1=1/8", "alpha2=1/3+1/5j", "s=1", "m=100"],
+    ["enoki", "t=1/2", "n=3"],
+    ["enoki", "t=1/2", "n=2", "a=1/3"],
+    ["enoki", "t=1/2+1/2j", "n=4", "a=0,0"],
+    ["enoki", "t=2", "n=2"],
+    ["enoki", "t=1/2"],
+    ["enoki", "t=1/2", "n=2", "bogus=1"],
+    ["enoki", "t=1/2", "n=x"],
+]
+
+
+def _corpus_digest(group: str, directory) -> str:
+    """sha256 of (exit, stdout, stderr) over one group of the pinned corpus."""
+    if group == "germ":
+        calls = [["germ", *params] for params in GERM_COMMANDS]
+    else:
+        configs, commands = CORPUS[group]
+        calls = []
+        for k, config in enumerate(configs):
+            path = directory / f"{group}{k}.json"
+            path.write_text(config_to_text(config))
+            calls += [[command[0], str(path), *command[1:]] for command in commands]
+    digest = hashlib.sha256()
+    for argv in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        digest.update(repr((code, out.getvalue(), err.getvalue())).encode())
+    return digest.hexdigest()
+
+
+# recorded before the report writer replaced json.dumps(indent=2)
+PINNED_SHA256 = {
+    "enoki": "a08875057fdc65d11b538dbf4366a7bc5c9a2a519da3b2b4e6528c6ba176fa49",
+    "enumerate": "fca8a4c6522667416b5023ec4e311bd16f90fac5f8ce678765a20e90ae6aef99",
+    "germ": "8cd737927a2606d433bc47011a7463da5f68d4717763f1017c81c579a8294313",
+    "rings": "3adffa8303de18223f1c518fa66462091f125fcee3c0589aaaefc77a92f064cf",
+    "singrat": "3255b0cd3995e4c9626802300de8fb50d78992cc6ae48299a51abb81c612dd25",
+}
+
+
+@pytest.mark.parametrize("group", sorted(PINNED_SHA256))
+def test_reports_match_the_pinned_digests(tmp_path, group):
+    assert _corpus_digest(group, tmp_path) == PINNED_SHA256[group]
+
+
 # --- the interpreter's int/str digit limit ---------------------------------------
 
 
@@ -529,6 +724,18 @@ def test_germ_resonance_beyond_digit_limit_is_refused_fast(capsys, alpha):
     assert elapsed < 1
 
 
+def test_germ_complex_base_beyond_digit_limit_is_refused_fast(capsys):
+    # the denominator ideal of (1 + i)/4 has norm 8, and only that exact
+    # norm separates alpha^(m+1) from a^m before the powers are computed
+    start = time.perf_counter()
+    code = main(["germ", "hopf-strong", "alpha=1/4+1/4j", "a=1/4", "s=1", "m=1000000"])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert "resonance term would have more than" in err
+    assert elapsed < 1
+
+
 # --- usage and selftest -----------------------------------------------------------
 
 
@@ -545,6 +752,29 @@ def test_help_exits_clean(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "classify" in out and "selftest" in out
+
+
+def test_parser_is_built_once_and_reused(capsys, tmp_path):
+    path = tmp_path / "enoki3.json"
+    path.write_text(config_to_text(enoki_cycle_config(3)))
+    sequence = [
+        ["no-such-command"],
+        ["--help"],
+        ["germ", "wrongkind", "t=1/2"],
+        ["enumerate", str(path), "--max-solutions", "1"],
+        ["classify", str(path)],
+    ]
+    cli._build_parser.cache_clear()
+    passes = []
+    for _ in range(3):
+        results = []
+        for argv in sequence:
+            code = main(argv)
+            results.append((code, *capsys.readouterr()))
+        passes.append(results)
+    assert [code for code, _, _ in passes[0]] == [1, 0, 1, 0, 0]
+    assert passes[1] == passes[0] and passes[2] == passes[0]
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_selftest_runs_clean(capsys):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from viilattice import (
     validate_primary,
     validate_strong,
 )
+from viilattice import germs
 
 rationals = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=12
@@ -228,3 +230,44 @@ def test_realize_rejects_non_contractions():
 def test_cycle_length_bound():
     with pytest.raises(DomainError):
         EnokiGerm(Fraction(1, 2), 0)
+
+
+# --- the digit-limit refusal's height -------------------------------------------
+
+def _divides(g, z) -> bool:
+    """Whether the Gaussian integer g divides z, both as (re, im) pairs."""
+    (a, b), (c, d) = g, z
+    norm = a * a + b * b
+    return norm > 0 and (c * a + d * b) % norm == 0 and (d * a - c * b) % norm == 0
+
+
+@given(exacts)
+def test_height_uses_the_exact_denominator_norm(x):
+    # oracle: a gcd of A + Bi and D has the largest norm among their common
+    # divisors, and every common divisor of D has norm at most D^2
+    den = math.lcm(x.re.denominator, x.im.denominator)
+    num = (int(x.re * den), int(x.im * den))
+    gcd_norm = max(
+        a * a + b * b
+        for a in range(-den, den + 1)
+        for b in range(-den, den + 1)
+        if _divides((a, b), num) and _divides((a, b), (den, 0))
+    )
+    height = Fraction(den * den, gcd_norm) * max(1, x.abs2())
+    for upper in (True, False):
+        assert abs(germs._log2_height(x, upper) - math.log2(height)) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "x, height",
+    [
+        # gcd(1 + i, 4) = 1 + i has norm 2, so the ideal norm is 16/2
+        (ExactComplex(Fraction(1, 4), Fraction(1, 4)), 8),
+        # gcd(3 + 4i, 5) = 2 + i has norm 5, not gcd(25, 5^2) = 25
+        (ExactComplex(Fraction(3, 5), Fraction(4, 5)), 5),
+        (ExactComplex(Fraction(3, 25), Fraction(4, 25)), 25),
+    ],
+)
+def test_height_of_a_complex_base(x, height):
+    for upper in (True, False):
+        assert abs(germs._log2_height(x, upper) - math.log2(height)) < 1e-6
