@@ -188,9 +188,6 @@ def _write(value, newline: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = newline + "  "
-        if all(type(item) is int for item in value):  # a matrix row, in one join
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
-            return
         sep = "[" + inner
         for item in value:
             out.append(sep)
