@@ -1,8 +1,8 @@
 """Contracting germs: validity verdicts and realized configurations.
 
 The three germ shapes are tested with exact rational (or exact complex)
-data whenever the inputs allow it; floats fall back to a small tolerance
-and the verdict says which arithmetic was used.
+data: every parameter is an int, a Fraction or an ExactComplex, so each
+verdict is decided with no tolerance.
 """
 
 from fractions import Fraction
@@ -21,8 +21,7 @@ from viilattice import (
 
 
 def show(verdict):
-    mode = "exact" if verdict.exact else "float"
-    print(f"  valid={verdict.valid} ({mode} arithmetic)")
+    print(f"  valid={verdict.valid}")
     for c in verdict.conditions:
         mark = "ok " if c.ok else "BAD"
         note = "" if c.gating else "  [reported only]"

@@ -20,6 +20,7 @@ environment variable VII_ENUM_CAP overrides the enumeration cap.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -54,7 +55,7 @@ from .germs import (
     validate_strong,
 )
 from .homology import enumerate_representations, verify_representation
-from .lattice import FullCycle, LatticeClass, TypeA, TypeB, classify_normal_form
+from .lattice import FullCycle, LatticeClass, TypeA, classify_normal_form
 from .nac import (
     NacSolution,
     NoSolution,
@@ -69,7 +70,13 @@ EXIT_INVALID = 1
 EXIT_INTERNAL = 2
 EXIT_CAP = 3
 
-GERM_KINDS = ("hopf-strong", "hopf-primary", "enoki")
+# each Hopf kind: its germ dataclass, whose fields name the parameters, and
+# the validator of that dataclass
+HOPF_KINDS = {
+    "hopf-strong": (HopfGermStrong, validate_strong),
+    "hopf-primary": (HopfGermPrimary, validate_primary),
+}
+GERM_KINDS = (*HOPF_KINDS, "enoki")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -336,7 +343,7 @@ def _cmd_classify(args) -> int:
                 doc["nac_at_index"] = at_index
             else:
                 sol_at = sol
-            doc.update(_structure_sections(config, sol_at or sol))
+            doc.update(_structure_sections(config, sol_at))
     except _InternalError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INTERNAL
@@ -433,9 +440,6 @@ def _render_class(klass: LatticeClass) -> str:
     if isinstance(form, TypeA):
         tail = " - ".join(f"L{i}" for i in sorted(form.blowups))
         text = f"L{form.base}" + (f" - {tail}" if tail else "")
-    elif isinstance(form, TypeB):
-        tail = " - ".join(f"L{i}" for i in sorted(form.blowups))
-        text = f"-2L{form.base}" + (f" - {tail}" if tail else "")
     elif isinstance(form, FullCycle):
         if form.start == n:
             text = "0"
@@ -450,27 +454,28 @@ def _render_class(klass: LatticeClass) -> str:
 
 def _cmd_germ(args) -> int:
     params = _parse_params(args.params)
-    if args.kind == "hopf-strong":
-        germ = HopfGermStrong(
-            alpha=_need(params, "alpha"),
-            a=_need(params, "a"),
-            s=_need(params, "s"),
-            m=_need_int(params, "m"),
+    if args.kind in HOPF_KINDS:
+        germ_type, check = HOPF_KINDS[args.kind]
+        names = [field.name for field in dataclasses.fields(germ_type)]
+        germ = germ_type(
+            **{k: _need_int(params, k) if k == "m" else _need(params, k) for k in names}
         )
-        _reject_extras(params, {"alpha", "a", "s", "m"})
-        verdict = validate_strong(germ)
-        _emit(_germ_doc("hopf-strong", params, verdict))
-        return EXIT_OK
-    if args.kind == "hopf-primary":
-        germ = HopfGermPrimary(
-            alpha1=_need(params, "alpha1"),
-            alpha2=_need(params, "alpha2"),
-            s=_need(params, "s"),
-            m=_need_int(params, "m"),
+        _reject_extras(params, set(names))
+        verdict = check(germ)
+        _emit(
+            {
+                "command": "germ",
+                "kind": args.kind,
+                "parameters": {k: _render_number(v) for k, v in params.items()},
+                "exact": True,
+                "valid": verdict.valid,
+                "conditions": [
+                    {"name": c.name, "ok": c.ok, "detail": c.detail, "gating": c.gating}
+                    for c in verdict.conditions
+                ],
+                "invariants": dict(verdict.invariants),
+            }
         )
-        _reject_extras(params, {"alpha1", "alpha2", "s", "m"})
-        verdict = validate_primary(germ)
-        _emit(_germ_doc("hopf-primary", params, verdict))
         return EXIT_OK
     tail = params.get("a", ())
     if not isinstance(tail, tuple):
@@ -493,21 +498,6 @@ def _cmd_germ(args) -> int:
     doc["config"] = config_to_doc(realization.config)
     _emit(doc)
     return EXIT_OK
-
-
-def _germ_doc(kind: str, params: dict, verdict) -> dict:
-    return {
-        "command": "germ",
-        "kind": kind,
-        "parameters": {k: _render_number(v) for k, v in params.items()},
-        "exact": verdict.exact,
-        "valid": verdict.valid,
-        "conditions": [
-            {"name": c.name, "ok": c.ok, "detail": c.detail, "gating": c.gating}
-            for c in verdict.conditions
-        ],
-        "invariants": {name: value for name, value in verdict.invariants},
-    }
 
 
 def _render_number(value) -> str:

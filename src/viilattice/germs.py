@@ -3,12 +3,13 @@
 A germ here is the data of a polynomial contraction of (C^2, 0).  The
 validation rules are inequalities between moduli of the parameters plus one
 polynomial resonance identity, so everything can be decided exactly when
-the parameters are rational complex numbers.  Floating-point parameters are
-accepted too; only the resonance identity then gets a tolerance, the strict
-modulus inequalities are evaluated as given.
+the parameters are rational complex numbers, and they are exactly that: a
+parameter is an int, a Fraction or an ExactComplex, and any other type is
+refused with DomainError rather than rounded.  So the resonance identity is
+decided with no tolerance.
 
 Moduli are never extracted: all modulus comparisons are done on squared
-moduli, which are rational for exact inputs.
+moduli, which are rational.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from typing import Union
 from .curves import CurveConfig
 from .errors import DomainError
 from .families import enoki_cycle_config
-
-FLOAT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -80,55 +79,21 @@ class ExactComplex:
         return f"{self.re}{sign}{abs(self.im)}j"
 
 
-Number = Union[int, Fraction, ExactComplex, float, complex]
+Number = Union[int, Fraction, ExactComplex]
 
 
-def _is_exact(x: Number) -> bool:
-    return not isinstance(x, (float, complex))
-
-
-def _lift_exact(x: Number) -> ExactComplex:
+def _lift(x: Number) -> ExactComplex:
+    """x as an ExactComplex; only an int, a Fraction or an ExactComplex is taken."""
     if isinstance(x, ExactComplex):
         return x
-    return ExactComplex(Fraction(x))
+    if isinstance(x, (int, Fraction)):
+        return ExactComplex(x)
+    raise DomainError(
+        f"germ parameters must be int, Fraction or ExactComplex, got {type(x).__name__}"
+    )
 
 
-def _lift_float(x: Number) -> complex:
-    if isinstance(x, ExactComplex):
-        return complex(float(x.re), float(x.im))
-    return complex(x)
-
-
-class _Arith:
-    """Uniform exact/float arithmetic over a germ's parameter list."""
-
-    def __init__(self, values: list[Number]):
-        self.exact = all(_is_exact(v) for v in values)
-        self.lift = _lift_exact if self.exact else _lift_float
-
-    def abs2(self, x: Number):
-        v = self.lift(x)
-        return v.abs2() if self.exact else (v.real * v.real + v.imag * v.imag)
-
-    def sub(self, x, y):
-        return self.lift(x) - self.lift(y)
-
-    def mul(self, x, y):
-        return self.lift(x) * self.lift(y)
-
-    def pow(self, x, k: int):
-        return self.lift(x) ** k
-
-    def is_zero(self, v) -> bool:
-        if self.exact:
-            return v.is_zero()
-        return abs(v) <= FLOAT_TOL
-
-    def render(self, v) -> str:
-        return str(v)
-
-
-def _refuse_unprintable(s, p, q) -> None:
+def _refuse_unprintable(s: ExactComplex, p, q) -> None:
     """Refuse s * (b^k - c^j), for p = (b, k) and q = (c, j), before computing
     it when it could not be printed within the interpreter's int/str limit.
 
@@ -143,7 +108,7 @@ def _refuse_unprintable(s, p, q) -> None:
     of 10.
     """
     limit = sys.get_int_max_str_digits()
-    if not limit or _lift_exact(s).is_zero():
+    if not limit or s.is_zero():
         return
     budget = 5 + 6 * limit * Fraction(math.log2(10)) + _log2_height(s, upper=True)
     for (b, k), (c, j) in ((p, q), (q, p)):
@@ -154,7 +119,7 @@ def _refuse_unprintable(s, p, q) -> None:
             )
 
 
-def _log2_height(x, upper: bool) -> Fraction:
+def _log2_height(x: ExactComplex, upper: bool) -> Fraction:
     """An upper or lower bound on log2 H(x), apart from it by the slack alone.
 
     Write x = (A + Bi)/D with D the common denominator, so gcd(A, B, D) = 1.
@@ -164,10 +129,9 @@ def _log2_height(x, upper: bool) -> Fraction:
     = gcd(A^2 + B^2, D).  So N(denominator ideal) = D^2 / gcd(A^2 + B^2, D)
     exactly.  The float logs err by far less than the slack.
     """
-    z = _lift_exact(x)
-    den = math.lcm(z.re.denominator, z.im.denominator)
-    ideal = den * den // math.gcd(int(z.abs2() * den * den), den)
-    value = ideal * max(Fraction(1), z.abs2())
+    den = math.lcm(x.re.denominator, x.im.denominator)
+    ideal = den * den // math.gcd(int(x.abs2() * den * den), den)
+    value = ideal * max(Fraction(1), x.abs2())
     log = Fraction(math.log2(value.numerator) - math.log2(value.denominator))
     return log + Fraction(1, 2**30) if upper else log - Fraction(1, 2**30)
 
@@ -183,7 +147,6 @@ class Condition:
 @dataclass(frozen=True)
 class GermVerdict:
     valid: bool
-    exact: bool
     conditions: tuple[Condition, ...]
     invariants: tuple[tuple[str, str], ...] = ()
 
@@ -241,104 +204,81 @@ class EnokiGerm:
 
 
 def validate_strong(germ: HopfGermStrong) -> GermVerdict:
-    ar = _Arith([germ.alpha, germ.a, germ.s])
-    a2 = ar.abs2(germ.alpha)
-    t2 = ar.abs2(germ.a)
+    alpha, a, s = _lift(germ.alpha), _lift(germ.a), _lift(germ.s)
+    a2 = alpha.abs2()
+    t2 = a.abs2()
     conditions = [
-        Condition("alpha-nonzero", a2 > 0, f"|alpha|^2 = {ar.render(a2)}"),
+        Condition("alpha-nonzero", a2 > 0, f"|alpha|^2 = {a2}"),
         # |alpha|^2 <= |a| compared as |alpha|^4 <= |a|^2
         Condition(
             "alpha-square-below-a",
             a2 * a2 <= t2,
-            f"|alpha|^4 = {ar.render(a2 * a2)}, |a|^2 = {ar.render(t2)}",
+            f"|alpha|^4 = {a2 * a2}, |a|^2 = {t2}",
         ),
         Condition(
             "modulus-chain",
             t2 < a2 < 1,
-            f"need |a|^2 < |alpha|^2 < 1, got {ar.render(t2)}, {ar.render(a2)}",
+            f"need |a|^2 < |alpha|^2 < 1, got {t2}, {a2}",
         ),
     ]
-    if ar.exact:
-        _refuse_unprintable(germ.s, (germ.a, germ.m), (germ.alpha, germ.m + 1))
-    resonance = ar.sub(ar.pow(germ.a, germ.m), ar.pow(germ.alpha, germ.m + 1))
-    obstruction = ar.mul(resonance, ar.lift(germ.s))
+    _refuse_unprintable(s, (a, germ.m), (alpha, germ.m + 1))
+    obstruction = (a**germ.m - alpha ** (germ.m + 1)) * s
     conditions.append(
         Condition(
             "resonance",
-            ar.is_zero(obstruction),
-            f"(a^m - alpha^(m+1)) * s = {ar.render(obstruction)}",
+            obstruction.is_zero(),
+            f"(a^m - alpha^(m+1)) * s = {obstruction}",
         )
     )
-    a_lift = ar.lift(germ.a)
-    if ar.exact:
-        real_positive = a_lift.im == 0 and a_lift.re > 0
-    else:
-        real_positive = abs(a_lift.imag) <= FLOAT_TOL and a_lift.real > 0
     conditions.append(
         Condition(
             "a-real-positive",
-            real_positive,
-            f"a = {ar.render(a_lift)}; reported only, not part of the verdict",
+            a.im == 0 and a.re > 0,
+            f"a = {a}; reported only, not part of the verdict",
             gating=False,
         )
     )
     valid = all(c.ok for c in conditions if c.gating)
-    return GermVerdict(valid, ar.exact, tuple(conditions))
+    return GermVerdict(valid, tuple(conditions))
 
 
 def validate_primary(germ: HopfGermPrimary) -> GermVerdict:
-    ar = _Arith([germ.alpha1, germ.alpha2, germ.s])
-    m1 = ar.abs2(germ.alpha1)
-    m2 = ar.abs2(germ.alpha2)
+    alpha1, alpha2, s = _lift(germ.alpha1), _lift(germ.alpha2), _lift(germ.s)
+    m1 = alpha1.abs2()
+    m2 = alpha2.abs2()
     conditions = [
-        Condition("alpha1-nonzero", m1 > 0, f"|alpha1|^2 = {ar.render(m1)}"),
+        Condition("alpha1-nonzero", m1 > 0, f"|alpha1|^2 = {m1}"),
         Condition(
             "modulus-order",
             m1 <= m2 < 1,
-            f"need |alpha1|^2 <= |alpha2|^2 < 1, got {ar.render(m1)}, {ar.render(m2)}",
+            f"need |alpha1|^2 <= |alpha2|^2 < 1, got {m1}, {m2}",
         ),
     ]
-    if ar.exact:
-        _refuse_unprintable(germ.s, (germ.alpha2, germ.m), (germ.alpha1, 1))
-    resonance = ar.sub(ar.pow(germ.alpha2, germ.m), ar.lift(germ.alpha1))
-    obstruction = ar.mul(resonance, ar.lift(germ.s))
+    _refuse_unprintable(s, (alpha2, germ.m), (alpha1, 1))
+    obstruction = (alpha2**germ.m - alpha1) * s
     conditions.append(
         Condition(
             "resonance",
-            ar.is_zero(obstruction),
-            f"(alpha2^m - alpha1) * s = {ar.render(obstruction)}",
+            obstruction.is_zero(),
+            f"(alpha2^m - alpha1) * s = {obstruction}",
         )
     )
     valid = all(c.ok for c in conditions if c.gating)
-    invariants = []
-    trace = ar.lift(germ.alpha1) + ar.lift(germ.alpha2)
-    det = ar.mul(germ.alpha1, germ.alpha2)
-    invariants.append(("trace", ar.render(trace)))
-    invariants.append(("determinant", ar.render(det)))
+    det = alpha1 * alpha2
+    invariants = [("trace", str(alpha1 + alpha2)), ("determinant", str(det))]
     if valid:
-        if ar.exact:
-            factor = det.reciprocal()
-        else:
-            factor = 1 / det
-        invariants.append(("expansion-factor", ar.render(factor)))
-    return GermVerdict(valid, ar.exact, tuple(conditions), tuple(invariants))
+        invariants.append(("expansion-factor", str(det.reciprocal())))
+    return GermVerdict(valid, tuple(conditions), tuple(invariants))
 
 
 def is_contracting(germ: EnokiGerm) -> bool:
-    ar = _Arith([germ.t])
-    t2 = ar.abs2(germ.t)
-    return 0 < t2 < 1
+    return 0 < _lift(germ.t).abs2() < 1
 
 
 def is_parabolic(germ: EnokiGerm) -> bool:
     """Exact vanishing of the whole tail; no tolerance on purpose."""
-    out = True
-    for a in germ.a_coeffs:
-        if isinstance(a, ExactComplex):
-            out = out and a.is_zero()
-        else:
-            out = out and a == 0
-    return out
+    tail = [_lift(a) for a in germ.a_coeffs]
+    return all(a.is_zero() for a in tail)
 
 
 @dataclass(frozen=True)
@@ -346,7 +286,7 @@ class EnokiRealization:
     config: CurveConfig
     parabolic: bool
     has_nac: bool
-    trace_modulus_squared: object
+    trace_modulus_squared: Fraction
 
 
 def realize_enoki(germ: EnokiGerm) -> EnokiRealization:
@@ -356,12 +296,9 @@ def realize_enoki(germ: EnokiGerm) -> EnokiRealization:
     the disjoint elliptic curve, and only that case carries a numerically
     anticanonical divisor.
     """
-    ar = _Arith([germ.t])
-    t2 = ar.abs2(germ.t)
+    t2 = _lift(germ.t).abs2()
     if not (0 < t2 < 1):
-        raise DomainError(
-            f"not a contraction: |t|^2 = {ar.render(t2)} is outside (0, 1)"
-        )
+        raise DomainError(f"not a contraction: |t|^2 = {t2} is outside (0, 1)")
     parabolic = is_parabolic(germ)
     config = enoki_cycle_config(germ.n, with_elliptic=parabolic)
     return EnokiRealization(config, parabolic, has_nac=parabolic, trace_modulus_squared=t2)

@@ -395,6 +395,23 @@ def test_cycle_decomposition_runs_once_per_configuration(capsys, tmp_path, decom
     assert decompositions == [5, 5]
 
 
+def test_classify_of_glued_triangles_is_pinned(capsys, tmp_path):
+    # two (-4)-triangles glued at curve 0: no cycle decomposition exists
+    config = CurveConfig(
+        5,
+        tuple(Curve(i, SMOOTH_RATIONAL, -4) for i in range(5)),
+        ((0, 1, 1), (1, 2, 1), (2, 0, 1), (0, 3, 1), (3, 4, 1), (4, 0, 1)),
+    )
+    path = tmp_path / "glued.json"
+    path.write_text(config_to_text(config))
+    assert main(["classify", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "422df3c01ead2a47c95d2534b2c477c3259e7f053de3cff2e7b1dbf95f81370b"
+    )
+    assert err == ""
+
+
 def test_cached_elimination_stays_out_of_equality_and_matrix_copies():
     config = singrat_config(3, 2)
     before = hash(config)
@@ -494,6 +511,14 @@ def test_germ_parameter_errors(capsys):
 
     code, _, err = run(capsys, ["germ", "enoki", "t=1/2", "n=x"])
     assert code == 1 and "cannot parse number" in err
+
+    # a comma list is a tail; anywhere else it is refused, not a traceback
+    for argv in (
+        ["germ", "hopf-strong", "alpha=1/2,1/3", "a=1/4", "s=1", "m=1"],
+        ["germ", "enoki", "t=1/2,1/3", "n=2"],
+    ):
+        code, _, err = run(capsys, argv)
+        assert code == 1 and "must be int, Fraction or ExactComplex, got tuple" in err
 
 
 # --- report output ----------------------------------------------------------------
@@ -620,12 +645,47 @@ GERM_COMMANDS = [
     ["enoki", "t=1/2", "n=2", "bogus=1"],
     ["enoki", "t=1/2", "n=x"],
 ]
+# the argument checks of the two Hopf kinds, in the order they are made
+GERM_ERROR_COMMANDS = [
+    ["hopf-strong"],
+    ["hopf-strong", "a=1/4", "s=1", "m=1"],
+    ["hopf-strong", "alpha=1/2", "s=1", "m=1"],
+    ["hopf-strong", "alpha=1/2", "a=1/4", "m=1"],
+    ["hopf-strong", "alpha=1/2", "a=1/4", "s=1"],
+    ["hopf-strong", "m=1"],
+    ["hopf-strong", "alpha=1/2", "a=1/4", "s=1", "m=1", "bogus=1"],
+    ["hopf-strong", "alpha=1/2", "a=1/4", "s=1", "bogus=1"],
+    ["hopf-strong", "alpha=1/2", "alpha=1/3", "a=1/4", "s=1", "m=1"],
+    ["hopf-strong", "alpha=1/2", "a=1/4", "s=1", "m=0"],
+    ["hopf-strong", "alpha=1/2", "a=1/4", "s=1", "m=1/2"],
+    ["hopf-strong", "alpha=1/2", "a=1/4", "s=1", "m=x"],
+    ["hopf-strong", "alpha=1/2", "a=1/4", "s=1", "m=2j"],
+    ["hopf-strong", "alpha=1/2", "a=1/4", "s=1", "m=0", "bogus=1"],
+    ["hopf-strong", "alpha=1/2", "a=1/4", "s=1", "m=1", "=1"],
+    ["hopf-strong", "alpha=1/2", "a=1/4", "s=1", "m=1", "bogus"],
+    ["hopf-strong", "alpha =1/2", "a=1/4", "s=1", "m=1"],
+    ["hopf-primary"],
+    ["hopf-primary", "alpha2=1/2", "s=1", "m=2"],
+    ["hopf-primary", "alpha1=1/4", "s=1", "m=2"],
+    ["hopf-primary", "alpha1=1/4", "alpha2=1/2", "m=2"],
+    ["hopf-primary", "alpha1=1/4", "alpha2=1/2", "s=1"],
+    ["hopf-primary", "s=1"],
+    ["hopf-primary", "alpha1=1/4", "alpha2=1/2", "s=1", "m=2", "alpha=1/2"],
+    ["hopf-primary", "alpha1=1/4", "alpha2=1/2", "s=1", "m=2", "m=3"],
+    ["hopf-primary", "alpha1=1/4", "alpha2=1/2", "s=1", "m=0"],
+    ["hopf-primary", "alpha1=1/4", "alpha2=1/2", "s=1", "m=1/2"],
+    ["hopf-primary", "alpha1=1/4", "alpha2=1/2", "s=1", "m=x"],
+    ["hopf-primary", "alpha1=1/4", "alpha2=1/2", "s=1", "m=2", "=1"],
+    ["hopf-primary", "alpha1=1/9", "alpha2=1/3", "s=1/2+1/3j", "m=2"],
+    ["hopf-primary", "alpha1=-1/4", "alpha2=1/2j", "s=1", "m=2"],
+]
+GERM_GROUPS = {"germ": GERM_COMMANDS, "germ-errors": GERM_ERROR_COMMANDS}
 
 
 def _corpus_digest(group: str, directory) -> str:
     """sha256 of (exit, stdout, stderr) over one group of the pinned corpus."""
-    if group == "germ":
-        calls = [["germ", *params] for params in GERM_COMMANDS]
+    if group in GERM_GROUPS:
+        calls = [["germ", *params] for params in GERM_GROUPS[group]]
     else:
         configs, commands = CORPUS[group]
         calls = []
@@ -642,11 +702,13 @@ def _corpus_digest(group: str, directory) -> str:
     return digest.hexdigest()
 
 
-# recorded before the report writer replaced json.dumps(indent=2)
+# recorded before the report writer replaced json.dumps(indent=2); germ-errors
+# before the two Hopf kinds of `germ` shared one code path
 PINNED_SHA256 = {
     "enoki": "a08875057fdc65d11b538dbf4366a7bc5c9a2a519da3b2b4e6528c6ba176fa49",
     "enumerate": "fca8a4c6522667416b5023ec4e311bd16f90fac5f8ce678765a20e90ae6aef99",
     "germ": "8cd737927a2606d433bc47011a7463da5f68d4717763f1017c81c579a8294313",
+    "germ-errors": "720ded25c6ae7408cd3495b35dbb90f7aeb85d23beebc49cf6e6a980fa57af8f",
     "rings": "3adffa8303de18223f1c518fa66462091f125fcee3c0589aaaefc77a92f064cf",
     "singrat": "3255b0cd3995e4c9626802300de8fb50d78992cc6ae48299a51abb81c612dd25",
 }

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viilattice import (
@@ -73,7 +73,6 @@ def test_strong_reference_case():
         HopfGermStrong(Fraction(3, 5), Fraction(2, 5), 0, 1)
     )
     assert verdict.valid
-    assert verdict.exact
     below = verdict.condition("alpha-square-below-a")
     assert below.ok
     assert "81/625" in below.detail
@@ -128,18 +127,6 @@ def test_strong_complex_a_reported_not_gating():
     assert not cond.gating
 
 
-def test_strong_float_mode():
-    verdict = validate_strong(HopfGermStrong(0.6, 0.4, 0.0, 1))
-    assert verdict.valid
-    assert not verdict.exact
-
-    # an obstruction below the tolerance is treated as vanishing
-    near = validate_strong(HopfGermStrong(0.5, 0.25 + 1e-13, 1.0, 1))
-    assert near.valid
-    assert not near.exact
-    assert near.condition("resonance").ok
-
-
 def test_strong_degree_bound():
     with pytest.raises(DomainError):
         HopfGermStrong(Fraction(1, 2), Fraction(1, 4), 0, 0)
@@ -153,7 +140,6 @@ def test_primary_reference_case_fails_resonance():
         HopfGermPrimary(Fraction(3, 10), Fraction(3, 5), 1, 2)
     )
     assert not verdict.valid
-    assert verdict.exact
     res = verdict.condition("resonance")
     assert not res.ok
     assert "3/50" in res.detail
@@ -197,7 +183,6 @@ def test_contracting_boundaries():
 def test_parabolic_is_exact_vanishing():
     assert is_parabolic(EnokiGerm(Fraction(1, 2), 2))
     assert is_parabolic(EnokiGerm(Fraction(1, 2), 2, (0, Fraction(0), ExactComplex(0))))
-    assert not is_parabolic(EnokiGerm(Fraction(1, 2), 2, (1e-20,)))
     assert not is_parabolic(EnokiGerm(Fraction(1, 2), 2, (0, Fraction(1, 7))))
 
 
@@ -230,6 +215,135 @@ def test_realize_rejects_non_contractions():
 def test_cycle_length_bound():
     with pytest.raises(DomainError):
         EnokiGerm(Fraction(1, 2), 0)
+
+
+# --- exact inputs only ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [0.5, 1e-20, 0.5 + 0.25j, "1/2", (1, 2)])
+def test_inexact_parameters_are_refused(bad):
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    calls = [
+        lambda: validate_strong(HopfGermStrong(bad, quarter, 0, 1)),
+        lambda: validate_strong(HopfGermStrong(half, bad, 0, 1)),
+        lambda: validate_strong(HopfGermStrong(half, quarter, bad, 1)),
+        lambda: validate_primary(HopfGermPrimary(bad, half, 0, 1)),
+        lambda: validate_primary(HopfGermPrimary(quarter, bad, 0, 1)),
+        lambda: validate_primary(HopfGermPrimary(quarter, half, bad, 1)),
+        lambda: is_contracting(EnokiGerm(bad, 2)),
+        lambda: is_parabolic(EnokiGerm(half, 2, (1, bad))),
+        lambda: realize_enoki(EnokiGerm(bad, 2)),
+        lambda: realize_enoki(EnokiGerm(half, 2, (0, bad))),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="must be int, Fraction or ExactComplex"):
+            call()
+
+
+# an oracle on plain (re, im) pairs of Fractions
+
+
+def _mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def _pow(x, k):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(k):
+        out = _mul(out, x)
+    return out
+
+
+def _abs2(x):
+    return x[0] * x[0] + x[1] * x[1]
+
+
+def _render(x):
+    re, im = x
+    if im == 0:
+        return str(re)
+    return f"{re}{'+' if im > 0 else '-'}{abs(im)}j"
+
+
+def _strong_oracle(alpha, a, s, m):
+    a2, t2 = _abs2(alpha), _abs2(a)
+    ok = {
+        "alpha-nonzero": a2 > 0,
+        "alpha-square-below-a": a2 * a2 <= t2,
+        "modulus-chain": t2 < a2 < 1,
+        "resonance": _mul(_sub(_pow(a, m), _pow(alpha, m + 1)), s) == (0, 0),
+        "a-real-positive": a[1] == 0 and a[0] > 0,
+    }
+    valid = all(v for k, v in ok.items() if k != "a-real-positive")
+    return ok, valid, ()
+
+
+def _primary_oracle(alpha1, alpha2, s, m):
+    m1, m2 = _abs2(alpha1), _abs2(alpha2)
+    ok = {
+        "alpha1-nonzero": m1 > 0,
+        "modulus-order": m1 <= m2 < 1,
+        "resonance": _mul(_sub(_pow(alpha2, m), alpha1), s) == (0, 0),
+    }
+    valid = all(ok.values())
+    det = _mul(alpha1, alpha2)
+    trace = (alpha1[0] + alpha2[0], alpha1[1] + alpha2[1])
+    invariants = [("trace", _render(trace)), ("determinant", _render(det))]
+    if valid:
+        inverse = (det[0] / _abs2(det), -det[1] / _abs2(det))
+        invariants.append(("expansion-factor", _render(inverse)))
+    return ok, valid, tuple(invariants)
+
+
+units = st.fractions(min_value=-1, max_value=1, max_denominator=12)
+pairs = st.tuples(units, st.just(Fraction(0)) | units)
+zero_or_pairs = st.just((Fraction(0), Fraction(0))) | pairs
+
+
+def _draw_parameter(data, pair):
+    """The pair as the library takes it: an ExactComplex, or an int or a
+    Fraction when it is real."""
+    re, im = pair
+    if im == 0:
+        forms = [ExactComplex(re), re] + ([int(re)] if re.denominator == 1 else [])
+        return data.draw(st.sampled_from(forms))
+    return ExactComplex(re, im)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_verdicts_match_a_gaussian_rational_oracle(data):
+    m = data.draw(st.integers(1, 4))
+    b, x, y = (data.draw(pairs) for _ in range(3))
+    s = data.draw(zero_or_pairs)
+    # half the time the eigenvalues are powers of one base, so the resonance
+    # vanishes and, for 0 < |b| < 1, the germ is valid
+    resonant = data.draw(st.booleans())
+    cases = (
+        (validate_strong, HopfGermStrong, _strong_oracle,
+         (_pow(b, m), _pow(b, m + 1)) if resonant else (x, y)),
+        (validate_primary, HopfGermPrimary, _primary_oracle,
+         (_pow(b, m), b) if resonant else (x, y)),
+    )
+    for check, germ_type, oracle, (first, second) in cases:
+        params = (_draw_parameter(data, v) for v in (first, second, s))
+        germ = germ_type(*params, m)
+        verdict = check(germ)
+        ok, valid, invariants = oracle(first, second, s, m)
+        assert {c.name: c.ok for c in verdict.conditions} == ok
+        assert verdict.valid == valid
+        assert verdict.invariants == invariants
+
+    tail = data.draw(st.lists(zero_or_pairs, max_size=3))
+    germ = EnokiGerm(
+        _draw_parameter(data, x), m, [_draw_parameter(data, a) for a in tail]
+    )
+    assert is_contracting(germ) == (0 < _abs2(x) < 1)
+    assert is_parabolic(germ) == all(a == (0, 0) for a in tail)
 
 
 # --- the digit-limit refusal's height -------------------------------------------
