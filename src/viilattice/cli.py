@@ -169,14 +169,25 @@ def _emit(doc: dict) -> None:
 def _write(value, newline: str, out: list[str]) -> None:
     """Append the indented JSON text of value to out; newline is the line
     break and indentation that close value."""
-    if isinstance(value, str):
-        out.append(_quote(value))
-    elif isinstance(value, Fraction):
-        out.append(_quote(str(value)))
-    elif value is None or value is True or value is False:
+    # cheap exact type checks first: isinstance against Fraction goes through
+    # the numbers.Rational ABC
+    if value is None or value is True or value is False:
         out.append(_CONSTANTS[value])
     elif isinstance(value, int):
         out.append(int.__repr__(value))
+    elif isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -190,17 +201,8 @@ def _write(value, newline: str, out: list[str]) -> None:
             _write(item, inner, out)
             sep = "," + inner
         out.append(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _write(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
+    elif isinstance(value, Fraction):
+        out.append(_quote(str(value)))
     else:
         out.append(json.dumps(value))  # a float as json writes it; TypeError otherwise
 
@@ -216,17 +218,16 @@ def _nac_section(config: CurveConfig, m: int) -> tuple[dict, NacSolution | None]
     sol = solve_nac(config, m)
     if isinstance(sol, NoSolution):
         return {"m": m, "status": "no_solution", "reason": sol.reason}, None
-    # defensive recomputation straight from the matrix; a mismatch means the
-    # solver and the report pipeline disagree, which is an internal error.
-    # With the common denominator cleared the sum is over integers.
-    matrix = intersection_matrix(config)
+    # defensive recomputation straight from the stored intersection numbers; a
+    # mismatch means the solver and the report pipeline disagree, which is an
+    # internal error.  With the common denominator cleared the sum is over
+    # integers.
     den = math.lcm(*(k.denominator for k in sol.coeffs))
-    scaled = [k.numerator * (den // k.denominator) for k in sol.coeffs]
-    square = sum(
-        scaled[i] * a * scaled[j]
-        for i, row in enumerate(matrix)
-        for j, a in enumerate(row)
-        if a
+    scaled = {
+        c.id: k.numerator * (den // k.denominator) for c, k in zip(config.curves, sol.coeffs)
+    }
+    square = sum(c.self_int * scaled[c.id] ** 2 for c in config.curves) + 2 * sum(
+        v * scaled[i] * scaled[j] for i, j, v in config.intersections
     )
     want = -m * m * config.b2
     if square != want * den * den or want != sol.self_int_check:

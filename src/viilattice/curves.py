@@ -21,9 +21,7 @@ tied to two cycle members, is structurally impossible and rejected.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import DomainError, InvalidConfigError, StructureError
 
@@ -58,6 +56,7 @@ class CurveConfig:
     _mult: dict = field(init=False, repr=False, compare=False)
     _by_id: dict = field(init=False, repr=False, compare=False)
     _adj: dict = field(init=False, repr=False, compare=False)
+    _position: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         curves = tuple(self.curves)
@@ -98,6 +97,7 @@ class CurveConfig:
         object.__setattr__(self, "_mult", mult)
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "_position", position)
 
     def mult(self, i: int, j: int) -> int:
         if i == j:
@@ -115,10 +115,19 @@ class CurveConfig:
         return list(self._adj.get(cid, ()))
 
     @functools.cached_property
-    def elimination(self) -> tuple[str, tuple[Fraction, ...] | None]:
-        """(definiteness verdict, level-1 solution of M k = -K.D if definite, else None)."""
-        matrix = intersection_matrix(self)  # validates before any degree is read
-        return _symmetric_elimination(matrix, [adjunction_degree(c) for c in self.curves])
+    def elimination(self) -> tuple[str, tuple[tuple[int, ...], int] | None]:
+        """(definiteness verdict, (y, det) if definite, else None).
+
+        det = det(-M) > 0 and y = det * x for the level-1 solution x of
+        M x = -K.D, in listing order.  The rows of -M come straight from the
+        stored triples, symmetric by construction.
+        """
+        require_valid(self)  # before any degree is read
+        rows = [{a: -c.self_int} if c.self_int else {} for a, c in enumerate(self.curves)]
+        for i, j, v in self.intersections:
+            a, b = sorted((self._position[i], self._position[j]))
+            rows[a][b] = -v
+        return _symmetric_elimination(rows, [adjunction_degree(c) for c in self.curves])
 
     @functools.cached_property
     def cycles(self) -> tuple[CycleRecord, ...]:
@@ -202,7 +211,7 @@ def require_valid(config: CurveConfig) -> None:
 def intersection_matrix(config: CurveConfig) -> list[list[int]]:
     """Symmetric integer matrix in the order the curves are listed."""
     require_valid(config)
-    position = {c.id: a for a, c in enumerate(config.curves)}
+    position = config._position
     m = [[0] * len(position) for _ in position]
     for a, c in enumerate(config.curves):
         m[a][a] = c.self_int
@@ -213,47 +222,86 @@ def intersection_matrix(config: CurveConfig) -> list[list[int]]:
 
 def is_negative_definite(matrix: list[list[int]]) -> str:
     """Exact definiteness verdict: "definite", "semidefinite" or "neither"."""
-    return _symmetric_elimination(matrix, [0] * len(matrix))[0]
+    return _symmetric_elimination(_upper_rows(matrix), [0] * len(matrix))[0]
 
 
-def _symmetric_elimination(matrix: list[list[int]], column: list[int]) -> tuple:
-    """Definiteness verdict of M and, if definite, the exact x with -M x = column.
-
-    One symmetric fraction-free (Bareiss) elimination of [-M | column] in
-    listing order; each pivot has the sign of a Schur complement's diagonal
-    entry.  A negative pivot, or a zero pivot with a nonzero remaining row
-    (a 2 x 2 principal minor is then negative), refutes semidefiniteness.
-    A zero pivot with a zero row is a null direction, dropped as
-    semidefinite.  x is back-substituted only on a definite verdict.
-    """
+def _upper_rows(matrix: list[list[int]]) -> list[dict[int, int]]:
+    """The nonzero entries -M[i][j], j >= i, of a square symmetric M, row by row."""
     n = len(matrix)
-    for i, row in enumerate(matrix):
-        if len(row) != n:
-            raise DomainError("matrix must be square")
-        for j in range(n):
-            if matrix[i][j] != matrix[j][i]:
-                raise DomainError("matrix must be symmetric")
-    a = [[-v for v in row] + [c] for row, c in zip(matrix, column)]  # upper part kept current
+    if any(len(row) != n for row in matrix):
+        raise DomainError("matrix must be square")
+    if any(matrix[i][j] != matrix[j][i] for i in range(n) for j in range(i)):
+        raise DomainError("matrix must be symmetric")
+    return [{j: -row[j] for j in range(i, n) if row[j]} for i, row in enumerate(matrix)]
+
+
+def _symmetric_elimination(rows: list[dict[int, int]], column: list[int]) -> tuple:
+    """Definiteness verdict of M and, if definite, (y, det) with -M y = det * column.
+
+    rows[i] maps j >= i to the entry -M[i][j] and stores no zero; det is
+    det(-M) > 0 and y is integral.  One symmetric fraction-free (Bareiss)
+    elimination of [-M | column] in listing order, on the nonzeros only;
+    each pivot has the sign of a Schur complement's diagonal entry.  A
+    negative pivot, or a zero pivot with a nonzero remaining row (a 2 x 2
+    principal minor is then negative), refutes semidefiniteness.  A zero
+    pivot with a zero row is a null direction, dropped as semidefinite.  y
+    is back-substituted only on a definite verdict.
+
+    Rows that a step leaves alone are not rescaled.  After the steps with
+    pivots p_0 .. p_k (and p_-1 = 1), entry (i, j) of a row not yet pivoted
+    is the minor of [-M | column] on rows {0..k, i} and columns {0..k, j},
+    skipped null directions left out (the Sylvester identity behind Bareiss
+    elimination).  Step k takes it to (a_ij p_k - a_ki a_kj) / p_(k-1),
+    which is a_ij p_k / p_(k-1) when a_ki = 0.  Over a run of steps that
+    leave row i alone these factors telescope, so a row stored when the
+    latest pivot was s (its stamp) holds stored * p / s at the latest pivot
+    p.  That quotient is a minor, hence an integer, and the floor division
+    computing it is exact.  A row is brought current only when a pivot row
+    touches it or when it becomes the pivot row; a skipped zero pivot
+    rescales nothing.
+    """
+    n = len(rows)
+    a = list(rows)  # rows are replaced, never changed in place
+    for i, c in enumerate(column):
+        if c:
+            a[i] = {**a[i], n: c}
+    stamp = [1] * n
     verdict, prev = DEFINITE, 1
     for k in range(n):
-        pivot = a[k][k]
-        if pivot < 0 or (pivot == 0 and any(a[k][k + 1 : n])):
+        row = a[k]
+        if stamp[k] != prev:
+            row = a[k] = {j: v * prev // stamp[k] for j, v in row.items()}
+        pivot = row.get(k, 0)
+        if pivot < 0 or (pivot == 0 and any(j != n for j in row)):
             return NEITHER, None
         if pivot == 0:
             verdict = SEMIDEFINITE
             continue
-        for i in range(k + 1, n):
-            for j in range(i, n + 1):
-                # exact by the Sylvester identity driving Bareiss elimination
-                a[i][j] = (a[i][j] * pivot - a[k][i] * a[k][j]) // prev
+        for i, a_ki in row.items():
+            if i == k or i == n:
+                continue
+            s = stamp[i]
+            if s == prev:
+                new = {j: v * pivot for j, v in a[i].items()}
+            else:
+                new = {j: v * prev // s * pivot for j, v in a[i].items()}
+            for j, a_kj in row.items():
+                if j >= i:
+                    new[j] = new.get(j, 0) - a_ki * a_kj
+            a[i] = {j: v // prev for j, v in new.items() if v}
+            stamp[i] = pivot
         prev = pivot
     if verdict != DEFINITE:
         return verdict, None
     # prev is now the last pivot det(-M), and det(-M) * x is integral by Cramer's rule
     y = [0] * n
     for i in range(n - 1, -1, -1):
-        y[i] = (prev * a[i][n] - sum(a[i][j] * y[j] for j in range(i + 1, n))) // a[i][i]
-    return verdict, tuple(Fraction(v, prev) for v in y)
+        total = prev * a[i].get(n, 0)
+        for j, v in a[i].items():
+            if i < j < n:
+                total -= v * y[j]
+        y[i] = total // a[i][i]
+    return verdict, (tuple(y), prev)
 
 
 # --- cycle decomposition ---------------------------------------------------
@@ -294,15 +342,20 @@ def _decompose(config: CurveConfig) -> tuple[CycleRecord, ...]:
     def smooth_degree(v: int, alive: set[int]) -> int:
         return sum(m for u, m in config.neighbors(v) if u in alive)
 
-    # 2-core of the smooth subgraph: repeatedly strip multiplicity-degree <= 1
+    # 2-core of the smooth subgraph: strip multiplicity-degree <= 1 until none is left
     core = set(smooth)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(core):
-            if smooth_degree(v, core) <= 1:
-                core.remove(v)
-                changed = True
+    degree = {v: smooth_degree(v, core) for v in smooth}
+    stack = [v for v in smooth if degree[v] <= 1]
+    while stack:
+        v = stack.pop()
+        if v not in core:
+            continue
+        core.remove(v)
+        for u, m in config.neighbors(v):
+            if u in core:
+                degree[u] -= m
+                if degree[u] <= 1:
+                    stack.append(u)
 
     for v in sorted(core):
         if smooth_degree(v, core) != 2:
@@ -326,24 +379,25 @@ def _decompose(config: CurveConfig) -> tuple[CycleRecord, ...]:
         elif c.kind == ELLIPTIC:
             cycles.append(CycleRecord((c.id,), 0))
 
-    cycle_members = {cid for rec in cycles for cid in rec.member_ids}
-    for a, b in itertools.combinations(sorted(cycle_members), 2):
-        if config.mult(a, b) > 0 and not _same_cycle(cycles, a, b):
+    cycle_of = {cid: k for k, rec in enumerate(cycles) for cid in rec.member_ids}
+    # the triples are sorted, so the first offending pair is the least one
+    for a, b, _ in config.intersections:
+        if a in cycle_of and b in cycle_of and cycle_of[a] != cycle_of[b]:
             raise StructureError(f"curves {a} and {b} join two distinct cycles")
 
     # trees: connected components of the remaining smooth curves
-    rest = sorted(smooth_set - cycle_members)
+    pool = smooth_set.difference(cycle_of)
     assigned: dict[int, list[tuple[int, list[int]]]] = {}
     visited: set[int] = set()
-    for start in rest:
+    for start in sorted(pool):
         if start in visited:
             continue
-        component = _tree_component(config, start, set(rest))
+        component = _tree_component(config, start, pool)
         visited.update(component)
         attachments = []
         for v in component:
             for u, m in config.neighbors(v):
-                if u in cycle_members:
+                if u in cycle_of:
                     attachments.extend([u] * m)
         if not attachments:
             continue  # isolated tree, reported by partition_curves
@@ -386,10 +440,6 @@ def _walk_cycle(config: CurveConfig, core: set[int], start: int) -> list[int]:
     if config.mult(prev, start) != 1:
         raise StructureError(f"cycle edge {prev}-{start} has multiplicity != 1")
     return members
-
-
-def _same_cycle(cycles: list[CycleRecord], a: int, b: int) -> bool:
-    return any(a in rec.member_ids and b in rec.member_ids for rec in cycles)
 
 
 def _tree_component(config: CurveConfig, start: int, pool: set[int]) -> list[int]:
@@ -493,12 +543,11 @@ def sigma_classify(config: CurveConfig) -> SigmaClassification:
 
 
 def _cycle_square(config: CurveConfig, rec: CycleRecord) -> int:
-    total = 0
-    for a in rec.member_ids:
-        total += config.curve(a).self_int
-        for b in rec.member_ids:
-            if a != b:
-                total += config.mult(a, b)
+    members = set(rec.member_ids)
+    total = sum(config.curve(a).self_int for a in rec.member_ids)
+    for i, j, v in config.intersections:
+        if i in members and j in members:
+            total += 2 * v
     return total
 
 

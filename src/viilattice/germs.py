@@ -157,6 +157,11 @@ class GermVerdict:
         raise KeyError(name)
 
 
+def _require_int(value, name: str) -> None:
+    if type(value) is not int:
+        raise DomainError(f"{name} must be an int, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class HopfGermStrong:
     """z -> (alpha*z1 + s*z2^m, a*z2) with a single eigenvalue datum a."""
@@ -167,6 +172,7 @@ class HopfGermStrong:
     m: int
 
     def __post_init__(self):
+        _require_int(self.m, "the twisting degree m")
         if self.m < 1:
             raise DomainError("the twisting degree m must be at least 1")
 
@@ -181,6 +187,7 @@ class HopfGermPrimary:
     m: int
 
     def __post_init__(self):
+        _require_int(self.m, "the twisting degree m")
         if self.m < 1:
             raise DomainError("the twisting degree m must be at least 1")
 
@@ -198,6 +205,7 @@ class EnokiGerm:
     a_coeffs: tuple[Number, ...] = ()
 
     def __post_init__(self):
+        _require_int(self.n, "the cycle length n")
         if self.n < 1:
             raise DomainError("the cycle length n must be at least 1")
         object.__setattr__(self, "a_coeffs", tuple(self.a_coeffs))

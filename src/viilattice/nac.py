@@ -31,7 +31,6 @@ from .curves import (
     CycleRecord,
     adjunction_degree,
     find_cycles,
-    intersection_matrix,
     require_valid,
 )
 from .errors import DomainError
@@ -61,12 +60,11 @@ def solve_nac(config: CurveConfig, m: int) -> NacSolution | NoSolution:
         raise DomainError(f"level m must be a positive integer, got {m}")
     if not config.curves:
         return NoSolution("no curves: nothing can support an anticanonical divisor")
-    rhs = [-m * adjunction_degree(c) for c in config.curves]
-    verdict, level_one = config.elimination
+    verdict, solved = config.elimination
 
+    # the coefficients are k = m * y / det, linear in m
     if verdict == DEFINITE:
-        # the coefficients are linear in m
-        k = tuple(m * x for x in level_one)
+        y, det = solved
     elif verdict == SEMIDEFINITE:
         if not any(c.kind == ELLIPTIC for c in config.curves):
             return NoSolution(
@@ -74,29 +72,37 @@ def solve_nac(config: CurveConfig, m: int) -> NacSolution | NoSolution:
                 "surfaces no numerically anticanonical divisor exists outside the "
                 "parabolic case"
             )
-        # parabolic candidate: every coefficient equal to m, index 1
-        k = tuple(Fraction(m) for _ in config.curves)
-        if any(m * sum(row) != r for row, r in zip(intersection_matrix(config), rhs)):
+        # parabolic candidate: every coefficient equal to m, index 1; it solves
+        # the system when each row of M sums to -K.D_i
+        row_sums = {c.id: c.self_int for c in config.curves}
+        for i, j, v in config.intersections:
+            row_sums[i] += v
+            row_sums[j] += v
+        if any(row_sums[c.id] != -adjunction_degree(c) for c in config.curves):
             return NoSolution(
                 "degenerate form: the parabolic coefficient vector does not solve "
                 "the pairing system"
             )
+        y, det = (1,) * len(config.curves), 1
     else:
         return NoSolution("intersection form is not negative (semi)definite")
-    square = sum(ki * ri for ki, ri in zip(k, rhs))  # k^T M k = k^T rhs once M k = rhs
-    return _accept(config, m, k, square, parabolic=verdict == SEMIDEFINITE)
-
-
-def _accept(config, m, coeffs, square, parabolic=False) -> NacSolution | NoSolution:
+    # k^T M k = k^T rhs once M k = rhs, with rhs = -m K.D; (m K)^2 = -m^2 b2
+    # therefore asks for y . (K.D) = b2 * det
+    pairing = sum(v * adjunction_degree(c) for v, c in zip(y, config.curves))
     expected = -m * m * config.b2
-    if square != expected:
+    if pairing != config.b2 * det:
         return NoSolution(
-            f"self-intersection defect: divisor square {square} != {expected} "
-            f"(= -m^2 b2), so the curves cannot span the anticanonical class"
+            f"self-intersection defect: divisor square {Fraction(-m * m * pairing, det)} "
+            f"!= {expected} (= -m^2 b2), so the curves cannot span the anticanonical class"
         )
-    index = math.lcm(*((ki / m).denominator for ki in coeffs))
-    effective = all(ki > 0 for ki in coeffs)
-    return NacSolution(m, coeffs, index, effective, int(square), parabolic)
+    return NacSolution(
+        m,
+        tuple(Fraction(m * v, det) for v in y),
+        det // math.gcd(det, *y),  # the lcm of the denominators of y / det
+        all(v > 0 for v in y),
+        expected,
+        verdict == SEMIDEFINITE,
+    )
 
 
 def index_of(config: CurveConfig) -> int | None:
@@ -196,7 +202,7 @@ def verify_star_recurrence(config: CurveConfig, sol: NacSolution) -> StarRecurre
     the solution.
     """
     require_valid(config)
-    khat = _normalized(config, sol)
+    scaled, unit = _scaled(config, sol)
     checks = []
     for c in config.curves:
         if c.kind != SMOOTH_RATIONAL:
@@ -206,9 +212,10 @@ def verify_star_recurrence(config: CurveConfig, sol: NacSolution) -> StarRecurre
             slots.extend([u] * mult)
         if len(slots) != 2:
             continue
-        lhs = sum(khat[u] - 1 for u in slots)
-        rhs = (khat[c.id] - 1) * (-c.self_int)
-        checks.append(StarCheck(c.id, Fraction(lhs), Fraction(rhs), lhs == rhs))
+        # both sides times unit
+        lhs = sum(scaled[u] for u in slots) - 2 * unit
+        rhs = (scaled[c.id] - unit) * (-c.self_int)
+        checks.append(StarCheck(c.id, Fraction(lhs, unit), Fraction(rhs, unit), lhs == rhs))
     return StarRecurrenceReport(tuple(checks))
 
 
@@ -248,19 +255,19 @@ def nac_structure_report(config: CurveConfig, sol: NacSolution) -> NacStructureR
       coefficient >= 2m necessarily supports one.
     """
     require_valid(config)
-    khat = _normalized(config, sol)
+    scaled, unit = _scaled(config, sol)
     entries = []
     for rec in find_cycles(config):
         if rec.length < 1:
             continue  # elliptic 0-cycles carry no such pattern
-        vals = {cid: khat[cid] for cid in rec.member_ids}
+        vals = {cid: scaled[cid] for cid in rec.member_ids}
         lo, hi = min(vals.values()), max(vals.values())
         has_branch = bool(rec.branches)
         violations: list[str] = []
         unit_cycle = False
         max_at_root: bool | None = None
-        if lo == 1:
-            if hi != 1:
+        if lo == unit:
+            if hi != unit:
                 violations.append(
                     "one cycle coefficient equals m but others exceed it; a unit "
                     "coefficient forces the whole cycle to be at the unit"
@@ -270,7 +277,7 @@ def nac_structure_report(config: CurveConfig, sol: NacSolution) -> NacStructureR
                     "cycle at the unit coefficient cannot carry a branch"
                 )
             unit_cycle = not violations
-        elif lo > 1:
+        elif lo > unit:
             if not has_branch:
                 violations.append(
                     "every cycle coefficient exceeds m but no branch is attached; "
@@ -291,15 +298,24 @@ def nac_structure_report(config: CurveConfig, sol: NacSolution) -> NacStructureR
             )
         entries.append(
             CycleStructure(
-                rec.member_ids, lo, hi, unit_cycle, max_at_root, tuple(violations)
+                rec.member_ids,
+                Fraction(lo, unit),
+                Fraction(hi, unit),
+                unit_cycle,
+                max_at_root,
+                tuple(violations),
             )
         )
     return NacStructureReport(tuple(entries))
 
 
-def _normalized(config: CurveConfig, sol: NacSolution) -> dict[int, Fraction]:
+def _scaled(config: CurveConfig, sol: NacSolution) -> tuple[dict[int, int], int]:
+    """The normalized coefficients k/m over one common denominator: (curve id
+    -> integer numerator, unit), so that k_i / m = scaled[id] / unit."""
     if len(sol.coeffs) != len(config.curves):
         raise DomainError("solution length does not match the configuration")
-    return {
-        c.id: Fraction(k) / sol.m for c, k in zip(config.curves, sol.coeffs)
+    lcm = math.lcm(*(k.denominator for k in sol.coeffs))
+    scaled = {
+        c.id: k.numerator * (lcm // k.denominator) for c, k in zip(config.curves, sol.coeffs)
     }
+    return scaled, sol.m * lcm

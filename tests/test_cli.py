@@ -416,7 +416,8 @@ def test_cached_elimination_stays_out_of_equality_and_matrix_copies():
     config = singrat_config(3, 2)
     before = hash(config)
     cached = config.elimination
-    assert cached == ("definite", (Fraction(3, 2), Fraction(1), Fraction(1, 2)))
+    # y = det(-M) * x for the level-1 solution x = (3/2, 1, 1/2)
+    assert cached == ("definite", ((6, 4, 2), 4))
     fresh = CurveConfig(config.b2, config.curves, config.intersections)
     assert config == fresh
     assert hash(config) == hash(fresh) == before

@@ -31,7 +31,8 @@ from viilattice import (
     singrat_config,
     validate,
 )
-from viilattice.curves import _symmetric_elimination
+from viilattice import curves
+from viilattice.curves import _symmetric_elimination, _upper_rows
 from viilattice.selftest import definiteness_oracle
 
 
@@ -228,6 +229,9 @@ def test_definiteness_requires_symmetric_square():
         is_negative_definite([[1, 2], [3, 4]])
     with pytest.raises(DomainError):
         is_negative_definite([[1, 2, 3], [4, 5, 6]])
+    # a short later row used to leak an IndexError from the symmetry scan
+    with pytest.raises(DomainError, match="square"):
+        is_negative_definite([[1, 2], []])
 
 
 def test_enoki_matrices_semidefinite():
@@ -280,34 +284,165 @@ def _gram_form(size, entries, shifts):
     ]
 
 
-@given(
-    st.integers(min_value=0, max_value=6).flatmap(
-        lambda n: st.tuples(
-            st.one_of(
-                st.lists(
-                    st.integers(min_value=-4, max_value=4),
-                    min_size=n * (n + 1) // 2,
-                    max_size=n * (n + 1) // 2,
-                ).map(lambda entries: _symmetric(n, entries)),
-                st.builds(
-                    lambda entries, shifts: _gram_form(n, entries, shifts),
-                    st.lists(st.integers(min_value=-2, max_value=2), min_size=n * n, max_size=n * n),
-                    st.lists(st.integers(min_value=0, max_value=1), min_size=n, max_size=n),
-                ),
+def _dense_elimination(matrix, column):
+    """The dense symmetric Bareiss elimination the sparse one replaced, kept as
+    its referee: (verdict, exact x with -M x = column if definite, else None).
+    Every untouched row is rescaled at every step."""
+    n = len(matrix)
+    a = [[-v for v in row] + [c] for row, c in zip(matrix, column)]
+    verdict, prev = DEFINITE, 1
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot < 0 or (pivot == 0 and any(a[k][k + 1 : n])):
+            return NEITHER, None
+        if pivot == 0:
+            verdict = SEMIDEFINITE
+            continue
+        for i in range(k + 1, n):
+            for j in range(i, n + 1):
+                a[i][j] = (a[i][j] * pivot - a[k][i] * a[k][j]) // prev
+        prev = pivot
+    if verdict != DEFINITE:
+        return verdict, None
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        y[i] = (prev * a[i][n] - sum(a[i][j] * y[j] for j in range(i + 1, n))) // a[i][i]
+    return verdict, tuple(Fraction(v, prev) for v in y)
+
+
+matrices_with_columns = st.integers(min_value=0, max_value=6).flatmap(
+    lambda n: st.tuples(
+        st.one_of(
+            st.lists(
+                st.integers(min_value=-4, max_value=4),
+                min_size=n * (n + 1) // 2,
+                max_size=n * (n + 1) // 2,
+            ).map(lambda entries: _symmetric(n, entries)),
+            st.builds(
+                lambda entries, shifts: _gram_form(n, entries, shifts),
+                st.lists(st.integers(min_value=-2, max_value=2), min_size=n * n, max_size=n * n),
+                st.lists(st.integers(min_value=0, max_value=1), min_size=n, max_size=n),
             ),
-            st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n),
+        ),
+        st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n),
+    )
+)
+
+
+@given(matrices_with_columns)
+def test_elimination_solves_the_column_on_definite_forms(case):
+    m, column = case
+    verdict, solved = _symmetric_elimination(_upper_rows(m), column)
+    assert verdict == definiteness_oracle(m)
+    if verdict != DEFINITE:
+        assert solved is None
+        return
+    y, det = solved
+    assert all(type(v) is int for v in (*y, det)) and det > 0
+    x = [Fraction(v, det) for v in y]
+    assert [-sum(a * b for a, b in zip(row, x)) for row in m] == column
+
+
+@given(matrices_with_columns)
+def test_sparse_elimination_matches_the_dense_referee(case):
+    m, column = case
+    verdict, solved = _symmetric_elimination(_upper_rows(m), column)
+    expected_verdict, expected_x = _dense_elimination(m, column)
+    assert verdict == expected_verdict
+    if solved is None:
+        assert expected_x is None
+    else:
+        y, det = solved
+        assert tuple(Fraction(v, det) for v in y) == expected_x
+
+
+def _relisted(config, order):
+    return CurveConfig(
+        config.b2, tuple(config.curves[a] for a in order), config.intersections
+    )
+
+
+family_configs = st.one_of(
+    st.integers(min_value=2, max_value=12).flatmap(
+        lambda n: st.integers(min_value=0, max_value=n - 1).map(
+            lambda p: singrat_config(n, p)
+        )
+    ),
+    st.tuples(st.integers(min_value=1, max_value=12), st.booleans()).map(
+        lambda args: enoki_cycle_config(*args)
+    ),
+    st.lists(st.integers(min_value=-5, max_value=-2), min_size=3, max_size=12).map(ring),
+)
+
+
+@given(
+    family_configs.flatmap(
+        lambda config: st.tuples(st.just(config), st.permutations(range(len(config.curves))))
+    )
+)
+def test_sparse_elimination_matches_the_dense_referee_in_any_listing_order(case):
+    config, order = case
+    relisted = _relisted(config, order)
+    verdict, solved = relisted.elimination
+    expected_verdict, expected_x = _dense_elimination(
+        intersection_matrix(relisted), [adjunction_degree(c) for c in relisted.curves]
+    )
+    assert verdict == expected_verdict == config.elimination[0]
+    if solved is None:
+        assert expected_x is None
+    else:
+        y, det = solved
+        assert tuple(Fraction(v, det) for v in y) == expected_x
+        assert det == config.elimination[1][1]
+
+
+def _sigma_outcome(config):
+    try:
+        return sigma_classify(config)
+    except DomainError as exc:
+        return str(exc)
+
+
+@given(
+    family_configs.flatmap(
+        lambda config: st.tuples(
+            st.just(config), st.permutations([c.id for c in config.curves])
         )
     )
 )
-def test_elimination_solves_the_column_on_definite_forms(case):
-    m, column = case
-    verdict, x = _symmetric_elimination(m, column)
-    assert verdict == definiteness_oracle(m)
-    if verdict != DEFINITE:
-        assert x is None
-        return
-    assert all(type(v) is Fraction for v in x)
-    assert [-sum(a * b for a, b in zip(row, x)) for row in m] == column
+def test_cycle_decomposition_invariant_under_any_id_relabelling(case):
+    # a non-monotone relabelling changes the order the 2-core is pruned in
+    config, new_ids = case
+    rename = dict(zip((c.id for c in config.curves), new_ids))
+    moved = CurveConfig(
+        config.b2,
+        tuple(Curve(rename[c.id], c.kind, c.self_int) for c in config.curves),
+        tuple((rename[i], rename[j], m) for i, j, m in config.intersections),
+    )
+
+    def shape(cfg, name):
+        return sorted(
+            (
+                sorted(name(cid) for cid in rec.member_ids),
+                rec.length,
+                sorted((name(br.root_id), sorted(map(name, br.member_ids))) for br in rec.branches),
+            )
+            for rec in find_cycles(cfg)
+        )
+
+    assert shape(moved, lambda cid: cid) == shape(config, rename.__getitem__)
+    assert _sigma_outcome(moved) == _sigma_outcome(config)
+
+
+def test_configuration_elimination_reads_no_dense_matrix(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the elimination builds its rows from the triples")
+
+    monkeypatch.setattr(curves, "intersection_matrix", forbidden)
+    monkeypatch.setattr(curves, "_upper_rows", forbidden)
+    config = singrat_config(4, 3)
+    assert config.elimination == ("definite", ((12, 9, 6, 3), 9))
+    assert enoki_cycle_config(5, True).elimination == (SEMIDEFINITE, None)
 
 
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=7))

@@ -240,6 +240,28 @@ def test_inexact_parameters_are_refused(bad):
             call()
 
 
+@pytest.mark.parametrize("bad", [1.0, 2.0, Fraction(2), True, "2", None])
+def test_integer_fields_are_refused_unless_int(bad):
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    for build in (
+        lambda: HopfGermStrong(half, quarter, 0, bad),
+        lambda: HopfGermPrimary(quarter, half, 0, bad),
+    ):
+        with pytest.raises(DomainError, match="twisting degree m must be an int"):
+            build()
+    with pytest.raises(DomainError, match="cycle length n must be an int"):
+        EnokiGerm(half, bad)
+
+
+def test_integer_fields_refuse_the_inputs_that_used_to_leak():
+    # a float degree used to raise TypeError deep in the power, and a float
+    # cycle length used to be accepted
+    with pytest.raises(DomainError):
+        validate_strong(HopfGermStrong(Fraction(1, 2), Fraction(1, 4), 0, 1.0))
+    with pytest.raises(DomainError):
+        realize_enoki(EnokiGerm(Fraction(1, 2), 2.0))
+
+
 # an oracle on plain (re, im) pairs of Fractions
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -223,12 +224,29 @@ def test_folded_solve_matches_general_elimination(config, m):
         return
     rhs = [-m * adjunction_degree(c) for c in config.curves]
     expected = tuple(solve_exact(matrix, rhs))
-    assert tuple(m * x for x in config.elimination[1]) == expected
+    y, det = config.elimination[1]
+    assert tuple(Fraction(m * v, det) for v in y) == expected
     sol = solve_nac(config, m)
     if isinstance(sol, NacSolution):
         assert sol.coeffs == expected
     else:
         assert "self-intersection defect" in sol.reason
+
+
+def test_shuffled_singrat_in_the_hundreds_matches_the_closed_form():
+    n = 200
+    config = singrat_config(n, n - 1)
+    order = list(range(n))
+    random.Random(0).shuffle(order)
+    shuffled = CurveConfig(n, tuple(config.curves[a] for a in order), config.intersections)
+    form = singrat_closed_form(n, n - 1, 1)
+    assert shuffled.elimination[1][1] == abs(form.det)
+    sol = solve_nac(shuffled, 1)
+    assert isinstance(sol, NacSolution)
+    assert {c.id: k for c, k in zip(shuffled.curves, sol.coeffs)} == dict(enumerate(form.coeffs))
+    assert sol.index == n - 1
+    assert verify_star_recurrence(shuffled, sol).ok
+    assert nac_structure_report(shuffled, sol).ok
 
 
 # --- closed form on the nodal-plus-chain family ------------------------------
