@@ -159,56 +159,46 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(doc: dict) -> None:
     """Print a report as json.dumps(indent=2) would, with each Fraction as
-    its exact "p/q" string (integers without the slash)."""
-    out: list[str] = []
-    _write(doc, "\n", out)
-    out.append("\n")
-    sys.stdout.write("".join(out))
+    its exact "p/q" string (integers without the slash), in one write."""
+    sys.stdout.write(_write(doc, "\n") + "\n")
 
 
-def _write(value, newline: str, out: list[str]) -> None:
-    """Append the indented JSON text of value to out; newline is the line
-    break and indentation that close value."""
-    # cheap exact type checks first: isinstance against Fraction goes through
-    # the numbers.Rational ABC
-    if value is None or value is True or value is False:
-        out.append(_CONSTANTS[value])
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, str):
-        out.append(_quote(value))
-    elif isinstance(value, (list, tuple)):
+def _write(value, newline: str) -> str:
+    """Return the indented JSON text of value; newline is the line break and
+    indentation that close value.  An item whose exact type is in _LEAVES is
+    rendered where it stands, so only containers and table misses cost a call."""
+    inner = newline + "  "
+    if isinstance(value, dict):
         if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _write(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif isinstance(value, dict):
+            return "{}"
+        # report keys are str; any other raises TypeError
+        parts = [
+            f"{_quote(key)}: {leaf(item) if (leaf := _LEAVES.get(type(item))) else _write(item, inner)}"
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if isinstance(value, (list, tuple)):
         if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            out.append(sep)
-            out.append(_quote(key))  # report keys are str; any other raises TypeError
-            out.append(": ")
-            _write(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(value, Fraction):
-        out.append(_quote(str(value)))
-    else:
-        out.append(json.dumps(value))  # a float as json writes it; TypeError otherwise
+            return "[]"
+        parts = [
+            leaf(item) if (leaf := _LEAVES.get(type(item))) else _write(item, inner)
+            for item in value
+        ]
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    # a table miss (a float, a subclass) as json writes it; TypeError for
+    # what json cannot encode
+    return _LEAVES.get(type(value), json.dumps)(value)
 
 
 _quote = json.encoder.encode_basestring_ascii
 _CONSTANTS = {None: "null", True: "true", False: "false"}
+_LEAVES = {
+    int: int.__repr__,
+    str: _quote,
+    bool: _CONSTANTS.__getitem__,
+    type(None): _CONSTANTS.__getitem__,
+    Fraction: lambda value: _quote(str(value)),
+}
 
 
 # --- shared report sections ---------------------------------------------------

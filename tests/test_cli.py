@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import random
 import sys
 import time
 from fractions import Fraction
@@ -548,6 +549,18 @@ class _CountingStream(io.StringIO):
         return super().write(text)
 
 
+class _Int(int):
+    __repr__ = __str__ = lambda self: "an int subclass"
+
+
+class _Str(str):
+    __repr__ = __str__ = lambda self: "a str subclass"
+
+
+class _Fraction(Fraction):
+    pass
+
+
 texts = st.text(st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600')))
 huge = st.integers(min_value=2**64, max_value=2**300)
 leaves = st.one_of(
@@ -560,6 +573,9 @@ leaves = st.one_of(
     st.none(),
     texts,
     st.floats(),
+    # types outside the writer's leaf table, which json still encodes
+    (st.integers() | huge).map(_Int),
+    texts.map(_Str),
 )
 documents = st.recursive(
     leaves,
@@ -585,8 +601,8 @@ def test_writer_matches_indented_json(doc):
 
 @pytest.mark.parametrize(
     "doc",
-    [{"a": [1, {2, 3}]}, {"z": [1j]}, {"a": {Fraction(1, 2): 1}}, {1: 2}],
-    ids=["set", "complex", "fraction-key", "int-key"],
+    [{"a": [1, {2, 3}]}, {"z": [1j]}, {"a": {Fraction(1, 2): 1}}, {1: 2}, {"a": [_Fraction(1, 2)]}],
+    ids=["set", "complex", "fraction-key", "int-key", "fraction-subclass"],
 )
 def test_writer_refuses_what_it_cannot_encode(capsys, doc):
     # every report key is a str literal; json would write an int key as a string
@@ -595,9 +611,42 @@ def test_writer_refuses_what_it_cannot_encode(capsys, doc):
     assert capsys.readouterr().out == ""
 
 
+def _containers(value) -> int:
+    if isinstance(value, dict):
+        return 1 + sum(map(_containers, value.values()))
+    if isinstance(value, list):
+        return 1 + sum(map(_containers, value))
+    return 0
+
+
+def test_writer_recurses_only_into_containers(capsys, tmp_path, monkeypatch):
+    # the 3,600 matrix entries and every other leaf are rendered in place
+    path = tmp_path / "singrat60.json"
+    path.write_text(config_to_text(singrat_config(60, 59)))
+    calls = []
+    original = cli._write
+
+    def counting(*args):
+        calls.append(type(args[0]).__name__)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "_write", counting)
+    code, doc, _ = run(capsys, ["classify", str(path)])
+    assert code == 0 and len(doc["matrix"]) == 60
+    # the matrix rows and one star check per curve make about 2 * b2 containers
+    assert len(calls) == _containers(doc) < 2 * 60 + 30
+
+
 def _ring(r: int, self_int: int) -> CurveConfig:
     curves_ = tuple(Curve(i, SMOOTH_RATIONAL, self_int) for i in range(r))
     return CurveConfig(r, curves_, tuple((i, (i + 1) % r, 1) for i in range(r)))
+
+
+def _shuffled(config: CurveConfig, seed: int) -> CurveConfig:
+    """The same configuration with its curves listed in a seeded random order."""
+    curves_ = list(config.curves)
+    random.Random(seed).shuffle(curves_)
+    return CurveConfig(config.b2, tuple(curves_), config.intersections)
 
 
 CONFIG_COMMANDS = (["classify"], ["nac", "--m", "1"], ["nac", "--m", "2"], ["nac", "--m", "3"], ["index"])
@@ -611,6 +660,11 @@ CORPUS = {
         CONFIG_COMMANDS,
     ),
     "rings": ([_ring(r, -3) for r in range(3, 11)], CONFIG_COMMANDS),
+    # full b2 x b2 matrices in the hundreds, in an order the listing does not give
+    "hundreds": (
+        [_shuffled(singrat_config(200, 199), 0), _shuffled(enoki_cycle_config(150, True), 0)],
+        (["classify"],),
+    ),
     "enumerate": (
         [
             enoki_cycle_config(5, True),
@@ -704,12 +758,14 @@ def _corpus_digest(group: str, directory) -> str:
 
 
 # recorded before the report writer replaced json.dumps(indent=2); germ-errors
-# before the two Hopf kinds of `germ` shared one code path
+# before the two Hopf kinds of `germ` shared one code path; hundreds before
+# the writer rendered leaves through one type table
 PINNED_SHA256 = {
     "enoki": "a08875057fdc65d11b538dbf4366a7bc5c9a2a519da3b2b4e6528c6ba176fa49",
     "enumerate": "fca8a4c6522667416b5023ec4e311bd16f90fac5f8ce678765a20e90ae6aef99",
     "germ": "8cd737927a2606d433bc47011a7463da5f68d4717763f1017c81c579a8294313",
     "germ-errors": "720ded25c6ae7408cd3495b35dbb90f7aeb85d23beebc49cf6e6a980fa57af8f",
+    "hundreds": "e8bd7f7ddcb5741f0c9b256b5afad92698171510e7d912c6fe947056c9536136",
     "rings": "3adffa8303de18223f1c518fa66462091f125fcee3c0589aaaefc77a92f064cf",
     "singrat": "3255b0cd3995e4c9626802300de8fb50d78992cc6ae48299a51abb81c612dd25",
 }
