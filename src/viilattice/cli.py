@@ -23,7 +23,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -59,6 +58,7 @@ from .lattice import FullCycle, LatticeClass, TypeA, classify_normal_form
 from .nac import (
     NacSolution,
     NoSolution,
+    _scaled,
     nac_structure_report,
     solve_nac,
     verify_star_recurrence,
@@ -210,20 +210,16 @@ def _nac_section(config: CurveConfig, m: int) -> tuple[dict, NacSolution | None]
         return {"m": m, "status": "no_solution", "reason": sol.reason}, None
     # defensive recomputation straight from the stored intersection numbers; a
     # mismatch means the solver and the report pipeline disagree, which is an
-    # internal error.  With the common denominator cleared the sum is over
-    # integers.
-    den = math.lcm(*(k.denominator for k in sol.coeffs))
-    scaled = {
-        c.id: k.numerator * (den // k.denominator) for c, k in zip(config.curves, sol.coeffs)
-    }
+    # internal error.  Over the common denominator unit the sum is over
+    # integers, and square / unit^2 is the square of D_m / m, which is K^2 = -b2.
+    scaled, unit = _scaled(config, sol)
     square = sum(c.self_int * scaled[c.id] ** 2 for c in config.curves) + 2 * sum(
         v * scaled[i] * scaled[j] for i, j, v in config.intersections
     )
-    want = -m * m * config.b2
-    if square != want * den * den or want != sol.self_int_check:
+    if square != -config.b2 * unit * unit or sol.self_int_check != -m * m * config.b2:
         raise _InternalError(
             "solver self-intersection check failed: "
-            f"{Fraction(square, den * den)} vs {sol.self_int_check}"
+            f"{Fraction(square * m * m, unit * unit)} vs {sol.self_int_check}"
         )
     section = {
         "m": m,

@@ -28,7 +28,9 @@ from .errors import DomainError, InvalidConfigError, StructureError
 SMOOTH_RATIONAL = "smooth_rational"
 NODAL_RATIONAL = "nodal_rational"
 ELLIPTIC = "elliptic"
-CURVE_KINDS = (SMOOTH_RATIONAL, NODAL_RATIONAL, ELLIPTIC)
+# each kind: (largest self-intersection, arithmetic genus)
+_KIND_RULES = {SMOOTH_RATIONAL: (-2, 0), NODAL_RATIONAL: (0, 1), ELLIPTIC: (0, 1)}
+CURVE_KINDS = tuple(_KIND_RULES)
 
 DEFINITE = "definite"
 SEMIDEFINITE = "semidefinite"
@@ -48,6 +50,10 @@ class CurveConfig:
 
     ``intersections`` holds one (low_id, high_id, mult) triple per meeting
     pair with mult > 0; self-intersections live on the curves themselves.
+    A field that is not an ``int`` (a ``bool`` is not), a duplicate id or a
+    bad pair raises :class:`InvalidConfigError`.  Validity is checked once,
+    here, and stored for :func:`validate`: an invalid configuration is still
+    built, and refused by each computation that needs it valid.
     """
 
     b2: int
@@ -57,18 +63,40 @@ class CurveConfig:
     _by_id: dict = field(init=False, repr=False, compare=False)
     _adj: dict = field(init=False, repr=False, compare=False)
     _position: dict = field(init=False, repr=False, compare=False)
+    _validation: ValidationReport = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        curves = tuple(self.curves)
+        curves, b2 = tuple(self.curves), self.b2
+        if not _is_int(b2):
+            raise InvalidConfigError(f"b2 must be an integer, got {b2!r}")
+        issues = [ValidationIssue(f"b2 must be at least 1, got {b2}")] if b2 < 1 else []
+        rational = elliptic = 0
         by_id = {}
         for c in curves:
+            if not (_is_int(c.id) and _is_int(c.self_int)):
+                raise InvalidConfigError(f"{c!r} needs an integer id and self-intersection")
             if c.id in by_id:
                 raise InvalidConfigError(f"duplicate curve id {c.id}")
             by_id[c.id] = c
+            if c.kind not in CURVE_KINDS:
+                issues.append(ValidationIssue(f"unknown curve kind {c.kind!r}", c.id))
+                continue
+            elliptic += c.kind == ELLIPTIC
+            rational += c.kind != ELLIPTIC
+            if c.self_int > (bound := _KIND_RULES[c.kind][0]):
+                rule = f"needs self-intersection <= {bound}, got {c.self_int}"
+                issues.append(ValidationIssue(f"{c.kind.replace('_', ' ')} curve {rule}", c.id))
+        if rational > b2:
+            why = "these surfaces carry at most b2 rational curves"
+            issues.append(ValidationIssue(f"{rational} rational curves exceed b2 = {b2}; {why}"))
+        if elliptic > 1:
+            issues.append(ValidationIssue(f"at most one elliptic curve allowed, got {elliptic}"))
         mult: dict[tuple[int, int], int] = {}
         normalized = []
         for entry in self.intersections:
-            i, j, m = (int(v) for v in entry)
+            if len(entry) != 3 or not all(map(_is_int, entry)):
+                raise InvalidConfigError(f"intersection entry {entry!r} needs three integers")
+            i, j, m = entry
             if i == j:
                 raise InvalidConfigError(
                     f"self-pairing for curve {i}: self-intersections belong on the curve"
@@ -98,6 +126,7 @@ class CurveConfig:
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_adj", adj)
         object.__setattr__(self, "_position", position)
+        object.__setattr__(self, "_validation", ValidationReport(tuple(issues)))
 
     def mult(self, i: int, j: int) -> int:
         if i == j:
@@ -130,9 +159,17 @@ class CurveConfig:
         return _symmetric_elimination(rows, [adjunction_degree(c) for c in self.curves])
 
     @functools.cached_property
-    def cycles(self) -> tuple[CycleRecord, ...]:
-        """The cycle decomposition; read it through :func:`find_cycles`."""
-        return _decompose(self)
+    def cycles(self) -> tuple[CycleRecord, ...] | StructureError:
+        """The cycle decomposition, or the StructureError refuting one; read
+        it through :func:`find_cycles`."""
+        try:
+            return _decompose(self)
+        except StructureError as exc:
+            return exc
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -151,53 +188,10 @@ class ValidationReport:
 
 
 def validate(config: CurveConfig) -> ValidationReport:
-    """Check the per-curve and counting invariants; never raises."""
-    issues: list[ValidationIssue] = []
-    if config.b2 < 1:
-        issues.append(ValidationIssue(f"b2 must be at least 1, got {config.b2}"))
-    rational = 0
-    elliptic = 0
-    for c in config.curves:
-        if c.kind not in CURVE_KINDS:
-            issues.append(ValidationIssue(f"unknown curve kind {c.kind!r}", c.id))
-            continue
-        if c.kind == SMOOTH_RATIONAL:
-            rational += 1
-            if c.self_int > -2:
-                issues.append(
-                    ValidationIssue(
-                        f"smooth rational curve needs self-intersection <= -2, got {c.self_int}",
-                        c.id,
-                    )
-                )
-        elif c.kind == NODAL_RATIONAL:
-            rational += 1
-            if c.self_int > 0:
-                issues.append(
-                    ValidationIssue(
-                        f"nodal rational curve needs self-intersection <= 0, got {c.self_int}",
-                        c.id,
-                    )
-                )
-        else:
-            elliptic += 1
-            if c.self_int > 0:
-                issues.append(
-                    ValidationIssue(
-                        f"elliptic curve needs self-intersection <= 0, got {c.self_int}",
-                        c.id,
-                    )
-                )
-    if rational > config.b2:
-        issues.append(
-            ValidationIssue(
-                f"{rational} rational curves exceed b2 = {config.b2}; "
-                "these surfaces carry at most b2 rational curves"
-            )
-        )
-    if elliptic > 1:
-        issues.append(ValidationIssue(f"at most one elliptic curve allowed, got {elliptic}"))
-    return ValidationReport(tuple(issues))
+    """The report on b2 >= 1, each curve's self-intersection bound, at most
+    b2 rational and at most one elliptic curve.  It is made once per
+    configuration, when it is built, which an invalid one is too; never raises."""
+    return config._validation
 
 
 def require_valid(config: CurveConfig) -> None:
@@ -323,7 +317,8 @@ class CycleRecord:
 def find_cycles(config: CurveConfig) -> tuple[CycleRecord, ...]:
     """Decompose the dual graph into cycles with their branches.
 
-    The decomposition is computed once per configuration and cached on it.
+    The decomposition is computed once per configuration and cached on it;
+    so is the StructureError of one that fails, raised again on each call.
     Smooth rational curves are pruned to the 2-core of their intersection
     graph (counting multiplicities); what survives must be a disjoint union
     of simple closed chains, each one an r-cycle with r >= 2.  Nodal and
@@ -331,7 +326,9 @@ def find_cycles(config: CurveConfig) -> tuple[CycleRecord, ...]:
     are assigned to the unique cycle member they touch, or reported as
     isolated by :func:`partition_curves`.
     """
-    return config.cycles
+    if isinstance(cycles := config.cycles, StructureError):
+        raise cycles.with_traceback(None)
+    return cycles
 
 
 def _decompose(config: CurveConfig) -> tuple[CycleRecord, ...]:
@@ -552,13 +549,8 @@ def _cycle_square(config: CurveConfig, rec: CycleRecord) -> int:
 
 
 def adjunction_degree(curve: Curve) -> int:
-    """Degree of the canonical class on the curve, from adjunction.
-
-    Smooth rational: -2 - c^2; nodal rational and elliptic: -c^2 (their
-    arithmetic genus 1 absorbs the -2).  Non-negative for every valid curve.
-    """
-    if curve.kind == SMOOTH_RATIONAL:
-        return -2 - curve.self_int
-    if curve.kind in (NODAL_RATIONAL, ELLIPTIC):
-        return -curve.self_int
-    raise DomainError(f"unknown curve kind {curve.kind!r}")
+    """Degree 2g - 2 - c^2 of the canonical class on a curve of arithmetic
+    genus g, from adjunction.  Non-negative for every valid curve."""
+    if curve.kind not in CURVE_KINDS:
+        raise DomainError(f"unknown curve kind {curve.kind!r}")
+    return 2 * _KIND_RULES[curve.kind][1] - 2 - curve.self_int

@@ -149,14 +149,13 @@ def enumerate_representations(
 
 def _search_order(config: CurveConfig, cycles: tuple[CycleRecord, ...]) -> list[int]:
     """Positions into config.curves: cycle members, then branches, then the rest."""
-    pos = {c.id: i for i, c in enumerate(config.curves)}
     order: list[int] = []
     taken: set[int] = set()
 
     def take(cid: int) -> None:
         if cid not in taken:
             taken.add(cid)
-            order.append(pos[cid])
+            order.append(config._position[cid])
 
     for rec in cycles:
         for cid in rec.member_ids:
@@ -207,8 +206,7 @@ def _search(config, cycles, order, covering):
             cache[key] = _candidate_masks(n, *key)
         pools.append(cache[key])
     mult = intersection_matrix(config)
-    pos = {c.id: i for i, c in enumerate(curves)}
-    members = [([pos[cid] for cid in rec.member_ids], rec.length) for rec in cycles]
+    members = [([config._position[cid] for cid in rec.member_ids], rec.length) for rec in cycles]
     full = (1 << n) - 1
     placed: list[tuple[int, int, int]] = []  # (position, plus, minus) by depth
     blow_sets: list[int] = []  # minus masks of the placed smooth curves
@@ -328,11 +326,10 @@ def _canonicalize(config, cycles, vectors, torsion):
     targets in index order, as the first least renumbering would.
     """
     n = config.b2
-    pos = {c.id: i for i, c in enumerate(config.curves)}
     ordered = sorted(cycles, key=lambda rec: (-rec.length, min(rec.member_ids)))
     supports = []
     for rec in ordered:
-        total = map(sum, zip(*(vectors[pos[cid]] for cid in rec.member_ids)))
+        total = map(sum, zip(*(vectors[config._position[cid]] for cid in rec.member_ids)))
         supports.append([t for t, x in enumerate(total) if x == -1])
     low, hi = [0] * n, n
     for support in supports:
@@ -450,14 +447,13 @@ def verify_representation(config: CurveConfig, rep: Representation) -> Verificat
     )
 
     cycles = find_cycles(config)
-    pos = {cid: i for i, cid in enumerate(ids)}
     sum_issues = []
     law_issues = []
     supports = []
     for rec in cycles:
         total = [0] * n
         for cid in rec.member_ids:
-            for t, x in enumerate(vectors[pos[cid]]):
+            for t, x in enumerate(vectors[config._position[cid]]):
                 total[t] += x
         zeros = sum(1 for x in total if x == 0)
         if any(x not in (0, -1) for x in total):

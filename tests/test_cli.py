@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viilattice import (
+    ELLIPTIC,
     NODAL_RATIONAL,
     SMOOTH_RATIONAL,
     ConfigParseError,
@@ -396,15 +397,27 @@ def test_cycle_decomposition_runs_once_per_configuration(capsys, tmp_path, decom
     assert decompositions == [5, 5]
 
 
-def test_classify_of_glued_triangles_is_pinned(capsys, tmp_path):
-    # two (-4)-triangles glued at curve 0: no cycle decomposition exists
-    config = CurveConfig(
-        5,
-        tuple(Curve(i, SMOOTH_RATIONAL, -4) for i in range(5)),
-        ((0, 1, 1), (1, 2, 1), (2, 0, 1), (0, 3, 1), (3, 4, 1), (4, 0, 1)),
-    )
+# two (-4)-triangles glued at curve 0: no cycle decomposition exists
+GLUED_TRIANGLES = CurveConfig(
+    5,
+    tuple(Curve(i, SMOOTH_RATIONAL, -4) for i in range(5)),
+    ((0, 1, 1), (1, 2, 1), (2, 0, 1), (0, 3, 1), (3, 4, 1), (4, 0, 1)),
+)
+
+
+def test_failed_cycle_decomposition_runs_once_per_configuration(capsys, tmp_path, decompositions):
     path = tmp_path / "glued.json"
-    path.write_text(config_to_text(config))
+    path.write_text(config_to_text(GLUED_TRIANGLES))
+    code, doc, _ = run(capsys, ["classify", str(path)])
+    assert code == 0
+    # the cycles and sigma sections both read the failed decomposition
+    assert doc["cycles"]["error"] == doc["sigma_classification"]["error"]
+    assert decompositions == [5]
+
+
+def test_classify_of_glued_triangles_is_pinned(capsys, tmp_path):
+    path = tmp_path / "glued.json"
+    path.write_text(config_to_text(GLUED_TRIANGLES))
     assert main(["classify", str(path)]) == 0
     out, err = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest() == (
@@ -681,6 +694,26 @@ CORPUS = {
         ],
         (["enumerate"], ["enumerate", "--max-solutions", "1"]),
     ),
+    # configurations that break the per-curve and counting invariants
+    "invalid": (
+        [
+            CurveConfig(
+                3,
+                (Curve(0, SMOOTH_RATIONAL, -1), Curve(1, NODAL_RATIONAL, 1), Curve(2, ELLIPTIC, 2)),
+            ),
+            CurveConfig(
+                1, (Curve(0, SMOOTH_RATIONAL, -2), Curve(1, SMOOTH_RATIONAL, -2)), ((0, 1, 1),)
+            ),
+            CurveConfig(2, (Curve(0, ELLIPTIC, 0), Curve(1, ELLIPTIC, -1))),
+            CurveConfig(0, (Curve(0, NODAL_RATIONAL, -1),)),
+            CurveConfig(
+                0,
+                (Curve(4, SMOOTH_RATIONAL, 0), Curve(2, ELLIPTIC, 1), Curve(1, ELLIPTIC, -1)),
+                ((1, 4, 1),),
+            ),
+        ],
+        (["classify"], ["nac", "--m", "1"], ["nac", "--m", "0"], ["index"], ["enumerate"]),
+    ),
 }
 GERM_COMMANDS = [
     ["hopf-strong", "alpha=0.6", "a=0.4", "s=0", "m=1"],
@@ -737,8 +770,8 @@ GERM_ERROR_COMMANDS = [
 GERM_GROUPS = {"germ": GERM_COMMANDS, "germ-errors": GERM_ERROR_COMMANDS}
 
 
-def _corpus_digest(group: str, directory) -> str:
-    """sha256 of (exit, stdout, stderr) over one group of the pinned corpus."""
+def _corpus_runs(group: str, directory) -> list[tuple[int, str, str]]:
+    """(exit, stdout, stderr) of each call in one group of the pinned corpus."""
     if group in GERM_GROUPS:
         calls = [["germ", *params] for params in GERM_GROUPS[group]]
     else:
@@ -748,24 +781,34 @@ def _corpus_digest(group: str, directory) -> str:
             path = directory / f"{group}{k}.json"
             path.write_text(config_to_text(config))
             calls += [[command[0], str(path), *command[1:]] for command in commands]
-    digest = hashlib.sha256()
+    runs = []
     for argv in calls:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        digest.update(repr((code, out.getvalue(), err.getvalue())).encode())
+        runs.append((code, out.getvalue(), err.getvalue()))
+    return runs
+
+
+def _corpus_digest(group: str, directory) -> str:
+    """sha256 of (exit, stdout, stderr) over one group of the pinned corpus."""
+    digest = hashlib.sha256()
+    for run_ in _corpus_runs(group, directory):
+        digest.update(repr(run_).encode())
     return digest.hexdigest()
 
 
 # recorded before the report writer replaced json.dumps(indent=2); germ-errors
 # before the two Hopf kinds of `germ` shared one code path; hundreds before
-# the writer rendered leaves through one type table
+# the writer rendered leaves through one type table; invalid before validation
+# moved into the configuration's constructor
 PINNED_SHA256 = {
     "enoki": "a08875057fdc65d11b538dbf4366a7bc5c9a2a519da3b2b4e6528c6ba176fa49",
     "enumerate": "fca8a4c6522667416b5023ec4e311bd16f90fac5f8ce678765a20e90ae6aef99",
     "germ": "8cd737927a2606d433bc47011a7463da5f68d4717763f1017c81c579a8294313",
     "germ-errors": "720ded25c6ae7408cd3495b35dbb90f7aeb85d23beebc49cf6e6a980fa57af8f",
     "hundreds": "e8bd7f7ddcb5741f0c9b256b5afad92698171510e7d912c6fe947056c9536136",
+    "invalid": "25dc5dc281ad2c4e241400417cfa28c4548ebbc6a5bceadba8eae6b559fac68b",
     "rings": "3adffa8303de18223f1c518fa66462091f125fcee3c0589aaaefc77a92f064cf",
     "singrat": "3255b0cd3995e4c9626802300de8fb50d78992cc6ae48299a51abb81c612dd25",
 }
@@ -774,6 +817,10 @@ PINNED_SHA256 = {
 @pytest.mark.parametrize("group", sorted(PINNED_SHA256))
 def test_reports_match_the_pinned_digests(tmp_path, group):
     assert _corpus_digest(group, tmp_path) == PINNED_SHA256[group]
+
+
+def test_every_invalid_configuration_exits_invalid(tmp_path):
+    assert {code for code, _, _ in _corpus_runs("invalid", tmp_path)} == {1}
 
 
 # --- the interpreter's int/str digit limit ---------------------------------------

@@ -70,6 +70,43 @@ def test_negative_multiplicity_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "b2, fields, pairs",
+    [
+        (2, ((0, -2), (1, -2)), ((0, 1, 1.7),)),
+        (2, ((0, -2), (1, -2)), ((0.0, 1, 1),)),
+        (2, ((0, -2), (1, -2)), ((0, 1, True),)),
+        (2, ((0, -2), (1, -2)), ((0, 1),)),
+        (1, ((0, -2.5),), ()),
+        (1, ((0, True),), ()),
+        (2, ((0, -2), (1.0, -2)), ()),
+        (2, ((0, -2), (False, -2)), ()),
+        (2, ((0, -2), ("1", -2)), ()),
+        (2.0, ((0, -2), (1, -2)), ()),
+        (True, ((0, -2),), ()),
+    ],
+    ids=[
+        "float-multiplicity",
+        "float-pair-id",
+        "bool-multiplicity",
+        "short-pair",
+        "float-self-int",
+        "bool-self-int",
+        "float-id",
+        "bool-id",
+        "str-id",
+        "float-b2",
+        "bool-b2",
+    ],
+)
+def test_non_integer_fields_rejected(b2, fields, pairs):
+    # (0, 1, 1.7) would otherwise be read as multiplicity 1, and a
+    # self-intersection of -2.5 would pass validation into the solver
+    curves_ = tuple(Curve(cid, SMOOTH_RATIONAL, s) for cid, s in fields)
+    with pytest.raises(InvalidConfigError, match="integer"):
+        CurveConfig(b2, curves_, pairs)
+
+
 def test_duplicate_pair_rejected():
     with pytest.raises(InvalidConfigError):
         CurveConfig(
@@ -123,6 +160,82 @@ def test_validate_counting_bounds():
     assert not validate(two_elliptic).valid
     with pytest.raises(InvalidConfigError):
         require_valid(two_elliptic)
+
+
+def test_validation_is_stored_on_the_configuration():
+    config = CurveConfig(1, (Curve(0, SMOOTH_RATIONAL, -1), Curve(1, ELLIPTIC, 1)))
+    report = validate(config)
+    assert validate(config) is report
+    assert [i.curve_id for i in report.issues] == [0, 1]
+    with pytest.raises(InvalidConfigError) as raised:
+        require_valid(config)
+    assert raised.value.issues is report.issues
+
+
+def _referee_validate(config: CurveConfig) -> curves.ValidationReport:
+    """The per-kind validation pass as it read before the rule table."""
+    issues: list[curves.ValidationIssue] = []
+    if config.b2 < 1:
+        issues.append(curves.ValidationIssue(f"b2 must be at least 1, got {config.b2}"))
+    rational = 0
+    elliptic = 0
+    for c in config.curves:
+        if c.kind not in curves.CURVE_KINDS:
+            issues.append(curves.ValidationIssue(f"unknown curve kind {c.kind!r}", c.id))
+            continue
+        if c.kind == SMOOTH_RATIONAL:
+            rational += 1
+            if c.self_int > -2:
+                issues.append(
+                    curves.ValidationIssue(
+                        f"smooth rational curve needs self-intersection <= -2, got {c.self_int}",
+                        c.id,
+                    )
+                )
+        elif c.kind == NODAL_RATIONAL:
+            rational += 1
+            if c.self_int > 0:
+                issues.append(
+                    curves.ValidationIssue(
+                        f"nodal rational curve needs self-intersection <= 0, got {c.self_int}",
+                        c.id,
+                    )
+                )
+        else:
+            elliptic += 1
+            if c.self_int > 0:
+                issues.append(
+                    curves.ValidationIssue(
+                        f"elliptic curve needs self-intersection <= 0, got {c.self_int}",
+                        c.id,
+                    )
+                )
+    if rational > config.b2:
+        issues.append(
+            curves.ValidationIssue(
+                f"{rational} rational curves exceed b2 = {config.b2}; "
+                "these surfaces carry at most b2 rational curves"
+            )
+        )
+    if elliptic > 1:
+        issues.append(curves.ValidationIssue(f"at most one elliptic curve allowed, got {elliptic}"))
+    return curves.ValidationReport(tuple(issues))
+
+
+@given(
+    st.integers(-1, 6),
+    st.lists(
+        st.tuples(
+            st.sampled_from(curves.CURVE_KINDS) | st.text(max_size=12),
+            st.integers(-4, 3),
+        ),
+        max_size=9,
+    ),
+)
+def test_validation_matches_the_per_kind_referee(b2, specs):
+    # unknown kinds and b2 <= 0 are reachable only through the library
+    config = CurveConfig(b2, tuple(Curve(i, kind, s) for i, (kind, s) in enumerate(specs)))
+    assert validate(config) == _referee_validate(config)
 
 
 def test_neighbors_and_mult():
