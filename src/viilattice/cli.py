@@ -31,7 +31,6 @@ from .configio import config_to_doc, load_config
 from .curves import (
     CurveConfig,
     find_cycles,
-    intersection_matrix,
     sigma_classify,
     validate,
 )
@@ -159,14 +158,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(doc: dict) -> None:
     """Print a report as json.dumps(indent=2) would, with each Fraction as
-    its exact "p/q" string (integers without the slash), in one write."""
+    its exact "p/q" string (integers without the slash) and a _Matrix as the
+    list of its rows, in one write."""
     sys.stdout.write(_write(doc, "\n") + "\n")
 
 
 def _write(value, newline: str) -> str:
     """Return the indented JSON text of value; newline is the line break and
     indentation that close value.  An item whose exact type is in _LEAVES is
-    rendered where it stands, so only containers and table misses cost a call."""
+    rendered where it stands, so only containers, a _Matrix (one call for the
+    whole matrix) and table misses cost a call."""
     inner = newline + "  "
     if isinstance(value, dict):
         if not value:
@@ -185,6 +186,8 @@ def _write(value, newline: str) -> str:
             for item in value
         ]
         return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    if isinstance(value, _Matrix):
+        return value.text(newline)
     # a table miss (a float, a subclass) as json writes it; TypeError for
     # what json cannot encode
     return _LEAVES.get(type(value), json.dumps)(value)
@@ -199,6 +202,29 @@ _LEAVES = {
     type(None): _CONSTANTS.__getitem__,
     Fraction: lambda value: _quote(str(value)),
 }
+
+
+class _Matrix:
+    """intersection_matrix(config) for _write, which writes each row from the
+    nonzeros: a copy of a row of "0" with the diagonal and the meetings set."""
+
+    def __init__(self, config: CurveConfig):
+        self.config = config
+
+    def text(self, newline: str) -> str:
+        curves, position, adj = self.config.curves, self.config._position, self.config._adj
+        if not curves:
+            return "[]"
+        inner, cell = newline + "  ", newline + "    "
+        zeros = ["0"] * len(curves)
+        rows = []
+        for a, c in enumerate(curves):
+            row = zeros.copy()
+            row[a] = int.__repr__(c.self_int)
+            for other, m in adj[c.id]:
+                row[position[other]] = int.__repr__(m)
+            rows.append("[" + cell + ("," + cell).join(row) + inner + "]")
+        return "[" + inner + ("," + inner).join(rows) + newline + "]"
 
 
 # --- shared report sections ---------------------------------------------------
@@ -317,7 +343,7 @@ def _cmd_classify(args) -> int:
     if not report.valid:
         _emit(doc)
         return EXIT_INVALID
-    doc["matrix"] = intersection_matrix(config)
+    doc["matrix"] = _Matrix(config)
     doc["definiteness"] = config.elimination[0]
     doc["cycles"] = _cycles_section(config)
     doc["sigma_classification"] = _sigma_section(config)

@@ -50,8 +50,9 @@ class CurveConfig:
 
     ``intersections`` holds one (low_id, high_id, mult) triple per meeting
     pair with mult > 0; self-intersections live on the curves themselves.
-    A field that is not an ``int`` (a ``bool`` is not), a duplicate id or a
-    bad pair raises :class:`InvalidConfigError`.  Validity is checked once,
+    A curve that is not a :class:`Curve`, a field that is not an ``int`` (a
+    ``bool`` is not), a duplicate id or a bad pair raises
+    :class:`InvalidConfigError`.  Validity is checked once,
     here, and stored for :func:`validate`: an invalid configuration is still
     built, and refused by each computation that needs it valid.
     """
@@ -73,6 +74,8 @@ class CurveConfig:
         rational = elliptic = 0
         by_id = {}
         for c in curves:
+            if not isinstance(c, Curve):
+                raise InvalidConfigError(f"curve entry {c!r} is not a Curve")
             if not (_is_int(c.id) and _is_int(c.self_int)):
                 raise InvalidConfigError(f"{c!r} needs an integer id and self-intersection")
             if c.id in by_id:
@@ -94,7 +97,8 @@ class CurveConfig:
         mult: dict[tuple[int, int], int] = {}
         normalized = []
         for entry in self.intersections:
-            if len(entry) != 3 or not all(map(_is_int, entry)):
+            shaped = isinstance(entry, (tuple, list)) and len(entry) == 3
+            if not (shaped and all(map(_is_int, entry))):
                 raise InvalidConfigError(f"intersection entry {entry!r} needs three integers")
             i, j, m = entry
             if i == j:

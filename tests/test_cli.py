@@ -21,6 +21,7 @@ from viilattice import (
     CurveConfig,
     NacSolution,
     config_from_text,
+    config_to_doc,
     config_to_text,
     enoki_cycle_config,
     intersection_matrix,
@@ -29,6 +30,8 @@ from viilattice import (
 )
 from viilattice import cli, curves, linalg, selftest
 from viilattice.cli import main
+
+from test_curves import meeting_configs
 
 
 @pytest.fixture
@@ -633,7 +636,7 @@ def _containers(value) -> int:
 
 
 def test_writer_recurses_only_into_containers(capsys, tmp_path, monkeypatch):
-    # the 3,600 matrix entries and every other leaf are rendered in place
+    # every leaf is rendered in place, and the matrix in one call
     path = tmp_path / "singrat60.json"
     path.write_text(config_to_text(singrat_config(60, 59)))
     calls = []
@@ -646,8 +649,142 @@ def test_writer_recurses_only_into_containers(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_write", counting)
     code, doc, _ = run(capsys, ["classify", str(path)])
     assert code == 0 and len(doc["matrix"]) == 60
-    # the matrix rows and one star check per curve make about 2 * b2 containers
-    assert len(calls) == _containers(doc) < 2 * 60 + 30
+    assert calls.count("_Matrix") == 1
+    # the 60 matrix rows cost no call; one star check per curve makes about
+    # b2 containers
+    assert len(calls) == _containers(doc) - 60 < 60 + 30
+
+
+def _classify_matrix(text: str, directory) -> list[list[int]]:
+    """The matrix classify writes for a document, after checking that the
+    whole report is what json.dumps(indent=2) writes."""
+    path = directory / "config.json"
+    path.write_text(text)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["classify", str(path)]) == 0
+    doc = json.loads(out.getvalue())
+    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+    return doc["matrix"]
+
+
+@given(config=meeting_configs(), rng=st.randoms(use_true_random=False))
+def test_classify_writes_the_dense_matrix(tmp_path_factory, config, rng):
+    directory = tmp_path_factory.mktemp("matrix")
+    listed = list(config.curves)
+    rng.shuffle(listed)
+    relabelled = CurveConfig(
+        config.b2,
+        tuple(Curve(c.id + 100, c.kind, c.self_int) for c in listed),
+        tuple((j + 100, i + 100, m) for i, j, m in config.intersections),
+    )
+    for case in (config, relabelled):
+        assert _classify_matrix(config_to_text(case), directory) == intersection_matrix(case)
+
+
+@pytest.mark.parametrize(
+    "doc, matrix",
+    [
+        (config_to_doc(CurveConfig(1, (Curve(0, NODAL_RATIONAL, 0),))), [[0]]),
+        (
+            config_to_doc(
+                CurveConfig(2, (Curve(7, SMOOTH_RATIONAL, -2), Curve(3, SMOOTH_RATIONAL, -3)), ((3, 7, 2),))
+            ),
+            [[-2, 2], [2, -3]],
+        ),
+        (
+            config_to_doc(
+                CurveConfig(2, (Curve(1, SMOOTH_RATIONAL, -2), Curve(0, ELLIPTIC, -1)), ((0, 1, 1),))
+            ),
+            [[-2, 1], [1, -1]],
+        ),
+        (
+            {
+                "b2": 3,
+                "curves": [{"id": i, "kind": SMOOTH_RATIONAL, "self_int": -3} for i in (2, 0, 1)],
+                "intersections": [[0, 1, 0], [1, 2, 1], [2, 0, 0]],
+            },
+            [[-3, 0, 1], [0, -3, 0], [1, 0, -3]],
+        ),
+        (config_to_doc(GLUED_TRIANGLES), intersection_matrix(GLUED_TRIANGLES)),
+    ],
+    ids=["nodal-b2-1", "meeting-twice", "elliptic", "multiplicity-0", "glued-triangles"],
+)
+def test_classify_writes_the_matrix_of_edge_cases(tmp_path, doc, matrix):
+    text = json.dumps(doc)
+    assert _classify_matrix(text, tmp_path) == matrix == intersection_matrix(config_from_text(text))
+
+
+# --- every command on random documents -------------------------------------------
+
+odd_values = st.one_of(
+    st.floats(allow_nan=False), st.booleans(), st.none(), st.text(max_size=3), st.just([1])
+)
+
+
+@st.composite
+def fuzz_texts(draw):
+    """Documents of b2 <= 6: about half are valid configurations, and the
+    rest break one rule, carry a non-int field, an unknown id or an unknown
+    key, or are cut short."""
+
+    def rare() -> bool:
+        # an inner value: hypothesis favours the ends of a range
+        return draw(st.integers(0, 29)) == 13
+
+    def field(values):
+        return draw(odd_values) if rare() else draw(values)
+
+    ids = draw(st.lists(st.integers(-2, 9), max_size=6, unique=True))
+    if ids and rare():
+        ids.append(ids[0])
+    kinds = [draw(st.sampled_from(curves.CURVE_KINDS)) for _ in ids]
+    if ELLIPTIC in kinds and not rare():  # keep only the last elliptic curve
+        kinds = [NODAL_RATIONAL if k == ELLIPTIC else k for k in kinds[:-1]] + kinds[-1:]
+    pairs = draw(
+        st.dictionaries(
+            st.tuples(st.sampled_from(ids or [0]), st.sampled_from(ids or [0])),
+            st.integers(0, 2),
+            max_size=8,
+        )
+    )
+    doc = {
+        "b2": field(st.integers(-1, 0) if rare() else st.integers(max(1, len(ids) - 1), 6)),
+        "curves": [
+            {
+                "id": field(st.just(cid)),
+                "kind": "cusp" if rare() else kind,
+                "self_int": field(st.integers(-5, (-2 if kind == SMOOTH_RATIONAL else 0) + 2 * rare())),
+            }
+            for cid, kind in zip(ids, kinds)
+        ],
+        "intersections": [
+            [field(st.just(i)), field(st.just(j) | st.integers(-2, 12)), field(st.just(m))]
+            for (i, j), m in pairs.items()
+            if i != j or rare()
+        ],
+    }
+    if rare():
+        doc["extra"] = 1
+    text = json.dumps(doc)
+    if rare() or rare():
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@settings(max_examples=80)
+@given(text=fuzz_texts())
+def test_every_command_survives_random_documents(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    path.write_text(text)
+    commands = [["classify"], ["index"], ["enumerate"]] + [["nac", "--m", str(m)] for m in (1, 2, 3)]
+    for command in commands:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command[0], str(path), *command[1:]])
+        assert code in (0, 1, 3)
+        if out.getvalue():
+            assert out.getvalue() == json.dumps(json.loads(out.getvalue()), indent=2) + "\n"
 
 
 def _ring(r: int, self_int: int) -> CurveConfig:

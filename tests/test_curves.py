@@ -107,6 +107,22 @@ def test_non_integer_fields_rejected(b2, fields, pairs):
         CurveConfig(b2, curves_, pairs)
 
 
+@pytest.mark.parametrize("entry", [5, None, Fraction(1, 2)], ids=["int", "none", "fraction"])
+def test_intersection_entry_that_is_not_a_sequence_rejected(entry):
+    # len(entry) used to escape as a TypeError
+    with pytest.raises(InvalidConfigError) as raised:
+        CurveConfig(1, (Curve(0, SMOOTH_RATIONAL, -2),), (entry,))
+    assert str(raised.value) == f"intersection entry {entry!r} needs three integers"
+
+
+@pytest.mark.parametrize("member", [5, None, (0, SMOOTH_RATIONAL, -2)], ids=["int", "none", "tuple"])
+def test_curve_that_is_not_a_curve_rejected(member):
+    # reading member.id used to escape as an AttributeError
+    with pytest.raises(InvalidConfigError) as raised:
+        CurveConfig(2, (Curve(0, SMOOTH_RATIONAL, -2), member))
+    assert str(raised.value) == f"curve entry {member!r} is not a Curve"
+
+
 def test_duplicate_pair_rejected():
     with pytest.raises(InvalidConfigError):
         CurveConfig(
