@@ -23,6 +23,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -54,14 +55,7 @@ from .germs import (
 )
 from .homology import enumerate_representations, verify_representation
 from .lattice import FullCycle, LatticeClass, TypeA, classify_normal_form
-from .nac import (
-    NacSolution,
-    NoSolution,
-    _scaled,
-    nac_structure_report,
-    solve_nac,
-    verify_star_recurrence,
-)
+from .nac import NoSolution, ScaledNac, cycle_rows, solve_scaled, star_rows
 from .selftest import run_all
 
 EXIT_OK = 0
@@ -157,9 +151,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(doc: dict) -> None:
-    """Print a report as json.dumps(indent=2) would, with each Fraction as
-    its exact "p/q" string (integers without the slash) and a _Matrix as the
-    list of its rows, in one write."""
+    """Print a report as json.dumps(indent=2) would, in one write, with a
+    _Matrix as the list of its rows.  Rationals are exact "p/q" strings
+    (integers without the slash): the NAC sections hold theirs already
+    rendered by _ratio, and a Fraction is written as the same string."""
     sys.stdout.write(_write(doc, "\n") + "\n")
 
 
@@ -230,62 +225,71 @@ class _Matrix:
 # --- shared report sections ---------------------------------------------------
 
 
-def _nac_section(config: CurveConfig, m: int) -> tuple[dict, NacSolution | None]:
-    sol = solve_nac(config, m)
+def _nac_section(config: CurveConfig, sol: ScaledNac | NoSolution, m: int) -> dict:
+    """The report of sol at level m."""
     if isinstance(sol, NoSolution):
-        return {"m": m, "status": "no_solution", "reason": sol.reason}, None
+        return {"m": m, "status": "no_solution", "reason": sol.reason}
     # defensive recomputation straight from the stored intersection numbers; a
     # mismatch means the solver and the report pipeline disagree, which is an
     # internal error.  Over the common denominator unit the sum is over
     # integers, and square / unit^2 is the square of D_m / m, which is K^2 = -b2.
-    scaled, unit = _scaled(config, sol)
-    square = sum(c.self_int * scaled[c.id] ** 2 for c in config.curves) + 2 * sum(
-        v * scaled[i] * scaled[j] for i, j, v in config.intersections
+    scaled, unit, position = sol.scaled, sol.index, config._position
+    square = sum(c.self_int * v * v for c, v in zip(config.curves, scaled)) + 2 * sum(
+        v * scaled[position[i]] * scaled[position[j]] for i, j, v in config.intersections
     )
-    if square != -config.b2 * unit * unit or sol.self_int_check != -m * m * config.b2:
+    if square != -config.b2 * unit * unit or sol.square != -config.b2:
         raise _InternalError(
             "solver self-intersection check failed: "
-            f"{Fraction(square * m * m, unit * unit)} vs {sol.self_int_check}"
+            f"{Fraction(square * m * m, unit * unit)} vs {m * m * sol.square}"
         )
-    section = {
+    return {
         "m": m,
         "status": "solved",
-        "coeffs": list(sol.coeffs),
+        "coeffs": [_ratio(m * v, unit) for v in scaled],
         "index": sol.index,
         "effective": sol.effective,
-        "self_int_check": sol.self_int_check,
+        "self_int_check": m * m * sol.square,
         "parabolic": sol.parabolic,
     }
-    return section, sol
 
 
-def _structure_sections(config: CurveConfig, sol: NacSolution) -> dict:
-    structure = nac_structure_report(config, sol)
-    stars = verify_star_recurrence(config, sol)
+def _structure_sections(config: CurveConfig, sol: ScaledNac) -> dict:
+    """nac_structure_report and verify_star_recurrence, from their integer rows."""
+    scaled, unit = sol.scaled, sol.index
+    cycles = cycle_rows(config, scaled, unit)
+    stars = star_rows(config, scaled, unit)
     return {
         "structure": {
-            "ok": structure.ok,
-            "inoue_ih_signature": structure.inoue_ih_signature,
+            "ok": not any(violations for *_, violations in cycles),
+            "inoue_ih_signature": any(
+                unit_cycle and not violations for _, _, _, unit_cycle, _, violations in cycles
+            ),
             "cycles": [
                 {
-                    "members": list(entry.member_ids),
-                    "min_coeff": entry.min_coeff,
-                    "max_coeff": entry.max_coeff,
-                    "unit_cycle": entry.unit_cycle,
-                    "max_at_branch_root": entry.max_at_branch_root,
-                    "violations": list(entry.violations),
+                    "members": list(members),
+                    "min_coeff": _ratio(lo, unit),
+                    "max_coeff": _ratio(hi, unit),
+                    "unit_cycle": unit_cycle,
+                    "max_at_branch_root": at_root,
+                    "violations": list(violations),
                 }
-                for entry in structure.cycles
+                for members, lo, hi, unit_cycle, at_root, violations in cycles
             ],
         },
         "star_recurrence": {
-            "ok": stars.ok,
+            "ok": all(lhs == rhs for _, lhs, rhs in stars),
             "checks": [
-                {"curve": c.curve_id, "lhs": c.lhs, "rhs": c.rhs, "ok": c.ok}
-                for c in stars.checks
+                {"curve": cid, "lhs": _ratio(lhs, unit), "rhs": _ratio(rhs, unit), "ok": lhs == rhs}
+                for cid, lhs, rhs in stars
             ],
         },
     }
+
+
+def _ratio(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for q > 0, without building the Fraction."""
+    g = math.gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
 def _cycles_section(config: CurveConfig):
@@ -348,15 +352,13 @@ def _cmd_classify(args) -> int:
     doc["cycles"] = _cycles_section(config)
     doc["sigma_classification"] = _sigma_section(config)
     try:
-        nac_doc, sol = _nac_section(config, 1)
-        doc["nac"] = nac_doc
-        if sol is not None:
+        # k/m does not depend on m, so one solution serves both levels
+        sol = solve_scaled(config)
+        doc["nac"] = _nac_section(config, sol, 1)
+        if not isinstance(sol, NoSolution):
             if sol.index > 1:
-                at_index, sol_at = _nac_section(config, sol.index)
-                doc["nac_at_index"] = at_index
-            else:
-                sol_at = sol
-            doc.update(_structure_sections(config, sol_at))
+                doc["nac_at_index"] = _nac_section(config, sol, sol.index)
+            doc.update(_structure_sections(config, sol))
     except _InternalError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INTERNAL
@@ -368,9 +370,9 @@ def _cmd_nac(args) -> int:
     config = load_config(args.file)
     doc: dict = {"command": "nac"}
     try:
-        nac_doc, sol = _nac_section(config, args.m)
-        doc["nac"] = nac_doc
-        if sol is not None:
+        sol = solve_scaled(config, args.m)
+        doc["nac"] = _nac_section(config, sol, args.m)
+        if not isinstance(sol, NoSolution):
             doc.update(_structure_sections(config, sol))
     except _InternalError as exc:
         print(str(exc), file=sys.stderr)
@@ -381,7 +383,7 @@ def _cmd_nac(args) -> int:
 
 def _cmd_index(args) -> int:
     config = load_config(args.file)
-    sol = solve_nac(config, 1)
+    sol = solve_scaled(config)
     if isinstance(sol, NoSolution):
         _emit({"command": "index", "index": None, "reason": sol.reason})
     else:

@@ -339,9 +339,10 @@ def _decompose(config: CurveConfig) -> tuple[CycleRecord, ...]:
     require_valid(config)
     smooth = [c.id for c in config.curves if c.kind == SMOOTH_RATIONAL]
     smooth_set = set(smooth)
+    adj = config._adj  # read, never copied: neighbors() copies per call
 
     def smooth_degree(v: int, alive: set[int]) -> int:
-        return sum(m for u, m in config.neighbors(v) if u in alive)
+        return sum(m for u, m in adj[v] if u in alive)
 
     # 2-core of the smooth subgraph: strip multiplicity-degree <= 1 until none is left
     core = set(smooth)
@@ -352,7 +353,7 @@ def _decompose(config: CurveConfig) -> tuple[CycleRecord, ...]:
         if v not in core:
             continue
         core.remove(v)
-        for u, m in config.neighbors(v):
+        for u, m in adj[v]:
             if u in core:
                 degree[u] -= m
                 if degree[u] <= 1:
@@ -397,7 +398,7 @@ def _decompose(config: CurveConfig) -> tuple[CycleRecord, ...]:
         visited.update(component)
         attachments = []
         for v in component:
-            for u, m in config.neighbors(v):
+            for u, m in adj[v]:
                 if u in cycle_of:
                     attachments.extend([u] * m)
         if not attachments:
@@ -422,7 +423,7 @@ def _decompose(config: CurveConfig) -> tuple[CycleRecord, ...]:
 
 def _walk_cycle(config: CurveConfig, core: set[int], start: int) -> list[int]:
     # every core vertex has multiplicity-degree exactly 2 here
-    first = sorted(u for u, m in config.neighbors(start) if u in core)
+    first = sorted(u for u, m in config._adj[start] if u in core)
     if len(first) == 1:
         u, m = first[0], config.mult(start, first[0])
         if m == 2:
@@ -436,7 +437,7 @@ def _walk_cycle(config: CurveConfig, core: set[int], start: int) -> list[int]:
                 f"cycle edge {prev}-{cur} has multiplicity {config.mult(prev, cur)}, expected 1"
             )
         members.append(cur)
-        nxt = [u for u, m in config.neighbors(cur) if u in core and u != prev]
+        nxt = [u for u, m in config._adj[cur] if u in core and u != prev]
         prev, cur = cur, nxt[0]
     if config.mult(prev, start) != 1:
         raise StructureError(f"cycle edge {prev}-{start} has multiplicity != 1")
@@ -448,7 +449,7 @@ def _tree_component(config: CurveConfig, start: int, pool: set[int]) -> list[int
     stack = [start]
     while stack:
         v = stack.pop()
-        for u, _ in config.neighbors(v):
+        for u, _ in config._adj[v]:
             if u in pool and u not in comp:
                 comp.add(u)
                 stack.append(u)

@@ -29,6 +29,7 @@ from .curves import (
     SMOOTH_RATIONAL,
     CurveConfig,
     CycleRecord,
+    _is_int,
     adjunction_degree,
     find_cycles,
     require_valid,
@@ -53,11 +54,32 @@ class NoSolution:
     reason: str
 
 
+@dataclass(frozen=True)
+class ScaledNac:
+    """An accepted solution for every level, over integers: at level m the i-th
+    listed curve has coefficient m * scaled[i] / index, and D_m^2 = m^2 * square."""
+
+    scaled: tuple[int, ...]
+    index: int
+    effective: bool
+    square: int
+    parabolic: bool
+
+
 def solve_nac(config: CurveConfig, m: int) -> NacSolution | NoSolution:
     """Solve for the level-m numerically anticanonical divisor, exactly."""
+    sol = solve_scaled(config, m)
+    if isinstance(sol, NoSolution):
+        return sol
+    coeffs = tuple(Fraction(m * v, sol.index) for v in sol.scaled)
+    return NacSolution(m, coeffs, sol.index, sol.effective, m * m * sol.square, sol.parabolic)
+
+
+def solve_scaled(config: CurveConfig, m: int = 1) -> ScaledNac | NoSolution:
+    """The solution of :func:`solve_nac` for every level, without a Fraction;
+    m only sets the level a refusal speaks of."""
     require_valid(config)
-    if m < 1:
-        raise DomainError(f"level m must be a positive integer, got {m}")
+    _check_level(m)
     if not config.curves:
         return NoSolution("no curves: nothing can support an anticanonical divisor")
     verdict, solved = config.elimination
@@ -95,14 +117,20 @@ def solve_nac(config: CurveConfig, m: int) -> NacSolution | NoSolution:
             f"self-intersection defect: divisor square {Fraction(-m * m * pairing, det)} "
             f"!= {expected} (= -m^2 b2), so the curves cannot span the anticanonical class"
         )
-    return NacSolution(
-        m,
-        tuple(Fraction(m * v, det) for v in y),
-        det // math.gcd(det, *y),  # the lcm of the denominators of y / det
+    # det > 0, so dividing y / det by the gcd leaves the index as denominator
+    g = math.gcd(det, *y)
+    return ScaledNac(
+        tuple(v // g for v in y),
+        det // g,
         all(v > 0 for v in y),
-        expected,
+        -config.b2,
         verdict == SEMIDEFINITE,
     )
+
+
+def _check_level(m) -> None:
+    if not _is_int(m) or m < 1:
+        raise DomainError(f"level m must be a positive integer, got {m!r}")
 
 
 def index_of(config: CurveConfig) -> int | None:
@@ -111,7 +139,7 @@ def index_of(config: CurveConfig) -> int | None:
     Computed as the lcm of the denominators of the level-1 solution; None
     when no solution exists at level 1.
     """
-    sol = solve_nac(config, 1)
+    sol = solve_scaled(config)
     if isinstance(sol, NoSolution):
         return None
     return sol.index
@@ -147,8 +175,7 @@ def singrat_closed_form(n: int, p: int, m: int) -> SingratClosedForm:
         raise DomainError(f"family needs n >= 2, got {n}")
     if not 0 <= p <= n - 1:
         raise DomainError(f"p must lie in [0, {n - 1}], got {p}")
-    if m < 1:
-        raise DomainError(f"level m must be a positive integer, got {m}")
+    _check_level(m)
     denom = (n - 1) * (p + 1) - p
     det = (-1) ** (p + 1) * denom
     coeffs = tuple(Fraction(m * (n - 1) * (p + 1 - i), denom) for i in range(p + 1))
@@ -203,20 +230,28 @@ def verify_star_recurrence(config: CurveConfig, sol: NacSolution) -> StarRecurre
     """
     require_valid(config)
     scaled, unit = _scaled(config, sol)
-    checks = []
+    return StarRecurrenceReport(
+        tuple(
+            StarCheck(cid, Fraction(lhs, unit), Fraction(rhs, unit), lhs == rhs)
+            for cid, lhs, rhs in star_rows(config, scaled, unit)
+        )
+    )
+
+
+def star_rows(config: CurveConfig, scaled: tuple[int, ...], unit: int) -> list[tuple]:
+    """(curve id, lhs, rhs) of each recurrence of :func:`verify_star_recurrence`,
+    both sides times unit, for the normalized coefficients k/m = scaled / unit
+    in listing order."""
+    position, adj = config._position, config._adj
+    rows = []
     for c in config.curves:
-        if c.kind != SMOOTH_RATIONAL:
+        if c.kind != SMOOTH_RATIONAL or sum(mult for _, mult in adj[c.id]) != 2:
             continue
-        slots: list[int] = []
-        for u, mult in config.neighbors(c.id):
-            slots.extend([u] * mult)
-        if len(slots) != 2:
-            continue
-        # both sides times unit
-        lhs = sum(scaled[u] for u in slots) - 2 * unit
-        rhs = (scaled[c.id] - unit) * (-c.self_int)
-        checks.append(StarCheck(c.id, Fraction(lhs, unit), Fraction(rhs, unit), lhs == rhs))
-    return StarRecurrenceReport(tuple(checks))
+        # a neighbor met twice stands on both sides
+        lhs = sum(scaled[position[u]] * mult for u, mult in adj[c.id]) - 2 * unit
+        rhs = (scaled[position[c.id]] - unit) * (-c.self_int)
+        rows.append((c.id, lhs, rhs))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -256,11 +291,24 @@ def nac_structure_report(config: CurveConfig, sol: NacSolution) -> NacStructureR
     """
     require_valid(config)
     scaled, unit = _scaled(config, sol)
-    entries = []
+    return NacStructureReport(
+        tuple(
+            CycleStructure(members, Fraction(lo, unit), Fraction(hi, unit), *flags)
+            for members, lo, hi, *flags in cycle_rows(config, scaled, unit)
+        )
+    )
+
+
+def cycle_rows(config: CurveConfig, scaled: tuple[int, ...], unit: int) -> list[tuple]:
+    """The fields of each :class:`CycleStructure` of :func:`nac_structure_report`,
+    with the smallest and largest coefficient times unit, for the normalized
+    coefficients k/m = scaled / unit in listing order."""
+    position = config._position
+    rows = []
     for rec in find_cycles(config):
         if rec.length < 1:
             continue  # elliptic 0-cycles carry no such pattern
-        vals = {cid: scaled[cid] for cid in rec.member_ids}
+        vals = {cid: scaled[position[cid]] for cid in rec.member_ids}
         lo, hi = min(vals.values()), max(vals.values())
         has_branch = bool(rec.branches)
         violations: list[str] = []
@@ -296,26 +344,14 @@ def nac_structure_report(config: CurveConfig, sol: NacSolution) -> NacStructureR
                 "cycle coefficient below the anticanonical unit; the cycle always "
                 "sits in the divisor with coefficient at least m"
             )
-        entries.append(
-            CycleStructure(
-                rec.member_ids,
-                Fraction(lo, unit),
-                Fraction(hi, unit),
-                unit_cycle,
-                max_at_root,
-                tuple(violations),
-            )
-        )
-    return NacStructureReport(tuple(entries))
+        rows.append((rec.member_ids, lo, hi, unit_cycle, max_at_root, tuple(violations)))
+    return rows
 
 
-def _scaled(config: CurveConfig, sol: NacSolution) -> tuple[dict[int, int], int]:
-    """The normalized coefficients k/m over one common denominator: (curve id
-    -> integer numerator, unit), so that k_i / m = scaled[id] / unit."""
+def _scaled(config: CurveConfig, sol: NacSolution) -> tuple[tuple[int, ...], int]:
+    """The normalized coefficients k/m over one common denominator: (integer
+    numerators in listing order, unit), so that k_i / m = scaled[i] / unit."""
     if len(sol.coeffs) != len(config.curves):
         raise DomainError("solution length does not match the configuration")
     lcm = math.lcm(*(k.denominator for k in sol.coeffs))
-    scaled = {
-        c.id: k.numerator * (lcm // k.denominator) for c, k in zip(config.curves, sol.coeffs)
-    }
-    return scaled, sol.m * lcm
+    return tuple(k.numerator * (lcm // k.denominator) for k in sol.coeffs), sol.m * lcm

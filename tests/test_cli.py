@@ -20,13 +20,17 @@ from viilattice import (
     Curve,
     CurveConfig,
     NacSolution,
+    NoSolution,
+    StructureError,
     config_from_text,
     config_to_doc,
     config_to_text,
     enoki_cycle_config,
     intersection_matrix,
+    nac_structure_report,
     singrat_config,
     solve_nac,
+    verify_star_recurrence,
 )
 from viilattice import cli, curves, linalg, selftest
 from viilattice.cli import main
@@ -164,28 +168,51 @@ def test_classify_missing_file(capsys):
     assert "No such file" in err
 
 
+# corruptions of the solver's answer: the first coefficient +1, the last
+# coefficient +1/3, and the square of D_m / m (self_int_check at m = 1) -1
+CORRUPTIONS = [
+    lambda s: dataclasses.replace(s, scaled=(s.scaled[0] + s.index,) + s.scaled[1:]),
+    lambda s: dataclasses.replace(
+        s,
+        scaled=tuple(3 * v for v in s.scaled[:-1]) + (3 * s.scaled[-1] + s.index,),
+        index=3 * s.index,
+    ),
+    lambda s: dataclasses.replace(s, square=s.square - 1),
+]
+CORRUPTION_IDS = ["corrupt0", "corrupt1", "corrupt2"]
+
+
 @pytest.mark.parametrize("command", ["classify", "nac"])
-@pytest.mark.parametrize(
-    "corrupt",
-    [
-        {"coeffs": lambda k: (k[0] + 1,) + k[1:]},
-        {"coeffs": lambda k: k[:-1] + (k[-1] + Fraction(1, 3),)},
-        {"self_int_check": lambda s: s - 1},
-    ],
-)
+@pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=CORRUPTION_IDS)
 def test_corrupted_solution_exits_internal(capsys, monkeypatch, singrat3_file, command, corrupt):
     # the report recomputes the square from the matrix, so a solver answer
     # that disagrees with it is an internal inconsistency
-    solve = cli.solve_nac
+    solve = cli.solve_scaled
 
-    def corrupted(config, m):
-        sol = solve(config, m)
-        return dataclasses.replace(
-            sol, **{name: f(getattr(sol, name)) for name, f in corrupt.items()}
-        )
+    def corrupted(config, m=1):
+        return corrupt(solve(config, m))
 
-    monkeypatch.setattr(cli, "solve_nac", corrupted)
+    monkeypatch.setattr(cli, "solve_scaled", corrupted)
     code, doc, err = run(capsys, [command, singrat3_file])
+    assert code == 2
+    assert doc is None
+    assert "solver self-intersection check failed" in err
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=CORRUPTION_IDS)
+def test_corrupted_level_index_section_exits_internal(capsys, monkeypatch, singrat3_file, corrupt):
+    # singrat3 has index 2: the level-1 section gets the true solution, and
+    # only the level-index section is checked against a corrupted one
+    section = cli._nac_section
+    levels = []
+
+    def corrupted(config, sol, m):
+        levels.append(m)
+        return section(config, corrupt(sol) if m > 1 else sol, m)
+
+    monkeypatch.setattr(cli, "_nac_section", corrupted)
+    code, doc, err = run(capsys, ["classify", singrat3_file])
+    assert levels == [1, 2]
     assert code == 2
     assert doc is None
     assert "solver self-intersection check failed" in err
@@ -798,6 +825,126 @@ def _shuffled(config: CurveConfig, seed: int) -> CurveConfig:
     random.Random(seed).shuffle(curves_)
     return CurveConfig(config.b2, tuple(curves_), config.intersections)
 
+
+# --- the NAC sections against the public Fraction API ----------------------------
+
+
+def _nac_oracle(sol, m: int) -> dict:
+    """The nac section that solve_nac's answer at level m implies."""
+    if isinstance(sol, NoSolution):
+        return {"m": m, "status": "no_solution", "reason": sol.reason}
+    return {
+        "m": sol.m,
+        "status": "solved",
+        "coeffs": [str(k) for k in sol.coeffs],
+        "index": sol.index,
+        "effective": sol.effective,
+        "self_int_check": sol.self_int_check,
+        "parabolic": sol.parabolic,
+    }
+
+
+def _structure_oracle(config: CurveConfig, sol: NacSolution) -> dict:
+    """The structure and star-recurrence sections that nac_structure_report and
+    verify_star_recurrence imply."""
+    structure = nac_structure_report(config, sol)
+    stars = verify_star_recurrence(config, sol)
+    return {
+        "structure": {
+            "ok": structure.ok,
+            "inoue_ih_signature": structure.inoue_ih_signature,
+            "cycles": [
+                {
+                    "members": list(entry.member_ids),
+                    "min_coeff": str(entry.min_coeff),
+                    "max_coeff": str(entry.max_coeff),
+                    "unit_cycle": entry.unit_cycle,
+                    "max_at_branch_root": entry.max_at_branch_root,
+                    "violations": list(entry.violations),
+                }
+                for entry in structure.cycles
+            ],
+        },
+        "star_recurrence": {
+            "ok": stars.ok,
+            "checks": [
+                {"curve": c.curve_id, "lhs": str(c.lhs), "rhs": str(c.rhs), "ok": c.ok}
+                for c in stars.checks
+            ],
+        },
+    }
+
+
+def _nac_report_oracle(config: CurveConfig, levels: list[int]) -> tuple[int, dict]:
+    """(exit code, NAC_KEYS sections) of classify (levels [1, index]) or nac
+    (one level), from the public Fraction API."""
+    sols = [solve_nac(config, m) for m in levels]
+    doc = {"nac": _nac_oracle(sols[0], levels[0])}
+    if isinstance(sols[0], NoSolution):
+        return 0, doc
+    if len(levels) > 1:
+        doc["nac_at_index"] = _nac_oracle(sols[1], levels[1])
+    try:
+        sections = [_structure_oracle(config, sol) for sol in sols]
+    except StructureError:
+        return 1, {}
+    # normalized by the level, so every level reports the same structure
+    assert all(section == sections[0] for section in sections)
+    return 0, doc | sections[-1]
+
+
+NAC_KEYS = ("nac", "nac_at_index", "structure", "star_recurrence")
+
+
+def _assert_nac_sections_match(config: CurveConfig, directory) -> None:
+    """classify and nac --m 1..4 print what the Fraction API says of config."""
+    path = directory / "config.json"
+    path.write_text(config_to_text(config))
+    sol = solve_nac(config, 1)
+    levels = [1, sol.index] if isinstance(sol, NacSolution) and sol.index > 1 else [1]
+    calls = [(["classify", str(path)], levels)]
+    calls += [(["nac", str(path), "--m", str(m)], [m]) for m in range(1, 5)]
+    for argv, levels in calls:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        want_code, want = _nac_report_oracle(config, levels)
+        assert code == want_code
+        if code:
+            assert out.getvalue() == ""
+            continue
+        doc = json.loads(out.getvalue())
+        assert {key: doc[key] for key in NAC_KEYS if key in doc} == want
+
+
+@given(config=meeting_configs(), rng=st.randoms(use_true_random=False))
+def test_nac_sections_match_the_fraction_api(tmp_path_factory, config, rng):
+    directory = tmp_path_factory.mktemp("nac")
+    listed = list(config.curves)
+    rng.shuffle(listed)
+    relabelled = CurveConfig(
+        config.b2,
+        tuple(Curve(c.id * 3 - 7, c.kind, c.self_int) for c in listed),
+        tuple((j * 3 - 7, i * 3 - 7, m) for i, j, m in reversed(config.intersections)),
+    )
+    for case in (config, relabelled):
+        _assert_nac_sections_match(case, directory)
+
+
+# most random meetings have no solution; these families solve at every n
+# (singrat at p = n - 1, Enoki with the elliptic curve) or fail in each way
+@pytest.mark.parametrize(
+    "config",
+    [singrat_config(n, p) for n in range(1, 8) for p in range(n)]
+    + [enoki_cycle_config(n, elliptic) for n in range(1, 8) for elliptic in (False, True)]
+    + [_ring(r, self_int) for r in (3, 5) for self_int in (-2, -3)],
+)
+def test_nac_sections_of_families_match_the_fraction_api(tmp_path, config):
+    for seed in range(2):
+        _assert_nac_sections_match(_shuffled(config, seed), tmp_path)
+
+
+# --- pinned report digests --------------------------------------------------------
 
 CONFIG_COMMANDS = (["classify"], ["nac", "--m", "1"], ["nac", "--m", "2"], ["nac", "--m", "3"], ["index"])
 CORPUS = {

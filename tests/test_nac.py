@@ -28,6 +28,7 @@ from viilattice import (
     solve_nac,
     verify_star_recurrence,
 )
+from viilattice.nac import solve_scaled
 from viilattice.selftest import definiteness_oracle
 
 
@@ -125,6 +126,21 @@ def test_level_must_be_positive():
         solve_nac(singrat_config(3, 2), 0)
     with pytest.raises(DomainError):
         solve_nac(singrat_config(3, 2), -1)
+
+
+@pytest.mark.parametrize("m", [True, False, 2.0, 1.5, "2", None])
+@pytest.mark.parametrize(
+    "config, parabolic", [(singrat_config(3, 2), False), (enoki_cycle_config(3, True), True)]
+)
+def test_level_must_be_an_int(config, parabolic, m):
+    # the definite and the parabolic path both refuse the level
+    assert solve_nac(config, 1).parabolic == parabolic
+    with pytest.raises(DomainError, match="level m must be a positive integer"):
+        solve_nac(config, m)
+    with pytest.raises(DomainError, match="level m must be a positive integer"):
+        solve_scaled(config, m)
+    with pytest.raises(DomainError, match="level m must be a positive integer"):
+        singrat_closed_form(3, 2, m)
 
 
 def test_empty_config_has_no_solution():
