@@ -947,6 +947,83 @@ def test_nac_sections_of_families_match_the_fraction_api(tmp_path, config):
 # --- pinned report digests --------------------------------------------------------
 
 CONFIG_COMMANDS = (["classify"], ["nac", "--m", "1"], ["nac", "--m", "2"], ["nac", "--m", "3"], ["index"])
+
+
+def _entry(cid=0, kind=SMOOTH_RATIONAL, self_int=-2, **extra) -> dict:
+    return {"id": cid, "kind": kind, "self_int": self_int, **extra}
+
+
+def _without(mapping: dict, key: str) -> dict:
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+def _two_curves(rows, **top) -> dict:
+    return {"b2": 2, "curves": [_entry(0), _entry(1)], "intersections": rows, **top}
+
+
+# one refusal each, in the order config_from_doc and then CurveConfig check
+# them, then documents with two faults, which pin which one is reported
+MALFORMED_DOCS = [
+    [],
+    "text",
+    None,
+    3,
+    {"curves": []},
+    {"b2": True, "curves": []},
+    {"b2": 1.0, "curves": []},
+    {"b2": None, "curves": []},
+    {"b2": "1", "curves": []},
+    {"b2": 1},
+    {"b2": 1, "curves": {}},
+    {"b2": 1, "curves": [[0, SMOOTH_RATIONAL, -2]]},
+    {"b2": 1, "curves": [_entry(), "curve"]},
+    {"b2": 1, "curves": [_entry(colour="red", genus=0)]},
+    {"b2": 1, "curves": [_without(_entry(), "id")]},
+    {"b2": 1, "curves": [_entry(cid=False)]},
+    {"b2": 1, "curves": [_entry(cid=0.0)]},
+    {"b2": 1, "curves": [_entry(cid="0")]},
+    {"b2": 1, "curves": [_without(_entry(), "kind")]},
+    {"b2": 1, "curves": [_entry(kind="cuspidal")]},
+    {"b2": 1, "curves": [_entry(kind=[SMOOTH_RATIONAL])]},
+    {"b2": 1, "curves": [_entry(kind={"name": ELLIPTIC})]},
+    {"b2": 1, "curves": [_without(_entry(), "self_int")]},
+    {"b2": 1, "curves": [_entry(self_int=True)]},
+    {"b2": 1, "curves": [_entry(self_int=-2.0)]},
+    {"b2": 1, "curves": [_entry(self_int=None)]},
+    _two_curves({}),
+    _two_curves(None),
+    _two_curves([[0, 1]]),
+    _two_curves([[0, 1, 1, 1]]),
+    _two_curves([[0, 1, True]]),
+    _two_curves([[0.0, 1, 1]]),
+    _two_curves([[0, 1, "1"]]),
+    _two_curves([{"i": 0, "j": 1, "m": 1}]),
+    _two_curves([[0, 1, 1], "0 1 1"]),
+    _two_curves([], extra=1),
+    {"b2": 2, "curves": [_entry(0), _entry(0)]},
+    _two_curves([[0, 2, 1]]),
+    _two_curves([[0, 2, 0]]),
+    _two_curves([[0, 1, -1]]),
+    _two_curves([[1, 1, 1]]),
+    _two_curves([[0, 1, 1], [1, 0, 2]]),
+    # two faults
+    {"curves": [], "zzz": 1},
+    {"b2": True, "curves": None},
+    {"b2": 1, "curves": [_entry(), "curve"], "intersections": None},
+    {"b2": 1, "curves": [_without(_entry(cid=0.5, colour="red"), "kind")]},
+    {"b2": 1, "curves": [_entry(cid=True, kind="cuspidal")]},
+    {"b2": 1, "curves": [_without(_entry(kind="cuspidal"), "self_int")]},
+    {"b2": 1, "curves": [_entry(self_int=None), _entry(cid=None)]},
+    _two_curves([[0, 1]], extra=1),
+    _two_curves([[0, 1, 1], [0, 1]]),
+    {"b2": 2, "curves": [_entry(0), _entry(0)], "intersections": [[0, 1]]},
+    {"b2": 2, "curves": [_entry(0), _entry(0)], "intersections": [[0, 9, 1]]},
+    _two_curves([[0, 0, -1]]),
+    _two_curves([[0, 9, -1]]),
+    _two_curves([[0, 1, -1], [0, 9, 1]]),
+    _two_curves([[0, 9, 1], [0, 1, -1]]),
+    _two_curves([[0, 1, 1], [1, 0, 1], [1, 1, 1]]),
+]
 CORPUS = {
     "singrat": (
         [singrat_config(n, p) for n in (*range(1, 13), 20, 40, 60) for p in sorted({0, n // 2, n - 1})],
@@ -998,6 +1075,8 @@ CORPUS = {
         ],
         (["classify"], ["nac", "--m", "1"], ["nac", "--m", "0"], ["index"], ["enumerate"]),
     ),
+    # documents each parse or constructor refusal stops, as JSON text
+    "malformed": ([json.dumps(doc) for doc in MALFORMED_DOCS], (["classify"], ["enumerate"])),
 }
 GERM_COMMANDS = [
     ["hopf-strong", "alpha=0.6", "a=0.4", "s=0", "m=1"],
@@ -1063,7 +1142,7 @@ def _corpus_runs(group: str, directory) -> list[tuple[int, str, str]]:
         calls = []
         for k, config in enumerate(configs):
             path = directory / f"{group}{k}.json"
-            path.write_text(config_to_text(config))
+            path.write_text(config if isinstance(config, str) else config_to_text(config))
             calls += [[command[0], str(path), *command[1:]] for command in commands]
     runs = []
     for argv in calls:
@@ -1085,7 +1164,8 @@ def _corpus_digest(group: str, directory) -> str:
 # recorded before the report writer replaced json.dumps(indent=2); germ-errors
 # before the two Hopf kinds of `germ` shared one code path; hundreds before
 # the writer rendered leaves through one type table; invalid before validation
-# moved into the configuration's constructor
+# moved into the configuration's constructor; malformed before the parser and
+# the constructor checked each document field once
 PINNED_SHA256 = {
     "enoki": "a08875057fdc65d11b538dbf4366a7bc5c9a2a519da3b2b4e6528c6ba176fa49",
     "enumerate": "fca8a4c6522667416b5023ec4e311bd16f90fac5f8ce678765a20e90ae6aef99",
@@ -1093,6 +1173,7 @@ PINNED_SHA256 = {
     "germ-errors": "720ded25c6ae7408cd3495b35dbb90f7aeb85d23beebc49cf6e6a980fa57af8f",
     "hundreds": "e8bd7f7ddcb5741f0c9b256b5afad92698171510e7d912c6fe947056c9536136",
     "invalid": "25dc5dc281ad2c4e241400417cfa28c4548ebbc6a5bceadba8eae6b559fac68b",
+    "malformed": "823c331234d38eaaef8f71019bc72098173572925e844667644f13b8c834a74f",
     "rings": "3adffa8303de18223f1c518fa66462091f125fcee3c0589aaaefc77a92f064cf",
     "singrat": "3255b0cd3995e4c9626802300de8fb50d78992cc6ae48299a51abb81c612dd25",
 }
