@@ -161,8 +161,8 @@ def _emit(doc: dict) -> None:
 def _write(value, newline: str) -> str:
     """Return the indented JSON text of value; newline is the line break and
     indentation that close value.  An item whose exact type is in _LEAVES is
-    rendered where it stands, so only containers, a _Matrix (one call for the
-    whole matrix) and table misses cost a call."""
+    rendered where it stands, so only containers, a _Matrix or _Records (one
+    call for the whole list) and table misses cost a call."""
     inner = newline + "  "
     if isinstance(value, dict):
         if not value:
@@ -181,7 +181,7 @@ def _write(value, newline: str) -> str:
             for item in value
         ]
         return "[" + inner + ("," + inner).join(parts) + newline + "]"
-    if isinstance(value, _Matrix):
+    if isinstance(value, (_Matrix, _Records)):
         return value.text(newline)
     # a table miss (a float, a subclass) as json writes it; TypeError for
     # what json cannot encode
@@ -220,6 +220,27 @@ class _Matrix:
                 row[position[other]] = int.__repr__(m)
             rows.append("[" + cell + ("," + cell).join(row) + inner + "]")
         return "[" + inner + ("," + inner).join(rows) + newline + "]"
+
+
+@dataclasses.dataclass
+class _Records:
+    """A list of flat records with the same keys, for _write, which writes the
+    whole list from one %-format string filled with the JSON text of the
+    leaves; rows holds one tuple of values per record, in the order of keys."""
+
+    keys: tuple[str, ...]
+    rows: list[tuple]
+
+    def text(self, newline: str) -> str:
+        if not self.rows:
+            return "[]"
+        inner, cell = newline + "  ", newline + "    "
+        fields = ("," + cell).join(_quote(key).replace("%", "%%") + ": %s" for key in self.keys)
+        record = "{" + cell + fields + inner + "}" if self.keys else "{}"
+        items = [item for row in self.rows for item in row]
+        texts = [leaf(v) if (leaf := _LEAVES.get(type(v))) else _write(v, cell) for v in items]
+        rows = ("," + inner).join([record] * len(self.rows))
+        return ("[" + inner + rows + newline + "]") % tuple(texts)
 
 
 # --- shared report sections ---------------------------------------------------
@@ -278,10 +299,10 @@ def _structure_sections(config: CurveConfig, sol: ScaledNac) -> dict:
         },
         "star_recurrence": {
             "ok": all(lhs == rhs for _, lhs, rhs in stars),
-            "checks": [
-                {"curve": cid, "lhs": _ratio(lhs, unit), "rhs": _ratio(rhs, unit), "ok": lhs == rhs}
-                for cid, lhs, rhs in stars
-            ],
+            "checks": _Records(
+                ("curve", "lhs", "rhs", "ok"),
+                [(cid, _ratio(lhs, unit), _ratio(rhs, unit), lhs == rhs) for cid, lhs, rhs in stars],
+            ),
         },
     }
 

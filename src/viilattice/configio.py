@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .curves import CURVE_KINDS, Curve, CurveConfig
+from .curves import CURVE_KINDS, Curve, CurveConfig, _is_int
 from .errors import ConfigParseError
 
 
@@ -34,15 +34,27 @@ def config_from_text(text: str) -> CurveConfig:
         raise ConfigParseError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ConfigParseError("invalid JSON: nested deeper than the parser can follow") from None
     return config_from_doc(doc)
 
 
 def load_config(path: str) -> CurveConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return config_from_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return config_from_text(text)
+
+
+_CURVE_KEYS = frozenset(("id", "kind", "self_int"))
+_TOP_KEYS = frozenset(("b2", "curves", "intersections"))
 
 
 def config_from_doc(doc: Any) -> CurveConfig:
+    """The configuration of doc.  Exact-type tests pass a well-formed entry or
+    row; any other goes through the checks that name its JSON path."""
     if not isinstance(doc, dict):
         raise ConfigParseError("document must be a JSON object")
     b2 = _expect_int(doc, "b2")
@@ -51,48 +63,45 @@ def config_from_doc(doc: Any) -> CurveConfig:
         raise ConfigParseError("expected a list", "curves")
     parsed = []
     for i, entry in enumerate(curves):
-        where = f"curves[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigParseError("expected an object", where)
-        extra = set(entry) - {"id", "kind", "self_int"}
-        if extra:
-            raise ConfigParseError(f"unknown keys {sorted(extra)}", where)
-        cid = _expect_int(entry, "id", where)
-        kind = entry.get("kind")
-        if kind not in CURVE_KINDS:
-            raise ConfigParseError(
-                f"kind must be one of {sorted(CURVE_KINDS)}, got {kind!r}",
-                f"{where}.kind",
-            )
-        self_int = _expect_int(entry, "self_int", where)
-        parsed.append(Curve(cid, kind, self_int))
+        if (
+            type(entry) is dict
+            and entry.keys() == _CURVE_KEYS
+            and type(cid := entry["id"]) is type(self_int := entry["self_int"]) is int
+            and (kind := entry["kind"]) in CURVE_KINDS
+        ):
+            parsed.append(Curve(cid, kind, self_int))
+        else:
+            parsed.append(_curve_from_entry(entry, f"curves[{i}]"))
     raw = doc.get("intersections", [])
     if not isinstance(raw, list):
         raise ConfigParseError("expected a list", "intersections")
-    pairs = []
-    for i, entry in enumerate(raw):
-        where = f"intersections[{i}]"
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 3
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in entry)
-        ):
-            raise ConfigParseError("expected [id, id, multiplicity]", where)
-        pairs.append(tuple(entry))
-    extra_top = set(doc) - {"b2", "curves", "intersections"}
-    if extra_top:
-        raise ConfigParseError(f"unknown keys {sorted(extra_top)}")
-    return CurveConfig(b2, tuple(parsed), tuple(pairs))
+    for k, entry in enumerate(raw):
+        i, j, m = entry if isinstance(entry, list) and len(entry) == 3 else (None, None, None)
+        if not (type(i) is type(j) is type(m) is int or _is_int(i) and _is_int(j) and _is_int(m)):
+            raise ConfigParseError("expected [id, id, multiplicity]", f"intersections[{k}]")
+    if not doc.keys() <= _TOP_KEYS:
+        raise ConfigParseError(f"unknown keys {sorted(doc.keys() - _TOP_KEYS)}")
+    return CurveConfig(b2, tuple(parsed), tuple(raw))
+
+
+def _curve_from_entry(entry: Any, where: str) -> Curve:
+    if not isinstance(entry, dict):
+        raise ConfigParseError("expected an object", where)
+    if not entry.keys() <= _CURVE_KEYS:
+        raise ConfigParseError(f"unknown keys {sorted(entry.keys() - _CURVE_KEYS)}", where)
+    cid = _expect_int(entry, "id", where)
+    if (kind := entry.get("kind")) not in CURVE_KINDS:
+        why = f"kind must be one of {sorted(CURVE_KINDS)}, got {kind!r}"
+        raise ConfigParseError(why, f"{where}.kind")
+    return Curve(cid, kind, _expect_int(entry, "self_int", where))
 
 
 def _expect_int(mapping: dict, key: str, prefix: str = "") -> int:
-    where = f"{prefix}.{key}" if prefix else key
-    if key not in mapping:
-        raise ConfigParseError("missing", where)
-    value = mapping[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigParseError(f"expected an integer, got {value!r}", where)
-    return value
+    value = mapping.get(key)
+    if type(value) is int or _is_int(value):
+        return value
+    why = f"expected an integer, got {value!r}" if key in mapping else "missing"
+    raise ConfigParseError(why, f"{prefix}.{key}" if prefix else key)
 
 
 def config_to_doc(config: CurveConfig) -> dict:

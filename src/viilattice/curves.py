@@ -68,7 +68,7 @@ class CurveConfig:
 
     def __post_init__(self):
         curves, b2 = tuple(self.curves), self.b2
-        if not _is_int(b2):
+        if not (type(b2) is int or _is_int(b2)):
             raise InvalidConfigError(f"b2 must be an integer, got {b2!r}")
         issues = [ValidationIssue(f"b2 must be at least 1, got {b2}")] if b2 < 1 else []
         rational = elliptic = 0
@@ -76,7 +76,7 @@ class CurveConfig:
         for c in curves:
             if not isinstance(c, Curve):
                 raise InvalidConfigError(f"curve entry {c!r} is not a Curve")
-            if not (_is_int(c.id) and _is_int(c.self_int)):
+            if not (type(c.id) is type(c.self_int) is int or _is_int(c.id) and _is_int(c.self_int)):
                 raise InvalidConfigError(f"{c!r} needs an integer id and self-intersection")
             if c.id in by_id:
                 raise InvalidConfigError(f"duplicate curve id {c.id}")
@@ -95,12 +95,11 @@ class CurveConfig:
         if elliptic > 1:
             issues.append(ValidationIssue(f"at most one elliptic curve allowed, got {elliptic}"))
         mult: dict[tuple[int, int], int] = {}
-        normalized = []
+        met: dict[int, list[tuple[int, int]]] = {cid: [] for cid in by_id}  # in row order
         for entry in self.intersections:
-            shaped = isinstance(entry, (tuple, list)) and len(entry) == 3
-            if not (shaped and all(map(_is_int, entry))):
+            i, j, m = entry if isinstance(entry, (tuple, list)) and len(entry) == 3 else (None,) * 3
+            if not (type(i) is type(j) is type(m) is int or _is_int(i) and _is_int(j) and _is_int(m)):
                 raise InvalidConfigError(f"intersection entry {entry!r} needs three integers")
-            i, j, m = entry
             if i == j:
                 raise InvalidConfigError(
                     f"self-pairing for curve {i}: self-intersections belong on the curve"
@@ -111,21 +110,21 @@ class CurveConfig:
                 raise InvalidConfigError(f"intersection names unknown curve in ({i}, {j})")
             if m == 0:
                 continue
-            key = (min(i, j), max(i, j))
+            key = (i, j) if i < j else (j, i)
             if key in mult:
                 raise InvalidConfigError(f"duplicate intersection entry for pair {key}")
             mult[key] = m
-            normalized.append((key[0], key[1], m))
-        normalized.sort()
-        position = {c.id: k for k, c in enumerate(curves)}
-        adj: dict[int, list[tuple[int, int]]] = {c.id: [] for c in curves}
-        for (i, j), m in mult.items():
-            adj[i].append((j, m))
-            adj[j].append((i, m))
-        for pairs in adj.values():
-            pairs.sort(key=lambda pair: position[pair[0]])
+            met[i].append((j, m))
+            met[j].append((i, m))
+        normalized = tuple(sorted((i, j, m) for (i, j), m in mult.items()))
+        position = {cid: k for k, cid in enumerate(by_id)}
+        # by the other curve's listing order: a bucket sort of all meeting ends
+        adj: dict[int, list[tuple[int, int]]] = {cid: [] for cid in by_id}
+        for cid in by_id:
+            for other, m in met[cid]:
+                adj[other].append((cid, m))
         object.__setattr__(self, "curves", curves)
-        object.__setattr__(self, "intersections", tuple(normalized))
+        object.__setattr__(self, "intersections", normalized)
         object.__setattr__(self, "_mult", mult)
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_adj", adj)

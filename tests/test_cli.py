@@ -226,6 +226,24 @@ def test_malformed_json_exits_invalid(capsys, tmp_path):
     assert "invalid JSON" in err
 
 
+@pytest.mark.parametrize("command", ["classify", "nac", "index", "enumerate"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe{}", "not UTF-8 text: invalid start byte at byte 0\n"),
+        (b"[" * 100_000, "invalid JSON: nested deeper than the parser can follow\n"),
+        (b'{"b2": ' + b"[" * 5000, "invalid JSON: nested deeper than the parser can follow\n"),
+    ],
+    ids=["not-utf8", "deep-array", "deep-b2"],
+)
+def test_unreadable_files_are_refused_in_one_line(capsys, tmp_path, command, content, message):
+    # both used to escape main as a traceback
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    code = main([command, str(path)])
+    assert (code, *capsys.readouterr()) == (1, "", message)
+
+
 # --- nac and index ------------------------------------------------------------
 
 
@@ -663,7 +681,8 @@ def _containers(value) -> int:
 
 
 def test_writer_recurses_only_into_containers(capsys, tmp_path, monkeypatch):
-    # every leaf is rendered in place, and the matrix in one call
+    # every leaf is rendered in place, the matrix and the star checks in one
+    # call each
     path = tmp_path / "singrat60.json"
     path.write_text(config_to_text(singrat_config(60, 59)))
     calls = []
@@ -676,10 +695,48 @@ def test_writer_recurses_only_into_containers(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_write", counting)
     code, doc, _ = run(capsys, ["classify", str(path)])
     assert code == 0 and len(doc["matrix"]) == 60
-    assert calls.count("_Matrix") == 1
-    # the 60 matrix rows cost no call; one star check per curve makes about
-    # b2 containers
-    assert len(calls) == _containers(doc) - 60 < 60 + 30
+    assert calls.count("_Matrix") == calls.count("_Records") == 1
+    # neither the 60 matrix rows nor the 58 star checks cost a call, so the
+    # count does not grow with b2
+    checks = doc["star_recurrence"]["checks"]
+    assert len(checks) == 58
+    assert len(calls) == _containers(doc) - 60 - len(checks) < 30
+
+
+def _emitted(doc) -> str:
+    stream = _CountingStream()
+    with contextlib.redirect_stdout(stream):
+        cli._emit(doc)
+    assert stream.writes == 1
+    return stream.getvalue()
+
+
+STAR_KEYS = ("curve", "lhs", "rhs", "ok")
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[], [(7, "3/2", "3/2", True)], [(k, str(k), f"{k}/2", k % 2 == 0) for k in range(-2, 9)]],
+    ids=["empty", "one", "many"],
+)
+def test_records_are_written_as_indented_json(rows):
+    records = [dict(zip(STAR_KEYS, row)) for row in rows]
+    # at the top and nested two and three containers deep
+    for wrap in (lambda v: v, lambda v: {"checks": v}, lambda v: {"a": [1, {"checks": v}]}):
+        text = _emitted(wrap(cli._Records(STAR_KEYS, rows)))
+        assert text == json.dumps(wrap(records), indent=2) + "\n"
+    assert _emitted({"checks": cli._Records(STAR_KEYS, [])}) == '{\n  "checks": []\n}\n'
+
+
+@settings(max_examples=100)
+@given(st.lists(texts | st.just("100% %s"), max_size=4, unique=True), st.data())
+def test_records_match_indented_json(keys, data):
+    # any keys, a "%" among them, and any leaves, a nested value too
+    cells = leaves | st.lists(leaves, max_size=2)
+    rows = data.draw(st.lists(st.tuples(*[cells] * len(keys)), max_size=5))
+    doc = {"s": [cli._Records(tuple(keys), rows)]}
+    records = [dict(zip(keys, row)) for row in rows]
+    assert _emitted(doc) == json.dumps(_plain({"s": [records]}), indent=2) + "\n"
 
 
 def _classify_matrix(text: str, directory) -> list[list[int]]:
