@@ -17,11 +17,13 @@ from viilattice import (
     NODAL_RATIONAL,
     SMOOTH_RATIONAL,
     ConfigParseError,
+    ConstraintResult,
     Curve,
     CurveConfig,
     NacSolution,
     NoSolution,
     StructureError,
+    VerificationReport,
     config_from_text,
     config_to_doc,
     config_to_text,
@@ -343,6 +345,34 @@ def test_enumerate_cap_env_override(capsys, singrat3_file, monkeypatch):
     code, doc, err = run(capsys, ["enumerate", singrat3_file])
     assert (code, doc) == (1, None)
     assert "VII_ENUM_CAP must be an integer, got 'eight'" in err
+
+
+def test_enumerate_exits_internal_when_re_verification_fails(capsys, monkeypatch, singrat3_file):
+    failing = VerificationReport((ConstraintResult("pairwise-products", False, "corrupt"),))
+    monkeypatch.setattr(cli, "verify_representation", lambda config, rep: failing)
+    code = main(["enumerate", singrat3_file])
+    assert (code, *capsys.readouterr()) == (
+        2,
+        "",
+        "enumerated representation failed re-verification\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "config, patterns",
+    [
+        # the zero class of a nodal 0-curve, and a twisted nodal (-1)-loop
+        (enoki_cycle_config(1), ["0"]),
+        (CurveConfig(1, (Curve(0, NODAL_RATIONAL, -1),), ()), ["-(L0) + order-2 twist"]),
+    ],
+    ids=["zero-class", "twisted-loop"],
+)
+def test_enumerate_renders_zero_and_twisted_classes(capsys, tmp_path, config, patterns):
+    path = tmp_path / "loop.json"
+    path.write_text(config_to_text(config))
+    code, doc, _ = run(capsys, ["enumerate", str(path)])
+    assert code == 0
+    assert [[c["pattern"] for c in rep["classes"]] for rep in doc["representations"]] == [patterns]
 
 
 @pytest.mark.parametrize(

@@ -127,6 +127,14 @@ def test_two_disjoint_loops():
     assert coeff_table(reps[0]) == [((0, -1), False), ((-1, 0), False)]
 
 
+def test_twisted_cycle_law_decides_a_nodal_two_curve():
+    # the twisted class sum (-1, -1) fits a nodal (-2)-curve at rank 2, but
+    # #C - C^2 = 1 + 2 misses 2 * b2 = 4; without that law the search returns
+    # the class ((-1, -1), torsion2=True)
+    config = CurveConfig(2, (Curve(0, NODAL_RATIONAL, -2),), ())
+    assert enumerate_representations(config) == []
+
+
 def test_unrepresentable_config_yields_empty_list():
     # a (-4) branch curve needs four basis slots; rank 2 has two
     config = CurveConfig(

@@ -392,6 +392,51 @@ def test_structure_flags_fabricated_violations():
     assert any("below" in v for v in report.cycles[0].violations)
 
 
+def _ring_with_branch():
+    """The (-3)-triangle with a (-2)-curve meeting curve 0, at rank 4."""
+    ring = _minus_three_ring(3)
+    return CurveConfig(4, ring.curves + (Curve(3, SMOOTH_RATIONAL, -2),), ring.intersections + ((0, 3, 1),))
+
+
+@pytest.mark.parametrize(
+    "config, coeffs, violation, at_root",
+    [
+        (
+            _minus_three_ring(3),
+            (1, 2, 1),
+            "one cycle coefficient equals m but others exceed it; a unit "
+            "coefficient forces the whole cycle to be at the unit",
+            None,
+        ),
+        (
+            _minus_three_ring(3),
+            (2, 2, 2),
+            "every cycle coefficient exceeds m but no branch is attached; "
+            "such a cycle must support at least one branch",
+            False,
+        ),
+        (
+            _ring_with_branch(),
+            (2, 3, 2, 1),
+            "the maximal cycle coefficient is not attained at a branch root",
+            False,
+        ),
+    ],
+    ids=["unit-not-everywhere", "no-branch", "max-off-root"],
+)
+def test_structure_pins_each_cycle_violation(config, coeffs, violation, at_root):
+    fake = NacSolution(1, tuple(map(Fraction, coeffs)), 1, True, 0)
+    report = nac_structure_report(config, fake)
+    assert not report.ok
+    assert not report.inoue_ih_signature
+    (entry,) = report.cycles
+    assert entry.violations == (violation,)
+    assert entry.max_at_branch_root is at_root
+    assert not entry.unit_cycle
+    # the ring is curves 0, 1 and 2
+    assert (entry.min_coeff, entry.max_coeff) == (min(coeffs[:3]), max(coeffs[:3]))
+
+
 def test_structure_skips_elliptic_zero_cycles():
     config = enoki_cycle_config(2, with_elliptic=True)
     sol = solve_nac(config, 1)
