@@ -94,7 +94,7 @@ from .curves import (
     intersection_matrix,
     require_valid,
 )
-from .errors import DomainError, EnumerationCapError
+from .errors import DimensionMismatch, DomainError, EnumerationCapError
 from .lattice import LatticeClass, TypeA, classify_normal_form
 
 DEFAULT_CAP = 8
@@ -369,8 +369,20 @@ def _class_key(curve, vec: tuple[int, ...]):
 
 def canonical_form(config: CurveConfig, rep: Representation) -> Representation:
     """The canonical representative of ``rep``'s basis-renumbering orbit."""
-    vectors = [c.coeffs for c in rep.classes]
-    return _canonicalize(config, find_cycles(config), vectors, rep.odd_ih)[1]
+    return _canonicalize(config, find_cycles(config), _vectors(config, rep), rep.odd_ih)[1]
+
+
+def _vectors(config: CurveConfig, rep: Representation) -> list[tuple[int, ...]]:
+    """The coefficient vectors of rep's classes, refused unless there is one
+    class per curve and each has rank b2."""
+    if len(rep.classes) != len(config.curves):
+        raise DomainError("representation length does not match the configuration")
+    for curve, klass in zip(config.curves, rep.classes):
+        if klass.rank != config.b2:
+            raise DimensionMismatch(
+                f"class of curve {curve.id} has rank {klass.rank}, expected b2 = {config.b2}"
+            )
+    return [c.coeffs for c in rep.classes]
 
 
 # --- independent re-verification ---------------------------------------------
@@ -396,10 +408,8 @@ def verify_representation(config: CurveConfig, rep: Representation) -> Verificat
     """Recompute every admissibility constraint from the lattice primitives."""
     require_valid(config)
     n = config.b2
-    if len(rep.classes) != len(config.curves):
-        raise DomainError("representation length does not match the configuration")
+    vectors = _vectors(config, rep)
     results = []
-    vectors = [c.coeffs for c in rep.classes]
     ids = [c.id for c in config.curves]
 
     mismatches = []

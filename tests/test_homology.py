@@ -10,6 +10,7 @@ from viilattice import (
     ELLIPTIC,
     Curve,
     CurveConfig,
+    DimensionMismatch,
     DomainError,
     EnumerationCapError,
     LatticeClass,
@@ -369,6 +370,27 @@ def test_verify_length_mismatch():
     rep = enumerate_representations(config)[0]
     with pytest.raises(DomainError):
         verify_representation(config, Representation(rep.classes[:2]))
+
+
+@pytest.mark.parametrize("check", [verify_representation, canonical_form])
+def test_length_mismatch_is_refused(check):
+    # canonical_form used to return a representation of the two classes given
+    config = singrat_config(3, 2)
+    rep = enumerate_representations(config)[0]
+    with pytest.raises(DomainError, match="representation length"):
+        check(config, Representation(rep.classes[:2]))
+
+
+@pytest.mark.parametrize("check", [verify_representation, canonical_form])
+@pytest.mark.parametrize("resize", [lambda v: v[:-1], lambda v: v + (0,)], ids=["b2-1", "b2+1"])
+def test_class_of_the_wrong_rank_is_refused(check, resize):
+    # a trailing 0 used to raise IndexError from the cycle sums in
+    # verify_representation and be dropped silently by canonical_form
+    config = singrat_config(2, 1)
+    rep = enumerate_representations(config)[0]
+    classes = (rep.classes[0], LatticeClass(resize(rep.classes[1].coeffs)))
+    with pytest.raises(DimensionMismatch, match="class of curve 1 has rank (1|3), expected b2 = 2"):
+        check(config, Representation(classes))
 
 
 # --- canonicalization ---------------------------------------------------------
