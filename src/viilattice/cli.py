@@ -55,7 +55,14 @@ from .germs import (
 )
 from .homology import enumerate_representations, verify_representation
 from .lattice import FullCycle, LatticeClass, TypeA, classify_normal_form
-from .nac import NoSolution, ScaledNac, cycle_rows, solve_scaled, star_rows
+from .nac import (
+    NacStructureReport,
+    NoSolution,
+    ScaledNac,
+    cycle_structures,
+    solve_scaled,
+    star_rows,
+)
 from .selftest import run_all
 
 EXIT_OK = 0
@@ -85,6 +92,9 @@ def main(argv: list[str] | None = None) -> int:
     except EnumerationCapError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CAP
+    except _InternalError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_INTERNAL
     except (
         ConfigParseError,
         InvalidConfigError,
@@ -275,26 +285,25 @@ def _nac_section(config: CurveConfig, sol: ScaledNac | NoSolution, m: int) -> di
 
 
 def _structure_sections(config: CurveConfig, sol: ScaledNac) -> dict:
-    """nac_structure_report and verify_star_recurrence, from their integer rows."""
+    """nac_structure_report and verify_star_recurrence of sol, the star checks
+    from their integer rows."""
     scaled, unit = sol.scaled, sol.index
-    cycles = cycle_rows(config, scaled, unit)
+    report = NacStructureReport(cycle_structures(config, scaled, unit))
     stars = star_rows(config, scaled, unit)
     return {
         "structure": {
-            "ok": not any(violations for *_, violations in cycles),
-            "inoue_ih_signature": any(
-                unit_cycle and not violations for _, _, _, unit_cycle, _, violations in cycles
-            ),
+            "ok": report.ok,
+            "inoue_ih_signature": report.inoue_ih_signature,
             "cycles": [
                 {
-                    "members": list(members),
-                    "min_coeff": _ratio(lo, unit),
-                    "max_coeff": _ratio(hi, unit),
-                    "unit_cycle": unit_cycle,
-                    "max_at_branch_root": at_root,
-                    "violations": list(violations),
+                    "members": list(c.member_ids),
+                    "min_coeff": c.min_coeff,
+                    "max_coeff": c.max_coeff,
+                    "unit_cycle": c.unit_cycle,
+                    "max_at_branch_root": c.max_at_branch_root,
+                    "violations": list(c.violations),
                 }
-                for members, lo, hi, unit_cycle, at_root, violations in cycles
+                for c in report.cycles
             ],
         },
         "star_recurrence": {
@@ -372,17 +381,13 @@ def _cmd_classify(args) -> int:
     doc["definiteness"] = config.elimination[0]
     doc["cycles"] = _cycles_section(config)
     doc["sigma_classification"] = _sigma_section(config)
-    try:
-        # k/m does not depend on m, so one solution serves both levels
-        sol = solve_scaled(config)
-        doc["nac"] = _nac_section(config, sol, 1)
-        if not isinstance(sol, NoSolution):
-            if sol.index > 1:
-                doc["nac_at_index"] = _nac_section(config, sol, sol.index)
-            doc.update(_structure_sections(config, sol))
-    except _InternalError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INTERNAL
+    # k/m does not depend on m, so one solution serves both levels
+    sol = solve_scaled(config)
+    doc["nac"] = _nac_section(config, sol, 1)
+    if not isinstance(sol, NoSolution):
+        if sol.index > 1:
+            doc["nac_at_index"] = _nac_section(config, sol, sol.index)
+        doc.update(_structure_sections(config, sol))
     _emit(doc)
     return EXIT_OK
 
@@ -390,14 +395,10 @@ def _cmd_classify(args) -> int:
 def _cmd_nac(args) -> int:
     config = load_config(args.file)
     doc: dict = {"command": "nac"}
-    try:
-        sol = solve_scaled(config, args.m)
-        doc["nac"] = _nac_section(config, sol, args.m)
-        if not isinstance(sol, NoSolution):
-            doc.update(_structure_sections(config, sol))
-    except _InternalError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INTERNAL
+    sol = solve_scaled(config, args.m)
+    doc["nac"] = _nac_section(config, sol, args.m)
+    if not isinstance(sol, NoSolution):
+        doc.update(_structure_sections(config, sol))
     _emit(doc)
     return EXIT_OK
 
@@ -437,10 +438,7 @@ def _cmd_enumerate(args) -> int:
     for rep in shown:
         verification = verify_representation(config, rep)
         if not verification.ok:
-            print(
-                "enumerated representation failed re-verification", file=sys.stderr
-            )
-            return EXIT_INTERNAL
+            raise _InternalError("enumerated representation failed re-verification")
         entries.append(
             {
                 "odd_ih": rep.odd_ih,

@@ -132,8 +132,6 @@ class CurveConfig:
         object.__setattr__(self, "_validation", ValidationReport(tuple(issues)))
 
     def mult(self, i: int, j: int) -> int:
-        if i == j:
-            return 0
         return self._mult.get((min(i, j), max(i, j)), 0)
 
     def curve(self, cid: int) -> Curve:
@@ -421,25 +419,14 @@ def _decompose(config: CurveConfig) -> tuple[CycleRecord, ...]:
 
 
 def _walk_cycle(config: CurveConfig, core: set[int], start: int) -> list[int]:
-    # every core vertex has multiplicity-degree exactly 2 here
-    first = sorted(u for u, m in config._adj[start] if u in core)
-    if len(first) == 1:
-        u, m = first[0], config.mult(start, first[0])
-        if m == 2:
-            return [start, u]  # two curves meeting twice
-        raise StructureError(f"curves {start} and {first[0]} meet with multiplicity {m}, not a cycle")
-    members = [start]
-    prev, cur = start, first[0]
+    # every core vertex has multiplicity-degree exactly 2 here, so it meets one
+    # core curve twice (a 2-cycle, whose walk steps back to the start) or two
+    # core curves once each
+    adj = config._adj
+    members, prev, cur = [start], start, min(u for u, _ in adj[start] if u in core)
     while cur != start:
-        if config.mult(prev, cur) != 1:
-            raise StructureError(
-                f"cycle edge {prev}-{cur} has multiplicity {config.mult(prev, cur)}, expected 1"
-            )
         members.append(cur)
-        nxt = [u for u, m in config._adj[cur] if u in core and u != prev]
-        prev, cur = cur, nxt[0]
-    if config.mult(prev, start) != 1:
-        raise StructureError(f"cycle edge {prev}-{start} has multiplicity != 1")
+        prev, cur = cur, next((u for u, _ in adj[cur] if u in core and u != prev), start)
     return members
 
 

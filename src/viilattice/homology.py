@@ -420,13 +420,7 @@ def verify_representation(config: CurveConfig, rep: Representation) -> Verificat
             got = -sum(x * y for x, y in zip(vectors[i], vectors[j]))
             if got != config.mult(ids[i], ids[j]):
                 mismatches.append(f"product {ids[i]}.{ids[j]} = {got}")
-    results.append(
-        ConstraintResult(
-            "pairwise-products",
-            not mismatches,
-            "all squares and products match" if not mismatches else "; ".join(mismatches),
-        )
-    )
+    results.append(_outcome("pairwise-products", mismatches, "all squares and products match"))
 
     problems = []
     bases = []
@@ -448,13 +442,7 @@ def verify_representation(config: CurveConfig, rep: Representation) -> Verificat
     for a, b, c in itertools.combinations(blow_sets, 3):
         if a & b & c:
             problems.append("a basis index appears in three blowup sets")
-    results.append(
-        ConstraintResult(
-            "exceptional-multiplicities",
-            not problems,
-            "ok" if not problems else "; ".join(sorted(set(problems))),
-        )
-    )
+    results.append(_outcome("exceptional-multiplicities", sorted(set(problems))))
 
     cycles = find_cycles(config)
     sum_issues = []
@@ -483,43 +471,23 @@ def verify_representation(config: CurveConfig, rep: Representation) -> Verificat
     for a, b in itertools.combinations(supports, 2):
         if a & b:
             sum_issues.append("two cycle supports overlap")
-    results.append(
-        ConstraintResult(
-            "cycle-class-sums",
-            not sum_issues,
-            "ok" if not sum_issues else "; ".join(sum_issues),
-        )
-    )
+    results.append(_outcome("cycle-class-sums", sum_issues))
 
     if cycles and config.curves and config.elimination[0] == DEFINITE:
-        touched = set()
-        for vec in vectors:
-            touched.update(t for t, x in enumerate(vec) if x != 0)
-        ok = touched == set(range(n))
-        results.append(
-            ConstraintResult(
-                "basis-covering",
-                ok,
-                "all basis indices are met"
-                if ok
-                else f"missing indices {sorted(set(range(n)) - touched)}",
-            )
-        )
+        touched = {t for vec in vectors for t, x in enumerate(vec) if x}
+        missing = sorted(set(range(n)) - touched)
+        issues = [f"missing indices {missing}"] if missing else []
+        results.append(_outcome("basis-covering", issues, "all basis indices are met"))
     else:
-        results.append(
-            ConstraintResult(
-                "basis-covering",
-                True,
-                "not applicable: the form is degenerate or there is no cycle",
-            )
-        )
+        fine = "not applicable: the form is degenerate or there is no cycle"
+        results.append(_outcome("basis-covering", [], fine))
 
-    results.append(
-        ConstraintResult(
-            "cycle-count-square-law",
-            not law_issues,
-            "ok" if not law_issues else "; ".join(law_issues),
-        )
-    )
+    results.append(_outcome("cycle-count-square-law", law_issues))
     return VerificationReport(tuple(results))
+
+
+def _outcome(name: str, issues: list[str], fine: str = "ok") -> ConstraintResult:
+    """The result of one constraint: met when there are no issues, and then
+    described by fine; otherwise described by the issues joined."""
+    return ConstraintResult(name, not issues, "; ".join(issues) if issues else fine)
 

@@ -134,11 +134,8 @@ def _check_level(m) -> None:
 
 
 def index_of(config: CurveConfig) -> int | None:
-    """Smallest level at which the coefficients clear denominators.
-
-    Computed as the lcm of the denominators of the level-1 solution; None
-    when no solution exists at level 1.
-    """
+    """Smallest level at which the coefficients clear denominators: the index
+    :func:`solve_scaled` reports, or None when no solution exists at level 1."""
     sol = solve_scaled(config)
     if isinstance(sol, NoSolution):
         return None
@@ -290,21 +287,16 @@ def nac_structure_report(config: CurveConfig, sol: NacSolution) -> NacStructureR
       coefficient >= 2m necessarily supports one.
     """
     require_valid(config)
-    scaled, unit = _scaled(config, sol)
-    return NacStructureReport(
-        tuple(
-            CycleStructure(members, Fraction(lo, unit), Fraction(hi, unit), *flags)
-            for members, lo, hi, *flags in cycle_rows(config, scaled, unit)
-        )
-    )
+    return NacStructureReport(cycle_structures(config, *_scaled(config, sol)))
 
 
-def cycle_rows(config: CurveConfig, scaled: tuple[int, ...], unit: int) -> list[tuple]:
-    """The fields of each :class:`CycleStructure` of :func:`nac_structure_report`,
-    with the smallest and largest coefficient times unit, for the normalized
-    coefficients k/m = scaled / unit in listing order."""
+def cycle_structures(
+    config: CurveConfig, scaled: tuple[int, ...], unit: int
+) -> tuple[CycleStructure, ...]:
+    """The :class:`CycleStructure` of each cycle of rational curves, for the
+    normalized coefficients k/m = scaled / unit in listing order."""
     position = config._position
-    rows = []
+    structures = []
     for rec in find_cycles(config):
         if rec.length < 1:
             continue  # elliptic 0-cycles carry no such pattern
@@ -321,9 +313,7 @@ def cycle_rows(config: CurveConfig, scaled: tuple[int, ...], unit: int) -> list[
                     "coefficient forces the whole cycle to be at the unit"
                 )
             if has_branch:
-                violations.append(
-                    "cycle at the unit coefficient cannot carry a branch"
-                )
+                violations.append("cycle at the unit coefficient cannot carry a branch")
             unit_cycle = not violations
         elif lo > unit:
             if not has_branch:
@@ -344,8 +334,11 @@ def cycle_rows(config: CurveConfig, scaled: tuple[int, ...], unit: int) -> list[
                 "cycle coefficient below the anticanonical unit; the cycle always "
                 "sits in the divisor with coefficient at least m"
             )
-        rows.append((rec.member_ids, lo, hi, unit_cycle, max_at_root, tuple(violations)))
-    return rows
+        coeffs = Fraction(lo, unit), Fraction(hi, unit)
+        structures.append(
+            CycleStructure(rec.member_ids, *coeffs, unit_cycle, max_at_root, tuple(violations))
+        )
+    return tuple(structures)
 
 
 def _scaled(config: CurveConfig, sol: NacSolution) -> tuple[tuple[int, ...], int]:
