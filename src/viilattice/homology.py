@@ -1,16 +1,16 @@
 """Admissible homology classes for the curves of a configuration.
 
-Every smooth rational curve on these surfaces represents a class of the
-exceptional-blown-up pattern (a single +1 coefficient, the rest 0 or -1),
-every nodal or elliptic curve a sum of -1 coefficients, and the classes of
-the curves along a cycle add up to the class of the cycle.  That turns the
-geometry into a finite constraint satisfaction problem over the rank-b2
-lattice:
+The model assumes that every smooth rational curve represents a class of
+the exceptional-blown-up pattern (a single +1 coefficient, the rest 0 or
+-1); that is a hypothesis, not a fact about the surfaces.  Every nodal or
+elliptic curve is a sum of -1 coefficients, and the classes of the curves
+along a cycle add up to the class of the cycle.  That turns the geometry
+into a finite constraint satisfaction problem over the rank-b2 lattice:
 
 (a) all pairwise products and squares reproduce the intersection matrix;
 (b) the +1 positions of the smooth curves are pairwise distinct, no lattice
     index appears in three different blowup sets, and two blowup sets share
-    at most one index;
+    at most one index (a second hypothesis of the model);
 (c) each cycle's class sum is a 0/-1 vector whose number of zero entries
     equals the cycle length (so it is a full-cycle tail up to renumbering);
     in the twisted single-cycle case the sum is the full anticanonical
