@@ -490,4 +490,3 @@ def _outcome(name: str, issues: list[str], fine: str = "ok") -> ConstraintResult
     """The result of one constraint: met when there are no issues, and then
     described by fine; otherwise described by the issues joined."""
     return ConstraintResult(name, not issues, "; ".join(issues) if issues else fine)
-
