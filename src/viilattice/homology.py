@@ -32,15 +32,21 @@ indices in exactly one set (``load1``) and in two (``load2``), so "no index
 in three blowup sets" reads ``minus & load2 == 0``.  Tuple vectors are built
 only at a leaf.
 
-Constraint (b) also gives a counting bound, checked before any candidate is
-built: each index lies in at most two blowup sets, so the smooth curves'
-blowup sizes -C^2 - 1 add up to at most 2*b2 (with b2 smooth curves this
-is sigma <= 3*b2).  The bound only restates (b), so it removes no
-solution.  It needs no check below the root: a placement that respects
-``minus & load2 == 0`` lowers the free capacity 2*#free + #load-1 by
-exactly its blowup size, as much as it lowers the demand of the curves
-left.  The companion bound, #smooth <= #unused bases, holds at the root by
-validation (at most b2 rational curves) and keeps its slack the same way.
+Two laws are checked at the root, before any candidate is built.  The
+counting bound restates (b): each index lies in at most two blowup sets, so
+the smooth curves' blowup sizes -C^2 - 1 add up to at most 2*b2 (with b2
+smooth curves this is sigma <= 3*b2).  It needs no check below the root: a
+placement that respects ``minus & load2 == 0`` lowers the free capacity
+2*#free + #load-1 by exactly its blowup size, as much as it lowers the
+demand of the curves left.  The companion bound, #smooth <= #unused bases,
+holds at the root by validation (at most b2 rational curves) and keeps its
+slack the same way.  The cycle law restates (c) and (e): by (a) a cycle's
+class sum has the square the matrix fixes (``curves._cycle_square``), and a
+plain leaf needs #C - C^2 = b2 on every cycle, a twisted one #C - C^2 = 2*b2
+with length b2 on a single cycle.  The two exclude each other, so the root
+refuses the search when neither holds and otherwise picks the one leaf
+test; the two cases share the candidates and every pruning rule, so the
+tree is walked once.  Neither law removes a solution.
 
 Every constraint above is invariant under renumbering the basis, so the
 search walks orbits of that symmetry rather than labellings:
@@ -59,16 +65,6 @@ search walks orbits of that symmetry rather than labellings:
 - Two complete assignments lie in one orbit exactly when their multisets
   of basis columns (one index's coefficients read down the curves) agree,
   so the raw solutions are deduplicated by that multiset.
-
-The plain and the twisted case share the candidates and every pruning rule
-and differ only in (c) and (e), so the tree is walked once: each leaf runs
-the plain test and, on a configuration with a single cycle, the twisted one
-when the plain one fails.  No configuration has leaves of both kinds.  The
-entries of a class add up to C^2 + 2 for a smooth curve and C^2 otherwise,
-so a cycle's class sum adds up to the same number at every leaf.  A plain
-sum adds up to length - b2, a twisted one to -b2 with length b2 by (e), and
-length = 0 cannot meet length = b2.  So twisted solutions come out exactly
-when there is no plain one.
 
 Each remaining orbit is canonicalised once, to its least member by
 normal-form keys among those whose cycle class sums fill right-aligned
@@ -90,6 +86,7 @@ from .curves import (
     SMOOTH_RATIONAL,
     CurveConfig,
     CycleRecord,
+    _cycle_square,
     find_cycles,
     intersection_matrix,
     require_valid,
@@ -135,8 +132,7 @@ def enumerate_representations(
             f"{len(cycles)} cycles found; at most two can coexist (the rank "
             "splits between them)"
         )
-    covering = bool(config.curves) and config.elimination[0] == DEFINITE
-    found = list(_search(config, cycles, _search_order(config, cycles), covering))
+    found = list(_search(config, cycles, _search_order(config, cycles)))
     torsion = bool(found) and found[0][0]
     # the multiset of basis columns is an exact orbit invariant, so each
     # orbit is canonicalised once
@@ -188,16 +184,21 @@ def _candidate_masks(n: int, smooth: bool, self_int: int) -> list[tuple[int, lis
     return [(1 << base, [m for m in subsets if not m >> base & 1]) for base in range(n)]
 
 
-def _search(config, cycles, order, covering):
+def _search(config, cycles, order):
     """Backtracking generator over one tree, yielding (torsion, vectors) for
     complete assignments, at least one per orbit of the basis-renumbering
-    symmetry; the twisted test runs only on a single cycle."""
+    symmetry; the root picks the plain or the twisted leaf test."""
     n = config.b2
     curves = config.curves
     smooth = [curves[p].kind == SMOOTH_RATIONAL for p in order]
-    # the counting bound from (b), before any candidate is built
+    # the counting bound and the cycle law, before any candidate is built
     if sum(-curves[p].self_int - 1 for p, s in zip(order, smooth) if s) > 2 * n:
         return
+    excess = [rec.length - _cycle_square(config, rec) for rec in cycles]  # #C - C^2
+    torsion = excess == [2 * n] and cycles[0].length == n
+    if not torsion and any(e != n for e in excess):
+        return
+    covering = config.elimination[0] == DEFINITE
     cache: dict[tuple[bool, int], list] = {}
     pools = []
     for p, s in zip(order, smooth):
@@ -256,10 +257,8 @@ def _search(config, cycles, order, covering):
             vectors = [None] * len(curves)
             for p, plus, minus in placed:
                 vectors[p] = _vector(n, plus, minus)
-            if _sums_admissible(members, vectors, n, torsion=False):
-                yield False, tuple(vectors)
-            elif len(cycles) == 1 and _sums_admissible(members, vectors, n, torsion=True):
-                yield True, tuple(vectors)
+            if _sums_admissible(members, vectors, n, torsion):
+                yield torsion, tuple(vectors)
             return
         for plus, minus in fits(depth, cells, used, load2):
             split = [

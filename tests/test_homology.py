@@ -28,6 +28,7 @@ from viilattice import (
     solve_nac,
     verify_representation,
 )
+from viilattice import curves as curves_module
 from viilattice import homology
 from viilattice.curves import DEFINITE, find_cycles
 from viilattice.homology import _class_key
@@ -836,7 +837,7 @@ def _assert_same_orbits(config):
     found = [(False, v) for v in _reference_search(config, cycles, order, covering, False)]
     if not found and len(cycles) == 1:
         found = [(True, v) for v in _reference_search(config, cycles, order, covering, True)]
-    orbits = _orbit_set(homology._search(config, cycles, order, covering))
+    orbits = _orbit_set(homology._search(config, cycles, order))
     assert orbits == _orbit_set(found)
     return orbits
 
@@ -878,6 +879,45 @@ def test_root_bound_refuses_before_any_candidate(monkeypatch):
     assert enumerate_representations(_ring(12, -4), cap=12) == []
     with pytest.raises(AssertionError, match="candidate classes built"):
         enumerate_representations(_ring(6, -3))
+
+
+def _refused_by_the_cycle_law():
+    """Configurations that pass the counting bound but fail the cycle law."""
+    # a 3-ring of (-2, -2, -3) at b2 = 3: cycle square -1, not 0 or -3
+    curves = tuple(Curve(i, SMOOTH_RATIONAL, s) for i, s in enumerate((-2, -2, -3)))
+    ring = CurveConfig(3, curves, ((0, 1, 1), (1, 2, 1), (0, 2, 1)))
+    # the Enoki 4-cycle with its elliptic 0-cycle at -3 instead of -4
+    enoki = enoki_cycle_config(4, True)
+    elliptic = enoki.curves[:-1] + (Curve(4, ELLIPTIC, -3),)
+    return [ring, CurveConfig(4, elliptic, enoki.intersections)]
+
+
+def test_cycle_law_refuses_before_any_candidate_or_elimination(monkeypatch):
+    def forbidden(what):
+        def refuse(*args):
+            raise AssertionError(what)
+
+        return refuse
+
+    # the plain law holds on the Enoki 5-cycle, the twisted one on the 5-ring;
+    # their eliminations run first, so only the candidates are left to reach
+    searched = [enoki_cycle_config(5, True), _ring(5, -3)]
+    assert [config.elimination[0] for config in searched] == ["semidefinite", "definite"]
+    monkeypatch.setattr(homology, "_candidate_masks", forbidden("candidate classes built"))
+    monkeypatch.setattr(curves_module, "_symmetric_elimination", forbidden("elimination run"))
+    for config in _refused_by_the_cycle_law():
+        assert enumerate_representations(config) == []
+    for config in searched:
+        with pytest.raises(AssertionError, match="candidate classes built"):
+            enumerate_representations(config)
+
+
+def test_search_matches_reference_search_on_a_fixed_corpus():
+    rng = random.Random(17)
+    configs = [_cycle_with_trees(rng) for _ in range(300)] + _SEARCH_FAMILIES
+    configs += [_relabelled(c, rng, rng.randint(1, 50)) for c in _refused_by_the_cycle_law()]
+    for config in configs:
+        _assert_same_orbits(config)
 
 
 @pytest.mark.parametrize("config, count", [(_ring(6, -3), 0), (_ring(5, -3), 2)])
