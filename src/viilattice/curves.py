@@ -173,6 +173,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _ints(values, what: str) -> list[int]:
+    """values as plain ints; DomainError unless each is an int (a bool is not)."""
+    values = list(values)
+    for x in values:
+        if not _is_int(x):
+            raise DomainError(f"{what} must be integers, got {x!r}")
+    return [int(x) for x in values]
+
+
 @dataclass(frozen=True)
 class ValidationIssue:
     message: str
@@ -225,6 +234,7 @@ def _upper_rows(matrix: list[list[int]]) -> list[dict[int, int]]:
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise DomainError("matrix must be square")
+    matrix = [_ints(row, "matrix entries") for row in matrix]
     if any(matrix[i][j] != matrix[j][i] for i in range(n) for j in range(i)):
         raise DomainError("matrix must be symmetric")
     return [{j: -row[j] for j in range(i, n) if row[j]} for i, row in enumerate(matrix)]

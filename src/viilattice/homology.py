@@ -40,13 +40,22 @@ placement that respects ``minus & load2 == 0`` lowers the free capacity
 2*#free + #load-1 by exactly its blowup size, as much as it lowers the
 demand of the curves left.  The companion bound, #smooth <= #unused bases,
 holds at the root by validation (at most b2 rational curves) and keeps its
-slack the same way.  The cycle law restates (c) and (e): by (a) a cycle's
-class sum has the square the matrix fixes (``curves._cycle_square``), and a
-plain leaf needs #C - C^2 = b2 on every cycle, a twisted one #C - C^2 = 2*b2
+slack the same way.  The cycle law restates (e): by (a) a cycle's class sum
+S has the square C^2 the matrix fixes (``curves._cycle_square``), so a plain
+assignment needs #C - C^2 = b2 on every cycle, a twisted one #C - C^2 = 2*b2
 with length b2 on a single cycle.  The two exclude each other, so the root
-refuses the search when neither holds and otherwise picks the one leaf
-test; the two cases share the candidates and every pruning rule, so the
-tree is walked once.  Neither law removes a solution.
+refuses the search when neither holds and otherwise fixes the twist; the
+two cases share the candidates and every pruning rule, so the tree is
+walked once.  Neither law removes a solution.
+
+Past the root a complete assignment needs no test of (c) or (e), only of
+(d).  With K the all-ones class, each candidate has K.D = 2g - 2 - D^2 by
+construction, so K.S = -C^2: an r-cycle of smooth curves has C^2 = sum D^2
++ 2r, a nodal or elliptic curve g = 1.  At a leaf (a) gives S^2 = C^2, so
+sum_t s_t (s_t + 1) = -(K.S + S^2) = 0, a sum of terms >= 0: every entry
+of S is 0 or -1.  It has -C^2 entries -1, so the root law fixes its zeros
+to #C (0 when twisted) and is (e) itself.  ``curves.find_cycles`` refuses
+cycles that meet, so S_1.S_2 = 0 by (a) and the supports are disjoint.
 
 Every constraint above is invariant under renumbering the basis, so the
 search walks orbits of that symmetry rather than labellings:
@@ -187,7 +196,7 @@ def _candidate_masks(n: int, smooth: bool, self_int: int) -> list[tuple[int, lis
 def _search(config, cycles, order):
     """Backtracking generator over one tree, yielding (torsion, vectors) for
     complete assignments, at least one per orbit of the basis-renumbering
-    symmetry; the root picks the plain or the twisted leaf test."""
+    symmetry; the root laws fix the twist and make (d) the only leaf test."""
     n = config.b2
     curves = config.curves
     smooth = [curves[p].kind == SMOOTH_RATIONAL for p in order]
@@ -207,7 +216,6 @@ def _search(config, cycles, order):
             cache[key] = _candidate_masks(n, *key)
         pools.append(cache[key])
     mult = intersection_matrix(config)
-    members = [([config._position[cid] for cid in rec.member_ids], rec.length) for rec in cycles]
     full = (1 << n) - 1
     placed: list[tuple[int, int, int]] = []  # (position, plus, minus) by depth
     blow_sets: list[int] = []  # minus masks of the placed smooth curves
@@ -257,8 +265,7 @@ def _search(config, cycles, order):
             vectors = [None] * len(curves)
             for p, plus, minus in placed:
                 vectors[p] = _vector(n, plus, minus)
-            if _sums_admissible(members, vectors, n, torsion):
-                yield torsion, tuple(vectors)
+            yield torsion, tuple(vectors)
             return
         for plus, minus in fits(depth, cells, used, load2):
             split = [
@@ -285,27 +292,6 @@ def _search(config, cycles, order):
 
 def _vector(n: int, plus: int, minus: int) -> tuple[int, ...]:
     return tuple((plus >> t & 1) - (minus >> t & 1) for t in range(n))
-
-
-def _sums_admissible(members, vectors, n, torsion) -> bool:
-    """Constraints (c) and (e) at a leaf; ``members`` holds each cycle's
-    curve positions and length."""
-    supports = 0
-    for positions, length in members:
-        total = [sum(column) for column in zip(*(vectors[p] for p in positions))]
-        if any(x not in (0, -1) for x in total):
-            return False
-        zeros = total.count(0)
-        if zeros != (0 if torsion else length):
-            return False
-        # the entries are 0/-1, so the square is minus the number of -1s
-        if length + n - zeros != (2 if torsion else 1) * n:
-            return False
-        support = sum(1 << t for t, x in enumerate(total) if x)
-        if support & supports:
-            return False
-        supports |= support
-    return True
 
 
 # --- canonical forms --------------------------------------------------------

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
+from .curves import _ints
 from .errors import DimensionMismatch, DomainError
 
 
@@ -44,7 +45,7 @@ class LatticeClass:
     torsion2: bool = False
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coeffs)
+        coeffs = tuple(_ints(self.coeffs, "lattice coefficients"))
         if not coeffs:
             raise DomainError("lattice rank must be at least 1")
         object.__setattr__(self, "coeffs", coeffs)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .curves import _ints
 from .errors import DomainError
 
 
@@ -19,7 +20,7 @@ def _copy_int_matrix(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     for row in rows:
         if len(row) != n:
             raise DomainError("matrix must be square")
-        out.append([int(x) for x in row])
+        out.append(_ints(row, "matrix entries"))
     return out
 
 
@@ -73,7 +74,7 @@ def solve_exact(
     n = len(m)
     if len(rhs) != n:
         raise DomainError("right-hand side length must match the matrix size")
-    aug = [m[i] + [int(rhs[i])] for i in range(n)]
+    aug = [row + [b] for row, b in zip(m, _ints(rhs, "right-hand side entries"))]
     _, singular = _eliminate(aug, n)
     if singular:
         return None

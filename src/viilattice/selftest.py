@@ -121,9 +121,10 @@ def brute_force_representations(
 ) -> list[Representation]:
     """Unpruned search: the full product of per-curve candidate classes,
     filtered by the standalone constraint verifier, one representative per
-    renumbering orbit.  The twisted pass mirrors the enumerator's policy:
-    it runs only when the plain pass finds nothing and there is a single
-    cycle."""
+    renumbering orbit.  The twisted pass runs only when the plain pass
+    finds nothing and there is a single cycle.  That order loses nothing:
+    the plain law (#C - C^2 = b2 on every cycle) and the twisted one
+    (2*b2) exclude each other, so at most one pass finds anything."""
     n = config.b2
     pools = [_naive_candidates(n, c) for c in config.curves]
 

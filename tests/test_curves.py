@@ -363,6 +363,16 @@ def test_definiteness_requires_symmetric_square():
         is_negative_definite([[1, 2], []])
 
 
+@pytest.mark.parametrize(
+    "bad", [Fraction(1, 2), 1.5, "1", True], ids=["fraction", "float", "str", "bool"]
+)
+def test_definiteness_refuses_non_integer_entries(bad):
+    # [[-3/2, 1], [1, -1]] is negative definite, yet read as "neither"
+    assert is_negative_definite([[-2, 1], [1, -1]]) == DEFINITE
+    with pytest.raises(DomainError, match="integers"):
+        is_negative_definite([[bad, 1], [1, -1]])
+
+
 def test_enoki_matrices_semidefinite():
     for n in (*range(1, 7), 24, 40):
         m = intersection_matrix(enoki_cycle_config(n))

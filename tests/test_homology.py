@@ -920,6 +920,63 @@ def test_search_matches_reference_search_on_a_fixed_corpus():
         _assert_same_orbits(config)
 
 
+def _add_cycle(curves, meets, length, excess, rng):
+    """Append a cycle of ``length`` curves with #C - C^2 = excess: a nodal
+    curve, two curves meeting twice, or a ring."""
+    start = len(curves)
+    if length == 1:
+        curves.append(Curve(start, NODAL_RATIONAL, 1 - excess))
+        return
+    sizes = [2] * length  # each curve's -D^2, adding up to excess + length
+    for _ in range(excess - length):
+        sizes[rng.randrange(length)] += 1
+    curves += [Curve(start + k, SMOOTH_RATIONAL, -s) for k, s in enumerate(sizes)]
+    if length == 2:
+        meets.append((start, start + 1, 2))
+    else:
+        meets += [(start + k, start + (k + 1) % length, 1) for k in range(length)]
+
+
+def _law_meeting_config(rng):
+    """A configuration the cycle law lets through the root, b2 <= 8: one
+    twisted cycle of b2 curves, or one or two plain cycles with trees and
+    perhaps an elliptic curve at -b2."""
+    b2 = rng.randint(1, 8)
+    curves, meets = [], []
+    if rng.random() < 0.25:
+        _add_cycle(curves, meets, b2, 2 * b2, rng)
+        return CurveConfig(b2, tuple(curves), tuple(meets))
+    _add_cycle(curves, meets, rng.randint(1, b2), b2, rng)
+    second = len(curves) < b2 and rng.random() < 0.3
+    if second:
+        _add_cycle(curves, meets, rng.randint(1, b2 - len(curves)), b2, rng)
+    for i in range(len(curves), rng.randint(len(curves), b2)):
+        curves.append(Curve(i, SMOOTH_RATIONAL, -rng.choice((2, 2, 3, 4))))
+        meets.append((rng.randrange(i), i, 1))
+    if not second and rng.random() < 0.3:
+        curves.append(Curve(len(curves), ELLIPTIC, -b2))
+    return CurveConfig(b2, tuple(curves), tuple(meets))
+
+
+def test_search_matches_reference_search_on_law_meeting_configurations():
+    # the other corpora mostly fail the cycle law at the root, so few of them
+    # reach a leaf; every one of these gets past the root law
+    rng = random.Random(18)
+    reached = set()
+    for _ in range(400):
+        config = _relabelled(_law_meeting_config(rng), rng, rng.randint(0, 50))
+        cycles = find_cycles(config)
+        excess = [rec.length - curves_module._cycle_square(config, rec) for rec in cycles]
+        assert excess in ([config.b2] * len(cycles), [2 * config.b2])
+        orbits = _assert_same_orbits(config)
+        reps = enumerate_representations(config)
+        assert len(reps) == len(orbits)
+        for rep in reps:
+            assert verify_representation(config, rep).ok
+        reached |= {(torsion, len(cycles)) for torsion, _ in orbits}
+    assert reached == {(False, 1), (False, 2), (True, 1)}
+
+
 @pytest.mark.parametrize("config, count", [(_ring(6, -3), 0), (_ring(5, -3), 2)])
 def test_single_cycle_search_walks_the_tree_once(monkeypatch, config, count):
     # an empty plain search used to be followed by a second, twisted traversal

@@ -36,6 +36,16 @@ def test_basis_pairing():
             assert got == (-1 if i == j else 0)
 
 
+@pytest.mark.parametrize(
+    "bad", [Fraction(1, 2), 1.5, "1", True], ids=["fraction", "float", "str", "bool"]
+)
+def test_class_refuses_non_integer_coefficients(bad):
+    # LatticeClass((0.5, -1.9)).coeffs used to read (0, -1)
+    assert LatticeClass([0, -1]).coeffs == (0, -1)
+    with pytest.raises(DomainError, match="integers"):
+        LatticeClass((bad, -1))
+
+
 def test_canonical_square_and_degrees():
     for n in range(1, 9):
         k = canonical_class(n)

@@ -66,6 +66,29 @@ def test_solve_exact_rhs_length_checked():
         solve_exact([[1]], [1, 2])
 
 
+# entries that used to be truncated or parsed by int(): determinant([[Fraction(1, 2)]])
+# read 0 and determinant([[1.5, 0], [0, 2]]) read 2
+NON_INTEGERS = pytest.mark.parametrize(
+    "bad", [Fraction(1, 2), 1.5, "1", True], ids=["fraction", "float", "str", "bool"]
+)
+
+
+@NON_INTEGERS
+def test_determinant_refuses_non_integer_entries(bad):
+    assert determinant([[1, 0], [0, 2]]) == 2
+    with pytest.raises(DomainError, match="integers"):
+        determinant([[bad, 0], [0, 2]])
+
+
+@NON_INTEGERS
+def test_solve_exact_refuses_non_integer_entries(bad):
+    assert solve_exact([[2]], [1]) == [Fraction(1, 2)]
+    with pytest.raises(DomainError, match="integers"):
+        solve_exact([[bad]], [1])
+    with pytest.raises(DomainError, match="integers"):
+        solve_exact([[2]], [bad])
+
+
 def test_leading_principal_minors():
     assert leading_principal_minors([[-2, 1], [1, -2]]) == [-2, 3]
     assert leading_principal_minors([[1]]) == [1]
