@@ -80,13 +80,16 @@ GERM_KINDS = (*HOPF_KINDS, "enoki")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits with its own status 2 on usage errors; fold that
-        # into the invalid-input code and keep 2 for real inconsistencies
-        return EXIT_OK if exc.code in (0, None) else EXIT_INVALID
+    # argparse reads sys.argv[1:] for None and a list of any other iterable
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = _build_parser()[0].parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits with its own status 2 on usage errors; fold that
+            # into the invalid-input code and keep 2 for real inconsistencies
+            return EXIT_OK if exc.code in (0, None) else EXIT_INVALID
     try:
         return args.run(args)
     except EnumerationCapError as exc:
@@ -117,47 +120,118 @@ def main(argv: list[str] | None = None) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and for each command the grammar _plain_args reads, built
+    from the actions that add_argument returns (None for a command that has
+    an argument of another kind than one token stored under its dest)."""
     parser = argparse.ArgumentParser(
         prog="viilattice",
         description="Exact lattice invariants of curve configurations on "
         "minimal class-VII surfaces with positive second Betti number.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
     p = sub.add_parser("classify", help="full pipeline report for a configuration file")
-    p.add_argument("file")
     p.set_defaults(run=_cmd_classify)
+    commands["classify"] = _grammar("classify", p, p.add_argument("file"))
 
     p = sub.add_parser("nac", help="anticanonical coefficients at a chosen level")
-    p.add_argument("file")
-    p.add_argument("--m", type=int, default=1, help="divisor level (default 1)")
     p.set_defaults(run=_cmd_nac)
+    commands["nac"] = _grammar(
+        "nac",
+        p,
+        p.add_argument("file"),
+        p.add_argument("--m", type=int, default=1, help="divisor level (default 1)"),
+    )
 
     p = sub.add_parser("index", help="smallest level with integer coefficients")
-    p.add_argument("file")
     p.set_defaults(run=_cmd_index)
+    commands["index"] = _grammar("index", p, p.add_argument("file"))
 
     p = sub.add_parser("enumerate", help="canonical homology representations")
-    p.add_argument("file")
-    p.add_argument(
-        "--max-solutions",
-        type=int,
-        default=None,
-        help="truncate the report after this many representations",
-    )
     p.set_defaults(run=_cmd_enumerate)
+    commands["enumerate"] = _grammar(
+        "enumerate",
+        p,
+        p.add_argument("file"),
+        p.add_argument(
+            "--max-solutions",
+            type=int,
+            default=None,
+            help="truncate the report after this many representations",
+        ),
+    )
 
     p = sub.add_parser("germ", help="validate contracting-germ parameters")
-    p.add_argument("kind", choices=GERM_KINDS)
-    p.add_argument("params", nargs="*", metavar="key=value")
     p.set_defaults(run=_cmd_germ)
+    commands["germ"] = _grammar(
+        "germ",
+        p,
+        p.add_argument("kind", choices=GERM_KINDS),
+        p.add_argument("params", nargs="*", metavar="key=value"),
+    )
 
     p = sub.add_parser("selftest", help="run the built-in verification suites")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     p.set_defaults(run=_cmd_selftest)
+    commands["selftest"] = _grammar(
+        "selftest",
+        p,
+        p.add_argument("--seed", type=int, default=0, help="seed for randomized suites"),
+    )
 
-    return parser
+    return parser, commands
+
+
+def _grammar(command: str, parser: argparse.ArgumentParser, *actions: argparse.Action):
+    """(namespace defaults, positional actions, {option string: action}) of
+    one command, or None unless each action reads exactly one token and has
+    no choices.  The parser adds no append, count or custom action, so such
+    an action stores that token, converted by its type, under its dest."""
+    if any(action.nargs is not None or action.choices is not None for action in actions):
+        return None
+    defaults = {
+        "command": command,
+        **{action.dest: action.default for action in actions},
+        "run": parser.get_default("run"),
+    }
+    positionals = [action for action in actions if not action.option_strings]
+    options = {option: action for action in actions for option in action.option_strings}
+    return defaults, positionals, options
+
+
+def _plain_args(argv: list) -> argparse.Namespace | None:
+    """The namespace parse_args(argv) returns, for an argv of a command name
+    followed by each of its positionals and any of its exact option strings
+    with a value; None for every other argv, which parse_args reads.  So
+    help, usage errors, abbreviations, "--", "--m=2", a value or positional
+    that starts with "-" and the germ command stay with argparse."""
+    grammar = _build_parser()[1].get(argv[0]) if argv and type(argv[0]) is str else None
+    if grammar is None:
+        return None
+    defaults, positionals, options = grammar
+    values = dict(defaults)
+    positionals = iter(positionals)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if type(token) is not str:
+            return None
+        action = options.get(token)
+        if action is None:
+            action = next(positionals, None)
+        else:
+            token = next(tokens, None)
+            if type(token) is not str:
+                return None
+        if action is None or token.startswith("-"):
+            return None
+        try:
+            values[action.dest] = token if action.type is None else action.type(token)
+        except (TypeError, ValueError):
+            return None
+    if next(positionals, None) is not None:
+        return None
+    return argparse.Namespace(**values)
 
 
 def _emit(doc: dict) -> None:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .curves import _ints
+from .curves import _ints, _is_int
 from .errors import DimensionMismatch, DomainError
 
 
@@ -58,8 +58,7 @@ class LatticeClass:
 def basis_class(n: int, i: int) -> LatticeClass:
     """The exceptional class L_i in rank n."""
     _check_rank(n)
-    if not 0 <= i < n:
-        raise DomainError(f"basis index {i} outside [0, {n - 1}]")
+    _check_index("basis index", i, n - 1)
     return LatticeClass(tuple(1 if j == i else 0 for j in range(n)))
 
 
@@ -154,8 +153,7 @@ def type_b_class(n: int, base: int, blowups) -> LatticeClass:
 
 def full_cycle_class(n: int, start: int, torsion2: bool = False) -> LatticeClass:
     _check_rank(n)
-    if not 0 <= start <= n:
-        raise DomainError(f"cycle start {start} outside [0, {n}]")
+    _check_index("cycle start", start, n)
     return LatticeClass(
         tuple(-1 if j >= start else 0 for j in range(n)), torsion2=torsion2
     )
@@ -218,18 +216,28 @@ def class_geometry(c: LatticeClass, n: int) -> ClassGeometry:
 
 
 def _check_rank(n: int) -> None:
+    if not _is_int(n):
+        raise DomainError(f"lattice rank must be an integer, got {n!r}")
     if n < 1:
         raise DomainError(f"lattice rank must be at least 1, got {n}")
 
 
+def _check_index(what: str, i: int, high: int) -> None:
+    """DomainError unless i is an int (a bool is not) in [0, high]."""
+    if not _is_int(i):
+        raise DomainError(f"{what} must be an integer, got {i!r}")
+    if not 0 <= i <= high:
+        raise DomainError(f"{what} {i} outside [0, {high}]")
+
+
 def _index_set(n: int, base: int, blowups) -> frozenset[int]:
     _check_rank(n)
-    if not 0 <= base < n:
-        raise DomainError(f"base index {base} outside [0, {n - 1}]")
-    members = frozenset(int(j) for j in blowups)
-    for j in members:
-        if not 0 <= j < n:
-            raise DomainError(f"blowup index {j} outside [0, {n - 1}]")
+    _check_index("base index", base, n - 1)
+    # each index is checked before the set is built: a set would merge 1.0 into 1
+    indices = list(blowups)
+    for j in indices:
+        _check_index("blowup index", j, n - 1)
+    members = frozenset(indices)
     if base in members:
         raise DomainError(f"base index {base} cannot be one of its own blowups")
     return members

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -1392,6 +1393,108 @@ def test_parser_is_built_once_and_reused(capsys, tmp_path):
     assert [code for code, _, _ in passes[0]] == [1, 0, 1, 0, 0]
     assert passes[1] == passes[0] and passes[2] == passes[0]
     assert cli._build_parser.cache_info().misses == 1
+
+
+def _through_argparse(capsys, argv):
+    """(exit, stdout, stderr) of argv read by this interpreter's parse_args
+    and then run; the argv must not make its command raise."""
+    try:
+        args = cli._build_parser()[0].parse_args(argv)
+    except SystemExit as exc:
+        code = 0 if exc.code in (0, None) else 1
+    else:
+        code = args.run(args)
+    return (code, *capsys.readouterr())
+
+
+COMMAND_NAMES = ["classify", "nac", "index", "enumerate", "germ", "selftest"]
+ARGV_TOKENS = st.one_of(
+    st.sampled_from(
+        [*COMMAND_NAMES, "--m", "--max-solutions", "--seed", "--max", "--m=2", "-h", "--help"]
+        + ["--", "-", "", "f", "x", "1.5", "1_0", "-1_0", " 2", "a=1", "enoki", "t=1/2"]
+    ),
+    st.integers(-3, 12).map(str),
+    st.integers(),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from([*COMMAND_NAMES, "no-such-command", "-h"]), st.lists(ARGV_TOKENS, max_size=5))
+def test_plain_reader_builds_the_namespace_parse_args_builds(command, rest):
+    argv = [command, *rest]
+    got = cli._plain_args(argv)
+    if got is not None:
+        with contextlib.redirect_stderr(io.StringIO()):
+            want = cli._build_parser()[0].parse_args(argv)
+        assert vars(got) == vars(want)
+
+
+DEFERRED_ARGV = {
+    "help": ["--help"],
+    "short-help": ["-h"],
+    "command-help": ["classify", "-h"],
+    "trailing-help": ["nac", "FILE", "--help"],
+    "empty": [],
+    "unknown-command": ["no-such-command"],
+    "missing-file": ["nac"],
+    "foreign-option": ["classify", "FILE", "--m", "2"],
+    "extra-token": ["classify", "FILE", "extra"],
+    "missing-value": ["nac", "FILE", "--m"],
+    "non-int-value": ["nac", "FILE", "--m", "x"],
+    "value-beyond-digit-limit": ["nac", "FILE", "--m", "9" * 5000],
+    "unknown-germ-kind": ["germ", "wrongkind", "t=1/2"],
+    "equals-value": ["nac", "FILE", "--m=2"],
+    "abbreviation": ["enumerate", "FILE", "--max", "1"],
+    "short-abbreviation": ["enumerate", "FILE", "--m", "1"],
+    "double-dash": ["classify", "--", "FILE"],
+    "dash-file": ["classify", "-"],
+    "negative-value": ["enumerate", "FILE", "--max-solutions", "-0"],
+    "germ": ["germ", "hopf-strong", "alpha=1/2", "a=1/8", "s=1", "m=1"],
+}
+
+
+@pytest.mark.parametrize("argv", DEFERRED_ARGV.values(), ids=DEFERRED_ARGV)
+def test_reader_leaves_help_usage_errors_and_the_rest_to_parse_args(
+    capsys, monkeypatch, tmp_path, singrat3_file, argv
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-").write_text(config_to_text(singrat_config(3, 2)))
+    argv = [singrat3_file if token == "FILE" else token for token in argv]
+    assert cli._plain_args(argv) is None
+    assert (main(argv), *capsys.readouterr()) == _through_argparse(capsys, argv)
+
+
+def test_reader_refuses_tokens_that_are_not_str(singrat3_file):
+    assert cli._plain_args(["nac", singrat3_file, "--m", 2]) is None
+    assert cli._plain_args([b"classify", singrat3_file]) is None
+    assert cli._plain_args(["classify", None]) is None
+
+
+def test_plain_command_lines_never_reach_parse_args(capsys, monkeypatch, singrat3_file):
+    argvs = [
+        ["classify", singrat3_file],
+        ["nac", singrat3_file],
+        ["nac", singrat3_file, "--m", "3"],
+        ["index", singrat3_file],
+        ["enumerate", singrat3_file, "--max-solutions", "1"],
+    ]
+    want = [_through_argparse(capsys, argv) for argv in argvs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("parse_args reached")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    assert [(main(argv), *capsys.readouterr()) for argv in argvs] == want
+    assert [code for code, _, _ in want] == [0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("rest", [["nac", "FILE", "--m", "2"], ["--help"]], ids=["plain", "help"])
+def test_main_reads_sys_argv_without_an_argv(capsys, monkeypatch, singrat3_file, rest):
+    rest = [singrat3_file if token == "FILE" else token for token in rest]
+    want = (main(rest), *capsys.readouterr())
+    monkeypatch.setattr(sys, "argv", ["viilattice", *rest])
+    assert (main(), *capsys.readouterr()) == want
+    assert want[0] == 0 and want[1]
 
 
 def test_selftest_runs_clean(capsys):

@@ -46,6 +46,35 @@ def test_class_refuses_non_integer_coefficients(bad):
         LatticeClass((bad, -1))
 
 
+CONSTRUCTOR_SLOTS = {
+    "basis-rank": lambda v: basis_class(v, 0),
+    "basis-index": lambda v: basis_class(3, v),
+    "canonical-rank": canonical_class,
+    "zero-rank": zero_class,
+    "cycle-rank": lambda v: full_cycle_class(v, 0),
+    "cycle-start": lambda v: full_cycle_class(3, v),
+    "type-a-rank": lambda v: type_a_class(v, 0, []),
+    "type-a-base": lambda v: type_a_class(3, v, [2]),
+    "type-a-blowup": lambda v: type_a_class(3, 0, [v]),
+    "type-b-rank": lambda v: type_b_class(v, 0, []),
+    "type-b-base": lambda v: type_b_class(3, v, [2]),
+    "type-b-blowup": lambda v: type_b_class(3, 0, [v]),
+}
+
+
+@pytest.mark.parametrize("slot", CONSTRUCTOR_SLOTS)
+@pytest.mark.parametrize(
+    "bad", [1.0, Fraction(3, 2), "1", True], ids=["float", "fraction", "str", "bool"]
+)
+def test_constructors_refuse_non_integer_ranks_and_indices(slot, bad):
+    # basis_class(3, 1.5) used to return the zero class and
+    # type_b_class(3, 0, ["2"]) a class with L_2 as a blowup
+    build = CONSTRUCTOR_SLOTS[slot]
+    assert isinstance(build(1), LatticeClass)
+    with pytest.raises(DomainError, match="must be an integer"):
+        build(bad)
+
+
 def test_canonical_square_and_degrees():
     for n in range(1, 9):
         k = canonical_class(n)
