@@ -82,6 +82,10 @@ GERM_KINDS = (*HOPF_KINDS, "enoki")
 def main(argv: list[str] | None = None) -> int:
     # argparse reads sys.argv[1:] for None and a list of any other iterable
     argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse indexes its tokens: anything but a str would escape as a TypeError
+    if bad := [type(token).__name__ for token in argv if not isinstance(token, str)]:
+        print(f"refused: command-line arguments must be strings, got {bad[0]}", file=sys.stderr)
+        return EXIT_INVALID
     args = _plain_args(argv)
     if args is None:
         try:
@@ -308,9 +312,9 @@ class _Matrix:
 
 @dataclasses.dataclass
 class _Records:
-    """A list of flat records with the same keys, for _write, which writes the
+    """A list of records with the same keys, for _write, which writes the
     whole list from one %-format string filled with the JSON text of the
-    leaves; rows holds one tuple of values per record, in the order of keys."""
+    values; rows holds one tuple of values per record, in the order of keys."""
 
     keys: tuple[str, ...]
     rows: list[tuple]
@@ -516,19 +520,17 @@ def _cmd_enumerate(args) -> int:
         entries.append(
             {
                 "odd_ih": rep.odd_ih,
-                "classes": [
-                    {
-                        "curve": curve.id,
-                        "coeffs": list(klass.coeffs),
-                        "torsion2": klass.torsion2,
-                        "pattern": _render_class(klass),
-                    }
-                    for curve, klass in zip(config.curves, rep.classes)
-                ],
-                "verification": [
-                    {"name": r.name, "ok": r.ok, "detail": r.detail}
-                    for r in verification.results
-                ],
+                "classes": _Records(
+                    ("curve", "coeffs", "torsion2", "pattern"),
+                    [
+                        (curve.id, list(klass.coeffs), klass.torsion2, _render_class(klass))
+                        for curve, klass in zip(config.curves, rep.classes)
+                    ],
+                ),
+                "verification": _Records(
+                    ("name", "ok", "detail"),
+                    [(r.name, r.ok, r.detail) for r in verification.results],
+                ),
             }
         )
     _emit(

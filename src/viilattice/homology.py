@@ -69,8 +69,9 @@ search walks orbits of that symmetry rather than labellings:
   one such member, so every orbit of solutions keeps a representative (by
   induction on the depth: permute equal-column indices of a solution until
   the next class is of that form).  The sets are cell masks, split by each
-  placed class; the rule is a prefix test per cell on ``plus`` and on
-  ``plus | minus``, and one-index cells are dropped since they always pass.
+  placed class; one mask per node bars every base that is not its cell's
+  least index, a prefix test per cell checks ``plus | minus``, and
+  one-index cells are dropped since they always pass.
 - Two complete assignments lie in one orbit exactly when their multisets
   of basis columns (one index's coefficients read down the curves) agree,
   so the raw solutions are deduplicated by that multiset.
@@ -78,16 +79,17 @@ search walks orbits of that symmetry rather than labellings:
 Each remaining orbit is canonicalised once, to its least member by
 normal-form keys among those whose cycle class sums fill right-aligned
 blocks.  That form depends only on the orbit, so the output does not depend
-on which member the search found.  It is built by ordered partition
-refinement in O(curves x b2), not by trying the b2! renumberings: each
-choice is forced by the key, so the refinement never branches (see
-``_canonicalize``).
+on which member the search found.  It is built by one stable sort of the
+basis indices in O(curves x b2 log b2), not by trying the b2! renumberings:
+each choice is forced by the key, and putting the forced indices first, curve
+by curve, is a lexicographic sort on their entries (see ``_canonicalize``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections import Counter
+import operator
 from dataclasses import dataclass
 
 from .curves import (
@@ -141,7 +143,7 @@ def enumerate_representations(
             f"{len(cycles)} cycles found; at most two can coexist (the rank "
             "splits between them)"
         )
-    found = list(_search(config, cycles, _search_order(config, cycles)))
+    found = list(_search(config, cycles))
     torsion = bool(found) and found[0][0]
     # the multiset of basis columns is an exact orbit invariant, so each
     # orbit is canonicalised once
@@ -154,17 +156,7 @@ def enumerate_representations(
 
 def _search_order(config: CurveConfig, cycles: tuple[CycleRecord, ...]) -> list[int]:
     """Positions into config.curves: cycle members, then branches, then the rest."""
-    order: list[int] = []
-    taken: set[int] = set()
-
-    def take(cid: int) -> None:
-        if cid not in taken:
-            taken.add(cid)
-            order.append(config._position[cid])
-
-    for rec in cycles:
-        for cid in rec.member_ids:
-            take(cid)
+    taken = dict.fromkeys(cid for rec in cycles for cid in rec.member_ids)  # in order
     for rec in cycles:
         for br in rec.branches:
             frontier = [br.root_id]
@@ -174,12 +166,11 @@ def _search_order(config: CurveConfig, cycles: tuple[CycleRecord, ...]) -> list[
                 for v in frontier:
                     for u, _ in sorted(config.neighbors(v)):
                         if u in pool and u not in taken:
-                            take(u)
+                            taken[u] = None
                             nxt.append(u)
                 frontier = nxt
-    for c in config.curves:
-        take(c.id)
-    return order
+    taken.update(dict.fromkeys(c.id for c in config.curves))
+    return [config._position[cid] for cid in taken]
 
 
 def _candidate_masks(n: int, smooth: bool, self_int: int) -> list[tuple[int, list[int]]]:
@@ -193,44 +184,47 @@ def _candidate_masks(n: int, smooth: bool, self_int: int) -> list[tuple[int, lis
     return [(1 << base, [m for m in subsets if not m >> base & 1]) for base in range(n)]
 
 
-def _search(config, cycles, order):
+def _search(config, cycles):
     """Backtracking generator over one tree, yielding (torsion, vectors) for
     complete assignments, at least one per orbit of the basis-renumbering
     symmetry; the root laws fix the twist and make (d) the only leaf test."""
     n = config.b2
     curves = config.curves
-    smooth = [curves[p].kind == SMOOTH_RATIONAL for p in order]
-    # the counting bound and the cycle law, before any candidate is built
-    if sum(-curves[p].self_int - 1 for p, s in zip(order, smooth) if s) > 2 * n:
+    # the counting bound and the cycle law, before the order or any candidate
+    if sum(-c.self_int - 1 for c in curves if c.kind == SMOOTH_RATIONAL) > 2 * n:
         return
     excess = [rec.length - _cycle_square(config, rec) for rec in cycles]  # #C - C^2
     torsion = excess == [2 * n] and cycles[0].length == n
     if not torsion and any(e != n for e in excess):
         return
+    order = _search_order(config, cycles)
+    smooth = [curves[p].kind == SMOOTH_RATIONAL for p in order]
     covering = config.elimination[0] == DEFINITE
-    cache: dict[tuple[bool, int], list] = {}
-    pools = []
-    for p, s in zip(order, smooth):
-        key = (s, curves[p].self_int)
-        if key not in cache:
-            cache[key] = _candidate_masks(n, *key)
-        pools.append(cache[key])
+    masks = functools.cache(_candidate_masks)  # once per (kind, self-intersection)
+    pools = [masks(n, s, curves[p].self_int) for p, s in zip(order, smooth)]
     mult = intersection_matrix(config)
     full = (1 << n) - 1
     placed: list[tuple[int, int, int]] = []  # (position, plus, minus) by depth
     blow_sets: list[int] = []  # minus masks of the placed smooth curves
 
-    def fits(depth, cells, used, load2):
+    def fits(depth, cells, used, load1, load2):
         """(plus, minus) of each candidate for the curve at ``depth`` that
         passes (a), (b) and the interchangeability rule."""
         p = order[depth]
         checks = [(P, M, mult[p][q]) for q, P, M in placed]
-        sets, load2 = (blow_sets, load2) if smooth[depth] else ((), 0)
+        sets, load1, load2 = (blow_sets, load1, load2) if smooth[depth] else ((), 0, 0)
+        # a base must be unused and the least index of its equal-column set:
+        # barred holds every index that is neither (plus is 0 unless smooth)
+        barred = used
+        for c in cells:
+            barred |= c & (c - 1)
         for plus, group in pools[depth]:
-            if plus & used or any(c & plus and c & (plus - 1) for c in cells):
-                continue  # a used base, or an equal-column index below it
+            if plus & barred:
+                continue
             for minus in group:
-                if minus & load2 or any((minus & b) & ((minus & b) - 1) for b in sets):
+                # the set indices minus can meet lie in load1, as it misses load2
+                m1 = minus & load1
+                if minus & load2 or m1 & (m1 - 1) and any((d := minus & b) & (d - 1) for b in sets):
                     continue
                 bits = plus | minus
                 for c in cells:
@@ -267,7 +261,7 @@ def _search(config, cycles, order):
                 vectors[p] = _vector(n, plus, minus)
             yield torsion, tuple(vectors)
             return
-        for plus, minus in fits(depth, cells, used, load2):
+        for plus, minus in fits(depth, cells, used, load1, load2):
             split = [
                 part
                 for c in cells
@@ -291,24 +285,28 @@ def _search(config, cycles, order):
 
 
 def _vector(n: int, plus: int, minus: int) -> tuple[int, ...]:
-    return tuple((plus >> t & 1) - (minus >> t & 1) for t in range(n))
+    vec = [0] * n
+    if plus:
+        vec[plus.bit_length() - 1] = 1
+    while minus:
+        vec[(minus & -minus).bit_length() - 1] = -1
+        minus &= minus - 1
+    return tuple(vec)
 
 
 # --- canonical forms --------------------------------------------------------
 
 
 def _canonicalize(config, cycles, vectors, torsion):
-    """(key, form) of the orbit's least member, by ordered partition refinement.
+    """(key, form) of the orbit's least member, by one stable sort of the basis.
 
-    A cell pairs basis indices with an interval of as many targets (``low``
-    is each index's least target): the cycle supports start on their
-    right-aligned blocks, the other indices below them.  Curve by curve in
-    listing order, a cell's indices carrying the curve's +1 entry, then its
-    -1 entries, take the cell's least targets.  The key compares curve by
-    curve, base before blowups, and a cell's indices are interchangeable for
-    the curves fixed so far, so only that choice minimises the current key.
-    Indices left sharing a cell have equal columns; each cell maps onto its
-    targets in index order, as the first least renumbering would.
+    ``low`` is each index's least target: the cycle supports start on their
+    right-aligned blocks, the other indices below them.  The key compares
+    curve by curve in listing order, base before blowups, so the least member
+    puts the indices carrying each curve's +1, then its -1 entries, first
+    among those still interchangeable (equal low and entries so far): a
+    lexicographic sort by low, then per curve by "not +1" (smooth curves) and
+    "not -1".  It is stable, so equal keys (equal columns) keep index order.
     """
     n = config.b2
     ordered = sorted(cycles, key=lambda rec: (-rec.length, min(rec.member_ids)))
@@ -323,21 +321,15 @@ def _canonicalize(config, cycles, vectors, torsion):
             low[t] = hi
     if n - hi != len(set().union(*supports)):
         raise DomainError("cycle class sums overlap, so no canonical form exists")
-
-    def split(picked: set[int]) -> None:
-        taken = Counter(low[t] for t in picked)
-        for t in range(n):
-            if t not in picked:
-                low[t] += taken[low[t]]
-
+    flags = [low]
     for curve, vec in zip(config.curves, vectors):
         if curve.kind == SMOOTH_RATIONAL:
             if vec.count(1) != 1:
                 raise DomainError(f"curve {curve.id} needs a class with one +1 entry")
-            split({vec.index(1)})
-        split({t for t, x in enumerate(vec) if x == -1})
-    inverse = sorted(range(n), key=low.__getitem__)
-    moved = [tuple(vec[t] for t in inverse) for vec in vectors]
+            flags.append(map((1).__ne__, vec))
+        flags.append(map((-1).__ne__, vec))
+    inverse = sorted(range(n), key=list(zip(*flags)).__getitem__)
+    moved = [tuple(map(vec.__getitem__, inverse)) for vec in vectors]
     key = (torsion, tuple(_class_key(c, v) for c, v in zip(config.curves, moved)))
     twisted = {rec.member_ids[0] for rec in cycles if torsion and len(rec.member_ids) == 1}
     classes = tuple(
@@ -394,28 +386,25 @@ def verify_representation(config: CurveConfig, rep: Representation) -> Verificat
     require_valid(config)
     n = config.b2
     vectors = _vectors(config, rep)
-    results = []
-    ids = [c.id for c in config.curves]
+    results, curves, mult = [], config.curves, config._mult
 
     mismatches = []
-    for i in range(len(ids)):
-        if -sum(x * x for x in vectors[i]) != config.curve(ids[i]).self_int:
-            mismatches.append(f"square of {ids[i]}")
-        for j in range(i + 1, len(ids)):
-            got = -sum(x * y for x, y in zip(vectors[i], vectors[j]))
-            if got != config.mult(ids[i], ids[j]):
-                mismatches.append(f"product {ids[i]}.{ids[j]} = {got}")
+    for i, (a, vec) in enumerate(zip(curves, vectors)):
+        if -sum(map(operator.mul, vec, vec)) != a.self_int:
+            mismatches.append(f"square of {a.id}")
+        for b, other in zip(curves[i + 1 :], vectors[i + 1 :]):
+            got = -sum(map(operator.mul, vec, other))
+            if got != mult.get((a.id, b.id) if a.id < b.id else (b.id, a.id), 0):
+                mismatches.append(f"product {a.id}.{b.id} = {got}")
     results.append(_outcome("pairwise-products", mismatches, "all squares and products match"))
 
-    problems = []
-    bases = []
-    blow_sets = []
-    for cid, klass in zip(ids, rep.classes):
-        if config.curve(cid).kind != SMOOTH_RATIONAL:
+    problems, bases, blow_sets = [], [], []
+    for curve, klass in zip(curves, rep.classes):
+        if curve.kind != SMOOTH_RATIONAL:
             continue
         form = classify_normal_form(klass)
         if not isinstance(form, TypeA):
-            problems.append(f"curve {cid} does not carry an exceptional-curve pattern")
+            problems.append(f"curve {curve.id} does not carry an exceptional-curve pattern")
             continue
         bases.append(form.base)
         blow_sets.append(form.blowups)
@@ -424,21 +413,18 @@ def verify_representation(config: CurveConfig, rep: Representation) -> Verificat
     for s, t in itertools.combinations(blow_sets, 2):
         if len(s & t) > 1:
             problems.append("two blowup sets share more than one index")
-    for a, b, c in itertools.combinations(blow_sets, 3):
-        if a & b & c:
+    once, twice = frozenset(), frozenset()  # the indices in one, in two sets so far
+    for s in blow_sets:
+        if s & twice:
             problems.append("a basis index appears in three blowup sets")
+        once, twice = once | s, twice | (once & s)
     results.append(_outcome("exceptional-multiplicities", sorted(set(problems))))
 
     cycles = find_cycles(config)
-    sum_issues = []
-    law_issues = []
-    supports = []
+    sum_issues, law_issues, supports = [], [], []
     for rec in cycles:
-        total = [0] * n
-        for cid in rec.member_ids:
-            for t, x in enumerate(vectors[config._position[cid]]):
-                total[t] += x
-        zeros = sum(1 for x in total if x == 0)
+        total = list(map(sum, zip(*(vectors[config._position[cid]] for cid in rec.member_ids))))
+        zeros = total.count(0)
         if any(x not in (0, -1) for x in total):
             sum_issues.append(f"cycle {rec.member_ids}: sum has entries outside 0/-1")
         elif zeros != (0 if rep.odd_ih else rec.length):
@@ -447,7 +433,7 @@ def verify_representation(config: CurveConfig, rep: Representation) -> Verificat
                 f"{0 if rep.odd_ih else rec.length}"
             )
         supports.append(frozenset(t for t, x in enumerate(total) if x == -1))
-        square = -sum(x * x for x in total)
+        square = -sum(map(operator.mul, total, total))
         want = (2 if rep.odd_ih else 1) * n
         if rec.length - square != want:
             law_issues.append(
@@ -459,8 +445,7 @@ def verify_representation(config: CurveConfig, rep: Representation) -> Verificat
     results.append(_outcome("cycle-class-sums", sum_issues))
 
     if cycles and config.curves and config.elimination[0] == DEFINITE:
-        touched = {t for vec in vectors for t, x in enumerate(vec) if x}
-        missing = sorted(set(range(n)) - touched)
+        missing = [t for t, column in enumerate(zip(*vectors)) if not any(column)]
         issues = [f"missing indices {missing}"] if missing else []
         results.append(_outcome("basis-covering", issues, "all basis indices are met"))
     else:

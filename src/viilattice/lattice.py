@@ -45,10 +45,13 @@ class LatticeClass:
     torsion2: bool = False
 
     def __post_init__(self):
-        coeffs = tuple(_ints(self.coeffs, "lattice coefficients"))
+        coeffs = self.coeffs
+        # a tuple of exact ints is kept as it is (a bool is not an exact int)
+        if type(coeffs) is not tuple or not all(type(x) is int for x in coeffs):
+            coeffs = tuple(_ints(coeffs, "lattice coefficients"))
+            object.__setattr__(self, "coeffs", coeffs)
         if not coeffs:
             raise DomainError("lattice rank must be at least 1")
-        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def rank(self) -> int:
@@ -179,12 +182,16 @@ def classify_normal_form(c: LatticeClass) -> NormalForm:
     and Other anywhere else, never TypeA.  The zero class is FullCycle(n).
     """
     n = c.rank
-    plus = [j for j, x in enumerate(c.coeffs) if x == 1]
-    minus2 = [j for j, x in enumerate(c.coeffs) if x == -2]
-    minus1 = [j for j, x in enumerate(c.coeffs) if x == -1]
-    stray = [x for x in c.coeffs if x not in (0, 1, -1, -2)]
-    if stray:
-        return Other()
+    plus, minus1, minus2 = [], [], []
+    for j, x in enumerate(c.coeffs):
+        if x == -1:
+            minus1.append(j)
+        elif x == 1:
+            plus.append(j)
+        elif x == -2:
+            minus2.append(j)
+        elif x:
+            return Other()
     if len(plus) == 1 and not minus2:
         return TypeA(plus[0], frozenset(minus1))
     if len(minus2) == 1 and not plus:

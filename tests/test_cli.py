@@ -1470,6 +1470,33 @@ def test_reader_refuses_tokens_that_are_not_str(singrat3_file):
     assert cli._plain_args(["classify", None]) is None
 
 
+@pytest.mark.parametrize(
+    "argv, kind",
+    [(["nac", "FILE", "--m", 2], "int"), (["classify", None], "NoneType")],
+    ids=["int-value", "none-file"],
+)
+def test_main_refuses_tokens_that_are_not_str(capsys, singrat3_file, argv, kind):
+    # argparse indexed the int and raised TypeError; it accepted None as the
+    # file, which open() then refused with a TypeError
+    argv = [singrat3_file if token == "FILE" else token for token in argv]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"refused: command-line arguments must be strings, got {kind}\n"
+
+
+def test_main_reads_str_subclass_tokens_as_before(capsys, singrat3_file):
+    # a str subclass is a str: argparse reads it, as it did before the refusal
+    class Token(str):
+        pass
+
+    plain = ["nac", singrat3_file, "--m", "2"]
+    want = (main(plain), *capsys.readouterr())
+    assert want[0] == 0 and '"m": 2' in want[1]
+    assert cli._plain_args([Token(t) for t in plain]) is None
+    assert (main([Token(t) for t in plain]), *capsys.readouterr()) == want
+
+
 def test_plain_command_lines_never_reach_parse_args(capsys, monkeypatch, singrat3_file):
     argvs = [
         ["classify", singrat3_file],

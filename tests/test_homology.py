@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,7 +20,9 @@ from viilattice import (
     Representation,
     SMOOTH_RATIONAL,
     StructureError,
+    TypeA,
     canonical_form,
+    classify_normal_form,
     enoki_cycle_config,
     enumerate_representations,
     index_of,
@@ -837,7 +840,7 @@ def _assert_same_orbits(config):
     found = [(False, v) for v in _reference_search(config, cycles, order, covering, False)]
     if not found and len(cycles) == 1:
         found = [(True, v) for v in _reference_search(config, cycles, order, covering, True)]
-    orbits = _orbit_set(homology._search(config, cycles, order))
+    orbits = _orbit_set(homology._search(config, cycles))
     assert orbits == _orbit_set(found)
     return orbits
 
@@ -1056,3 +1059,274 @@ def test_verdicts_invariant_under_relabelling():
         shift = rng.randint(1, 50)
         moved = _relabelled(config, rng, shift)
         assert _invariants(moved, shift) == _invariants(config, 0), config
+
+
+# --- the one-sort canonicaliser and the re-verifier against their referees ----
+
+
+# the referee: homology._canonicalize as it read with ordered partition
+# refinement by Counter-based splits, two per smooth curve
+def _refinement_canonicalize(config, cycles, vectors, torsion):
+    n = config.b2
+    ordered = sorted(cycles, key=lambda rec: (-rec.length, min(rec.member_ids)))
+    supports = []
+    for rec in ordered:
+        total = map(sum, zip(*(vectors[config._position[cid]] for cid in rec.member_ids)))
+        supports.append([t for t, x in enumerate(total) if x == -1])
+    low, hi = [0] * n, n
+    for support in supports:
+        hi -= len(support)
+        for t in support:
+            low[t] = hi
+    if n - hi != len(set().union(*supports)):
+        raise DomainError("cycle class sums overlap, so no canonical form exists")
+
+    def split(picked: set[int]) -> None:
+        taken = Counter(low[t] for t in picked)
+        for t in range(n):
+            if t not in picked:
+                low[t] += taken[low[t]]
+
+    for curve, vec in zip(config.curves, vectors):
+        if curve.kind == SMOOTH_RATIONAL:
+            if vec.count(1) != 1:
+                raise DomainError(f"curve {curve.id} needs a class with one +1 entry")
+            split({vec.index(1)})
+        split({t for t, x in enumerate(vec) if x == -1})
+    inverse = sorted(range(n), key=low.__getitem__)
+    moved = [tuple(vec[t] for t in inverse) for vec in vectors]
+    key = (torsion, tuple(_class_key(c, v) for c, v in zip(config.curves, moved)))
+    twisted = {rec.member_ids[0] for rec in cycles if torsion and len(rec.member_ids) == 1}
+    classes = tuple(
+        LatticeClass(v, torsion2=c.id in twisted) for c, v in zip(config.curves, moved)
+    )
+    return key, Representation(classes, odd_ih=torsion)
+
+
+def _key_form_or_error(compute):
+    try:
+        return compute()
+    except DomainError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_sort_matches_refinement(config, rng):
+    """Every raw solution of the search, under a random basis renumbering,
+    gets the same (key, form) from the sort and from the refinement; returns
+    the number of solutions compared."""
+    cycles = find_cycles(config)
+    found = list(homology._search(config, cycles))
+    for torsion, vectors in found:
+        perm = list(range(config.b2))
+        rng.shuffle(perm)
+        for moved in (vectors, _relabel_basis(vectors, perm)):
+            args = (config, cycles, moved, torsion)
+            assert homology._canonicalize(*args) == _refinement_canonicalize(*args)
+    return len(found)
+
+
+_REFEREE_FAMILIES = [config for config, _ in PINNED] + _RANK_SIX_FAMILIES
+_REFEREE_FAMILIES += [enoki_cycle_config(n, e) for n in (7, 8) for e in (False, True)]
+_REFEREE_FAMILIES += [singrat_config(n, n - 1) for n in (7, 8)] + [_ring(7, -3), _ring(8, -3)]
+
+
+def _referee_corpus(rng, copies=2):
+    """The families above, each with relabelled copies, and law-meeting
+    configurations of rank at most 8, each with a relabelled copy."""
+    configs = []
+    for config in _REFEREE_FAMILIES:
+        configs += [config] + [_relabelled(config, rng, rng.randint(1, 50)) for _ in range(copies)]
+    for _ in range(60):
+        config = _law_meeting_config(rng)
+        configs += [config, _relabelled(config, rng, rng.randint(1, 50))]
+    return configs
+
+
+def test_sort_matches_refinement_on_the_pinned_corpora():
+    rng = random.Random(20)
+    compared = sum(_assert_sort_matches_refinement(c, rng) for c in _referee_corpus(rng))
+    assert compared > 250
+
+
+@settings(max_examples=150)
+@given(
+    st.one_of(
+        small_cycle_configs(max_b2=8),
+        st.randoms(use_true_random=False).map(_law_meeting_config),
+    ),
+    st.randoms(use_true_random=False),
+    st.integers(0, 50),
+)
+def test_sort_matches_refinement_on_random_cycles_with_trees(config, rng, shift):
+    for candidate in (config, _relabelled(config, rng, shift)):
+        _assert_sort_matches_refinement(candidate, rng)
+
+
+def _stray_representations(config, rep):
+    """rep with one coefficient set to -2, +1 or 2, for each class and index;
+    the +1 lands on nodal and elliptic classes too."""
+    for i, klass in enumerate(rep.classes):
+        for t in range(config.b2):
+            for value in (-2, 1, 2):
+                if klass.coeffs[t] != value:
+                    coeffs = list(klass.coeffs)
+                    coeffs[t] = value
+                    classes = list(rep.classes)
+                    classes[i] = LatticeClass(tuple(coeffs), klass.torsion2)
+                    yield config.curves[i].kind, Representation(tuple(classes), rep.odd_ih)
+
+
+def test_sort_matches_refinement_on_stray_entries_through_canonical_form():
+    outcomes = set()
+    for config in (
+        enoki_cycle_config(3, True),
+        enoki_cycle_config(4, False),
+        singrat_config(4, 3),
+        singrat_config(3, 0),
+        _ring(4, -3),
+        triangle_config(),
+    ):
+        cycles = find_cycles(config)
+        for rep in enumerate_representations(config):
+            for kind, stray in _stray_representations(config, rep):
+                got = _key_form_or_error(lambda: canonical_form(config, stray))
+                want = _key_form_or_error(
+                    lambda: _refinement_canonicalize(
+                        config, cycles, [c.coeffs for c in stray.classes], stray.odd_ih
+                    )[1]
+                )
+                assert got == want
+                if isinstance(got, Representation):
+                    outcomes.add(kind)
+                else:
+                    outcomes.add("overlap" if "overlap" in got[1] else "no single +1")
+    # each kind of curve takes a stray entry that still has a form, and both
+    # refusals occur
+    assert outcomes == {SMOOTH_RATIONAL, NODAL_RATIONAL, ELLIPTIC, "overlap", "no single +1"}
+
+
+# the referee: verify_representation as it read with generator products,
+# config.mult and a pass over every triple of blowup sets
+def _reference_verify(config, rep):
+    curves_module.require_valid(config)
+    n = config.b2
+    vectors = homology._vectors(config, rep)
+    results = []
+    ids = [c.id for c in config.curves]
+
+    mismatches = []
+    for i in range(len(ids)):
+        if -sum(x * x for x in vectors[i]) != config.curve(ids[i]).self_int:
+            mismatches.append(f"square of {ids[i]}")
+        for j in range(i + 1, len(ids)):
+            got = -sum(x * y for x, y in zip(vectors[i], vectors[j]))
+            if got != config.mult(ids[i], ids[j]):
+                mismatches.append(f"product {ids[i]}.{ids[j]} = {got}")
+    results.append(_result("pairwise-products", mismatches, "all squares and products match"))
+
+    problems = []
+    bases = []
+    blow_sets = []
+    for cid, klass in zip(ids, rep.classes):
+        if config.curve(cid).kind != SMOOTH_RATIONAL:
+            continue
+        form = classify_normal_form(klass)
+        if not isinstance(form, TypeA):
+            problems.append(f"curve {cid} does not carry an exceptional-curve pattern")
+            continue
+        bases.append(form.base)
+        blow_sets.append(form.blowups)
+    if len(set(bases)) != len(bases):
+        problems.append("two smooth curves share a +1 position")
+    for s, t in itertools.combinations(blow_sets, 2):
+        if len(s & t) > 1:
+            problems.append("two blowup sets share more than one index")
+    for a, b, c in itertools.combinations(blow_sets, 3):
+        if a & b & c:
+            problems.append("a basis index appears in three blowup sets")
+    results.append(_result("exceptional-multiplicities", sorted(set(problems))))
+
+    cycles = find_cycles(config)
+    sum_issues = []
+    law_issues = []
+    supports = []
+    for rec in cycles:
+        total = [0] * n
+        for cid in rec.member_ids:
+            for t, x in enumerate(vectors[config._position[cid]]):
+                total[t] += x
+        zeros = sum(1 for x in total if x == 0)
+        if any(x not in (0, -1) for x in total):
+            sum_issues.append(f"cycle {rec.member_ids}: sum has entries outside 0/-1")
+        elif zeros != (0 if rep.odd_ih else rec.length):
+            sum_issues.append(
+                f"cycle {rec.member_ids}: {zeros} zero entries, expected "
+                f"{0 if rep.odd_ih else rec.length}"
+            )
+        supports.append(frozenset(t for t, x in enumerate(total) if x == -1))
+        square = -sum(x * x for x in total)
+        want = (2 if rep.odd_ih else 1) * n
+        if rec.length - square != want:
+            law_issues.append(
+                f"cycle {rec.member_ids}: #C - C^2 = {rec.length - square}, expected {want}"
+            )
+    for a, b in itertools.combinations(supports, 2):
+        if a & b:
+            sum_issues.append("two cycle supports overlap")
+    results.append(_result("cycle-class-sums", sum_issues))
+
+    if cycles and config.curves and config.elimination[0] == DEFINITE:
+        touched = {t for vec in vectors for t, x in enumerate(vec) if x}
+        missing = sorted(set(range(n)) - touched)
+        issues = [f"missing indices {missing}"] if missing else []
+        results.append(_result("basis-covering", issues, "all basis indices are met"))
+    else:
+        fine = "not applicable: the form is degenerate or there is no cycle"
+        results.append(_result("basis-covering", [], fine))
+
+    results.append(_result("cycle-count-square-law", law_issues))
+    return homology.VerificationReport(tuple(results))
+
+
+def _result(name, issues, fine="ok"):
+    return homology.ConstraintResult(name, not issues, "; ".join(issues) if issues else fine)
+
+
+def _perturbed(rep, rng):
+    """rep with one coefficient of one class moved by -2, -1, +1 or +2."""
+    i = rng.randrange(len(rep.classes))
+    klass = rep.classes[i]
+    coeffs = list(klass.coeffs)
+    coeffs[rng.randrange(len(coeffs))] += rng.choice((-2, -1, 1, 2))
+    classes = list(rep.classes)
+    classes[i] = LatticeClass(tuple(coeffs), klass.torsion2)
+    return Representation(tuple(classes), rep.odd_ih)
+
+
+def test_verification_matches_the_reference_verifier():
+    rng = random.Random(21)
+    failed = set()
+    # the hand-made breaches of the three-set and the shared-pair rules
+    three = ((0, -1, -1, -1), (-1, 1, -1, 0), (-1, 0, 1, -1), (-1, -1, 0, 1))
+    pair = ((1, -1, -1, -1), (-1, 1, 0, 0), (-1, -1, 1, -1))
+    pairs = [
+        (config, Representation(tuple(map(LatticeClass, classes))))
+        for config, classes in ((three_blowup_config(), three), (shared_pair_config(), pair))
+    ]
+    enumerated = 0
+    for config in _referee_corpus(rng, copies=1):
+        for rep in enumerate_representations(config):
+            enumerated += 1
+            pairs += [(config, rep)] + [(config, _perturbed(rep, rng)) for _ in range(3)]
+    for config, rep in pairs:
+        report = verify_representation(config, rep)
+        assert report == _reference_verify(config, rep)
+        failed |= {r.name for r in report.results if not r.ok}
+    assert enumerated > 150
+    assert failed == {
+        "pairwise-products",
+        "exceptional-multiplicities",
+        "cycle-class-sums",
+        "basis-covering",
+        "cycle-count-square-law",
+    }

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,35 @@ def test_rank_mismatch_raises():
 def test_rank_zero_rejected():
     with pytest.raises(DomainError):
         LatticeClass(())
+    with pytest.raises(DomainError):
+        LatticeClass([])
+
+
+class _Int(int):
+    pass
+
+
+class _Tuple(tuple):
+    pass
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize("spot", [0, 2], ids=["first", "last"])
+@pytest.mark.parametrize("box", [tuple, list, _Tuple], ids=["tuple", "list", "tuple-subclass"])
+def test_class_refuses_a_stray_coefficient_in_any_container(bad, spot, box):
+    coeffs = [0, -1, 1]
+    coeffs[spot] = bad
+    with pytest.raises(DomainError, match="integers"):
+        LatticeClass(box(coeffs))
+
+
+def test_class_keeps_or_converts_its_coefficients_to_a_tuple_of_ints():
+    exact = (1, -1, 0)
+    assert LatticeClass(exact).coeffs is exact
+    for raw in ([1, -1, 0], _Tuple(exact), (_Int(1), -1, 0), iter(exact)):
+        coeffs = LatticeClass(raw).coeffs
+        assert coeffs == exact and type(coeffs) is tuple
+        assert all(type(x) is int for x in coeffs)
 
 
 def test_torsion_adds_mod_two():
@@ -176,6 +206,38 @@ def test_lone_negative_basis_vector_is_a_tail_only_at_the_end():
     assert classify_normal_form(LatticeClass((0, -1, 0, 0))) == Other()
     assert classify_normal_form(LatticeClass((0, 0, -1, -1))) == FullCycle(2)
     assert classify_normal_form(LatticeClass((-1, 0, 0, -1))) == Other()
+
+
+def _four_pass_normal_form(c: LatticeClass):
+    """classify_normal_form as it read with one comprehension per entry kind,
+    the referee of the one-pass reading."""
+    n = c.rank
+    plus = [j for j, x in enumerate(c.coeffs) if x == 1]
+    minus2 = [j for j, x in enumerate(c.coeffs) if x == -2]
+    minus1 = [j for j, x in enumerate(c.coeffs) if x == -1]
+    stray = [x for x in c.coeffs if x not in (0, 1, -1, -2)]
+    if stray:
+        return Other()
+    if len(plus) == 1 and not minus2:
+        return TypeA(plus[0], frozenset(minus1))
+    if len(minus2) == 1 and not plus:
+        return TypeB(minus2[0], frozenset(minus1))
+    if not plus and not minus2:
+        start = n - len(minus1)
+        if minus1 == list(range(start, n)):
+            return FullCycle(start)
+    return Other()
+
+
+def test_one_pass_normal_form_matches_the_four_pass_referee():
+    seen = set()
+    for n in range(1, 5):
+        for coeffs in itertools.product(range(-3, 3), repeat=n):
+            klass = LatticeClass(coeffs)
+            form = classify_normal_form(klass)
+            assert form == _four_pass_normal_form(klass), coeffs
+            seen.add(type(form))
+    assert seen == {TypeA, TypeB, FullCycle, Other}
 
 
 def test_patterns_are_mutually_exclusive():
