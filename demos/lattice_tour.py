@@ -1,9 +1,15 @@
 """Tour of the rank-n lattice primitives.
 
 Everything downstream (curve assignments, cycle sums, the enumerator)
-reduces to the handful of operations shown here: the anti-diagonal pairing
-on the basis classes, the canonical class, and the four normal forms a
-curve class can take.
+reduces to the handful of operations shown here.  In rank 4 the tour
+prints, in order: the pairing L_i . L_j = -delta_ij on two basis classes
+written as coefficient literals; the canonical class K and its square
+-b2; one class of each normal form (exceptional, doubled base, full
+cycle, a lone -L3) with its square, its degree against K, its arithmetic
+genus from adjunction and what ``classify_normal_form`` makes of it; a
+round trip from a TypeA form through ``type_a_class`` and back; how the
+order-2 twist adds modulo 2 and stays out of the pairing; and the zero
+class as the cycle that starts at n.
 """
 
 from viilattice import (
@@ -11,14 +17,10 @@ from viilattice import (
     LatticeClass,
     TypeA,
     add,
-    basis_class,
     canonical_class,
-    class_geometry,
     classify_normal_form,
     full_cycle_class,
     intersect,
-    negate,
-    realize_normal_form,
     type_a_class,
     type_b_class,
 )
@@ -28,14 +30,16 @@ N = 4
 
 def show(label, c):
     form = classify_normal_form(c)
-    geo = class_geometry(c, N)
-    print(f"  {label:14s} coeffs={c.coeffs}  square={geo.self_int}  "
-          f"k_degree={geo.k_degree}  genus={geo.arithmetic_genus}  -> {form}")
+    square = intersect(c, c)
+    k_degree = intersect(canonical_class(N), c)
+    genus = (square + k_degree) // 2 + 1  # adjunction: 2g - 2 = c.c + K.c
+    print(f"  {label:14s} coeffs={c.coeffs}  square={square}  "
+          f"k_degree={k_degree}  genus={genus}  -> {form}")
 
 
 def main():
     print(f"basis pairing in rank {N} (L_i . L_j = -delta_ij):")
-    l0, l1 = basis_class(N, 0), basis_class(N, 1)
+    l0, l1 = LatticeClass((1, 0, 0, 0)), LatticeClass((0, 1, 0, 0))
     print(f"  L0.L0 = {intersect(l0, l0)},  L0.L1 = {intersect(l0, l1)}")
 
     k = canonical_class(N)
@@ -49,7 +53,7 @@ def main():
 
     print("\nround trip through the classifier:")
     form = TypeA(base=1, blowups=frozenset({0, 2}))
-    c = realize_normal_form(form, N)
+    c = type_a_class(N, form.base, form.blowups)
     print(f"  {form} -> {c.coeffs} -> {classify_normal_form(c)}")
 
     print("\nthe order-2 twist rides along additively and is invisible "
@@ -58,7 +62,7 @@ def main():
     u = full_cycle_class(N, 2)
     print(f"  twisted:   {t.coeffs}, torsion2={t.torsion2}")
     print(f"  t + t:     torsion2={add(t, t).torsion2}  (twists cancel mod 2)")
-    print(f"  -t:        torsion2={negate(t).torsion2}  (negation preserves it)")
+    print(f"  t + u:     torsion2={add(t, u).torsion2}  (one twist survives)")
     print(f"  t.u = {intersect(t, u)} either way")
 
     print("\na start index of n encodes the zero class:")

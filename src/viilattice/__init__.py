@@ -77,7 +77,6 @@ from .homology import (
     verify_representation,
 )
 from .lattice import (
-    ClassGeometry,
     FullCycle,
     LatticeClass,
     NormalForm,
@@ -85,17 +84,12 @@ from .lattice import (
     TypeA,
     TypeB,
     add,
-    basis_class,
     canonical_class,
-    class_geometry,
     classify_normal_form,
     full_cycle_class,
     intersect,
-    negate,
-    realize_normal_form,
     type_a_class,
     type_b_class,
-    zero_class,
 )
 from .linalg import determinant, leading_principal_minors, solve_exact
 from .nac import (

@@ -51,13 +51,11 @@ class ExactComplex:
     def __pow__(self, k: int) -> "ExactComplex":
         if k < 0:
             raise ValueError("negative powers are not needed here")
-        out = ExactComplex(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
+        out = self if k else ExactComplex(1)
+        for bit in bin(k)[3:]:  # square and multiply, from the second bit down
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def reciprocal(self) -> "ExactComplex":
@@ -93,9 +91,11 @@ def _lift(x: Number) -> ExactComplex:
     )
 
 
-def _refuse_unprintable(s: ExactComplex, p, q) -> None:
-    """Refuse s * (b^k - c^j), for p = (b, k) and q = (c, j), before computing
-    it when it could not be printed within the interpreter's int/str limit.
+def _resonance(s: ExactComplex, p, q, formula: str) -> Condition:
+    """The "resonance" condition s * (b^k - c^j) = 0, for p = (b, k) and
+    q = (c, j); its detail reads ``formula`` = the term.  The term is refused
+    with DomainError before it is computed when it could not be printed
+    within the interpreter's int/str limit.
 
     The height H(z) = N(denominator ideal) * max(1, |z|^2) on Q(i) has
     H(z^k) = H(z)^k, H(1/z) = H(z), H(zw) <= H(z)H(w) and H(z + w) <=
@@ -108,15 +108,17 @@ def _refuse_unprintable(s: ExactComplex, p, q) -> None:
     of 10.
     """
     limit = sys.get_int_max_str_digits()
-    if not limit or s.is_zero():
-        return
-    budget = 5 + 6 * limit * Fraction(math.log2(10)) + _log2_height(s, upper=True)
-    for (b, k), (c, j) in ((p, q), (q, p)):
-        if k * _log2_height(b, upper=False) > budget + j * _log2_height(c, upper=True):
-            raise DomainError(
-                f"the resonance term would have more than {limit} digits, "
-                "beyond the interpreter's int/str limit"
-            )
+    if limit and not s.is_zero():
+        budget = 5 + 6 * limit * Fraction(math.log2(10)) + _log2_height(s, upper=True)
+        for (b, k), (c, j) in ((p, q), (q, p)):
+            if k * _log2_height(b, upper=False) > budget + j * _log2_height(c, upper=True):
+                raise DomainError(
+                    f"the resonance term would have more than {limit} digits, "
+                    "beyond the interpreter's int/str limit"
+                )
+    (b, k), (c, j) = p, q
+    obstruction = (b**k - c**j) * s
+    return Condition("resonance", obstruction.is_zero(), f"{formula} = {obstruction}")
 
 
 def _log2_height(x: ExactComplex, upper: bool) -> Fraction:
@@ -157,9 +159,12 @@ class GermVerdict:
         raise KeyError(name)
 
 
-def _require_int(value, name: str) -> None:
+def _require_count(value, name: str) -> None:
+    """DomainError unless value is an int (a bool is not) of at least 1."""
     if type(value) is not int:
         raise DomainError(f"{name} must be an int, got {type(value).__name__}")
+    if value < 1:
+        raise DomainError(f"{name} must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -172,9 +177,7 @@ class HopfGermStrong:
     m: int
 
     def __post_init__(self):
-        _require_int(self.m, "the twisting degree m")
-        if self.m < 1:
-            raise DomainError("the twisting degree m must be at least 1")
+        _require_count(self.m, "the twisting degree m")
 
 
 @dataclass(frozen=True)
@@ -187,9 +190,7 @@ class HopfGermPrimary:
     m: int
 
     def __post_init__(self):
-        _require_int(self.m, "the twisting degree m")
-        if self.m < 1:
-            raise DomainError("the twisting degree m must be at least 1")
+        _require_count(self.m, "the twisting degree m")
 
 
 @dataclass(frozen=True)
@@ -205,9 +206,7 @@ class EnokiGerm:
     a_coeffs: tuple[Number, ...] = ()
 
     def __post_init__(self):
-        _require_int(self.n, "the cycle length n")
-        if self.n < 1:
-            raise DomainError("the cycle length n must be at least 1")
+        _require_count(self.n, "the cycle length n")
         object.__setattr__(self, "a_coeffs", tuple(self.a_coeffs))
 
 
@@ -228,24 +227,14 @@ def validate_strong(germ: HopfGermStrong) -> GermVerdict:
             t2 < a2 < 1,
             f"need |a|^2 < |alpha|^2 < 1, got {t2}, {a2}",
         ),
-    ]
-    _refuse_unprintable(s, (a, germ.m), (alpha, germ.m + 1))
-    obstruction = (a**germ.m - alpha ** (germ.m + 1)) * s
-    conditions.append(
-        Condition(
-            "resonance",
-            obstruction.is_zero(),
-            f"(a^m - alpha^(m+1)) * s = {obstruction}",
-        )
-    )
-    conditions.append(
+        _resonance(s, (a, germ.m), (alpha, germ.m + 1), "(a^m - alpha^(m+1)) * s"),
         Condition(
             "a-real-positive",
             a.im == 0 and a.re > 0,
             f"a = {a}; reported only, not part of the verdict",
             gating=False,
-        )
-    )
+        ),
+    ]
     valid = all(c.ok for c in conditions if c.gating)
     return GermVerdict(valid, tuple(conditions))
 
@@ -261,16 +250,8 @@ def validate_primary(germ: HopfGermPrimary) -> GermVerdict:
             m1 <= m2 < 1,
             f"need |alpha1|^2 <= |alpha2|^2 < 1, got {m1}, {m2}",
         ),
+        _resonance(s, (alpha2, germ.m), (alpha1, 1), "(alpha2^m - alpha1) * s"),
     ]
-    _refuse_unprintable(s, (alpha2, germ.m), (alpha1, 1))
-    obstruction = (alpha2**germ.m - alpha1) * s
-    conditions.append(
-        Condition(
-            "resonance",
-            obstruction.is_zero(),
-            f"(alpha2^m - alpha1) * s = {obstruction}",
-        )
-    )
     valid = all(c.ok for c in conditions if c.gating)
     det = alpha1 * alpha2
     invariants = [("trace", str(alpha1 + alpha2)), ("determinant", str(det))]

@@ -30,8 +30,7 @@ All indices are 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import Union
 
 from .curves import _ints, _is_int
 from .errors import DimensionMismatch, DomainError
@@ -58,22 +57,10 @@ class LatticeClass:
         return len(self.coeffs)
 
 
-def basis_class(n: int, i: int) -> LatticeClass:
-    """The exceptional class L_i in rank n."""
-    _check_rank(n)
-    _check_index("basis index", i, n - 1)
-    return LatticeClass(tuple(1 if j == i else 0 for j in range(n)))
-
-
 def canonical_class(n: int) -> LatticeClass:
     """The canonical class: every coefficient 1, square -n."""
     _check_rank(n)
     return LatticeClass((1,) * n)
-
-
-def zero_class(n: int) -> LatticeClass:
-    _check_rank(n)
-    return LatticeClass((0,) * n)
 
 
 def intersect(a: LatticeClass, b: LatticeClass) -> int:
@@ -96,10 +83,6 @@ def add(a: LatticeClass, b: LatticeClass) -> LatticeClass:
         tuple(x + y for x, y in zip(a.coeffs, b.coeffs)),
         torsion2=a.torsion2 != b.torsion2,
     )
-
-
-def negate(a: LatticeClass) -> LatticeClass:
-    return LatticeClass(tuple(-x for x in a.coeffs), torsion2=a.torsion2)
 
 
 # --- normal forms ---------------------------------------------------------
@@ -137,21 +120,11 @@ NormalForm = Union[TypeA, TypeB, FullCycle, Other]
 
 
 def type_a_class(n: int, base: int, blowups, torsion2: bool = False) -> LatticeClass:
-    members = _index_set(n, base, blowups)
-    coeffs = [0] * n
-    coeffs[base] = 1
-    for j in members:
-        coeffs[j] = -1
-    return LatticeClass(tuple(coeffs), torsion2=torsion2)
+    return _base_minus_blowups(n, base, 1, blowups, torsion2)
 
 
 def type_b_class(n: int, base: int, blowups) -> LatticeClass:
-    members = _index_set(n, base, blowups)
-    coeffs = [0] * n
-    coeffs[base] = -2
-    for j in members:
-        coeffs[j] = -1
-    return LatticeClass(tuple(coeffs))
+    return _base_minus_blowups(n, base, -2, blowups)
 
 
 def full_cycle_class(n: int, start: int, torsion2: bool = False) -> LatticeClass:
@@ -160,17 +133,6 @@ def full_cycle_class(n: int, start: int, torsion2: bool = False) -> LatticeClass
     return LatticeClass(
         tuple(-1 if j >= start else 0 for j in range(n)), torsion2=torsion2
     )
-
-
-def realize_normal_form(form: NormalForm, n: int) -> LatticeClass:
-    """Rebuild the class a normal form describes (inverse of classification)."""
-    if isinstance(form, TypeA):
-        return type_a_class(n, form.base, form.blowups)
-    if isinstance(form, TypeB):
-        return type_b_class(n, form.base, form.blowups)
-    if isinstance(form, FullCycle):
-        return full_cycle_class(n, form.start)
-    raise DomainError("the Other form does not determine a class")
 
 
 def classify_normal_form(c: LatticeClass) -> NormalForm:
@@ -203,25 +165,6 @@ def classify_normal_form(c: LatticeClass) -> NormalForm:
     return Other()
 
 
-class ClassGeometry(NamedTuple):
-    self_int: int
-    k_degree: int
-    arithmetic_genus: Fraction
-
-
-def class_geometry(c: LatticeClass, n: int) -> ClassGeometry:
-    """Self-intersection, degree against K, and arithmetic genus of a class.
-
-    The genus comes from adjunction: 2g - 2 = c.c + K.c.
-    """
-    if c.rank != n:
-        raise DimensionMismatch(f"class has rank {c.rank}, expected {n}")
-    self_int = intersect(c, c)
-    k_degree = intersect(canonical_class(n), c)
-    genus = Fraction(k_degree + self_int, 2) + 1
-    return ClassGeometry(self_int, k_degree, genus)
-
-
 def _check_rank(n: int) -> None:
     if not _is_int(n):
         raise DomainError(f"lattice rank must be an integer, got {n!r}")
@@ -237,14 +180,20 @@ def _check_index(what: str, i: int, high: int) -> None:
         raise DomainError(f"{what} {i} outside [0, {high}]")
 
 
-def _index_set(n: int, base: int, blowups) -> frozenset[int]:
+def _base_minus_blowups(
+    n: int, base: int, lead: int, blowups, torsion2: bool = False
+) -> LatticeClass:
+    """lead * L_base - sum(L_j for j in blowups): the TypeA and TypeB classes."""
     _check_rank(n)
     _check_index("base index", base, n - 1)
-    # each index is checked before the set is built: a set would merge 1.0 into 1
+    # every index is checked before the base is looked up: 1.0 would match base 1
     indices = list(blowups)
     for j in indices:
         _check_index("blowup index", j, n - 1)
-    members = frozenset(indices)
-    if base in members:
+    if base in indices:
         raise DomainError(f"base index {base} cannot be one of its own blowups")
-    return members
+    coeffs = [0] * n
+    coeffs[base] = lead
+    for j in indices:
+        coeffs[j] = -1
+    return LatticeClass(tuple(coeffs), torsion2=torsion2)

@@ -161,6 +161,12 @@ def _naive_candidates(n: int, curve: Curve) -> list[tuple[int, ...]]:
     return out
 
 
+def _divisor_square(coeffs, matrix) -> Fraction:
+    """k^T M k: the self-intersection of the divisor with coefficients k."""
+    size = len(matrix)
+    return sum(coeffs[i] * matrix[i][j] * coeffs[j] for i in range(size) for j in range(size))
+
+
 def _rep_fingerprint(rep: Representation):
     return (rep.odd_ih,) + tuple(c.coeffs for c in rep.classes)
 
@@ -343,12 +349,7 @@ def _suite_worked_instance(seed: int) -> tuple[int, str]:
         failures.append("m=2 coefficients")
     for m, sol in ((1, sol1), (2, sol2)):
         if isinstance(sol, NacSolution):
-            square = sum(
-                sol.coeffs[i] * matrix[i][j] * sol.coeffs[j]
-                for i in range(3)
-                for j in range(3)
-            )
-            if square != -m * m * 3:
+            if _divisor_square(sol.coeffs, matrix) != -m * m * 3:
                 failures.append(f"square at m={m}")
     if failures:
         raise _SuiteFailed(8, "failed: " + ", ".join(failures))
@@ -361,7 +362,6 @@ def _suite_random_nac(seed: int) -> tuple[int, str]:
     accepted = 0
     for config in _nac_suite_configs(rng, 1000):
         matrix = intersection_matrix(config)
-        size = len(matrix)
         for m in (1, 2):
             sol = solve_nac(config, m)
             if isinstance(sol, NoSolution):
@@ -369,11 +369,7 @@ def _suite_random_nac(seed: int) -> tuple[int, str]:
                     raise _SuiteFailed(checks, "empty reason")
                 continue
             accepted += 1
-            square = sum(
-                sol.coeffs[i] * matrix[i][j] * sol.coeffs[j]
-                for i in range(size)
-                for j in range(size)
-            )
+            square = _divisor_square(sol.coeffs, matrix)
             if square != -m * m * config.b2:
                 raise _SuiteFailed(
                     checks, f"accepted divisor square {square} != {-m * m * config.b2}"
@@ -411,8 +407,6 @@ def _suite_p0_impossibility(seed: int) -> tuple[int, str]:
 def _suite_enumerator_oracle(seed: int) -> tuple[int, str]:
     checks = 0
     for name, config in representation_fixtures():
-        if config.b2 > 4:
-            continue
         mine = enumerate_representations(config)
         naive = brute_force_representations(config)
         if sorted(_rep_fingerprint(r) for r in mine) != sorted(
@@ -438,8 +432,6 @@ def _suite_enumerator_oracle(seed: int) -> tuple[int, str]:
 def _suite_sharp_c_b2(seed: int) -> tuple[int, str]:
     checks = 0
     for name, config in representation_fixtures():
-        if config.b2 > 4:
-            continue
         reps = enumerate_representations(config)
         if not reps:
             raise _SuiteFailed(checks, f"no representation on {name}")

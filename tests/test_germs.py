@@ -39,6 +39,10 @@ def test_exact_complex_arithmetic():
     )
     assert b**0 == ExactComplex(1)
     assert b**3 == b * b * b
+    power = ExactComplex(1)
+    for k in range(40):
+        assert a**k == power, k
+        power = power * a
     assert (a * a.reciprocal()) == ExactComplex(1)
     assert ExactComplex(0, 0).is_zero()
     assert not a.is_zero()

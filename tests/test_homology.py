@@ -35,7 +35,11 @@ from viilattice import curves as curves_module
 from viilattice import homology
 from viilattice.curves import DEFINITE, find_cycles
 from viilattice.homology import _class_key
-from viilattice.selftest import _naive_candidates, brute_force_representations
+from viilattice.selftest import (
+    _naive_candidates,
+    brute_force_representations,
+    representation_fixtures,
+)
 
 
 def coeff_table(rep):
@@ -538,6 +542,12 @@ def test_enumeration_matches_unpruned_oracle(config):
     assert sorted(_fingerprints(enumerate_representations(config))) == sorted(
         _fingerprints(brute_force_representations(config))
     )
+
+
+def test_selftest_fixtures_stay_within_the_unpruned_oracle_rank():
+    # the selftest runs every fixture through the unpruned product search and
+    # reports that it covers "every rank <= 4 fixture", with no rank filter
+    assert all(config.b2 <= 4 for _, config in representation_fixtures())
 
 
 # --- canonicalisation by refinement against the permutation oracle ------------

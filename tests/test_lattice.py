@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from viilattice import (
-    ClassGeometry,
     DimensionMismatch,
     DomainError,
     FullCycle,
@@ -15,25 +14,25 @@ from viilattice import (
     TypeA,
     TypeB,
     add,
-    basis_class,
     canonical_class,
-    class_geometry,
     classify_normal_form,
     full_cycle_class,
     intersect,
-    negate,
-    realize_normal_form,
     type_a_class,
     type_b_class,
-    zero_class,
 )
+
+
+def _basis(n: int, i: int) -> LatticeClass:
+    """The exceptional class L_i in rank n, written out."""
+    return LatticeClass(tuple(1 if j == i else 0 for j in range(n)))
 
 
 def test_basis_pairing():
     n = 5
     for i in range(n):
         for j in range(n):
-            got = intersect(basis_class(n, i), basis_class(n, j))
+            got = intersect(_basis(n, i), _basis(n, j))
             assert got == (-1 if i == j else 0)
 
 
@@ -47,11 +46,12 @@ def test_class_refuses_non_integer_coefficients(bad):
         LatticeClass((bad, -1))
 
 
+# L_i is the TypeA class with no blowups, and the zero class the empty cycle
 CONSTRUCTOR_SLOTS = {
-    "basis-rank": lambda v: basis_class(v, 0),
-    "basis-index": lambda v: basis_class(3, v),
+    "basis-rank": lambda v: type_a_class(v, 0, ()),
+    "basis-index": lambda v: type_a_class(3, v, ()),
     "canonical-rank": canonical_class,
-    "zero-rank": zero_class,
+    "zero-rank": lambda v: full_cycle_class(v, v),
     "cycle-rank": lambda v: full_cycle_class(v, 0),
     "cycle-start": lambda v: full_cycle_class(3, v),
     "type-a-rank": lambda v: type_a_class(v, 0, []),
@@ -68,7 +68,7 @@ CONSTRUCTOR_SLOTS = {
     "bad", [1.0, Fraction(3, 2), "1", True], ids=["float", "fraction", "str", "bool"]
 )
 def test_constructors_refuse_non_integer_ranks_and_indices(slot, bad):
-    # basis_class(3, 1.5) used to return the zero class and
+    # L_i built at index 1.5 used to come out as the zero class and
     # type_b_class(3, 0, ["2"]) a class with L_2 as a blowup
     build = CONSTRUCTOR_SLOTS[slot]
     assert isinstance(build(1), LatticeClass)
@@ -81,14 +81,14 @@ def test_canonical_square_and_degrees():
         k = canonical_class(n)
         assert intersect(k, k) == -n
         for i in range(n):
-            assert intersect(k, basis_class(n, i)) == -1
+            assert intersect(k, _basis(n, i)) == -1
 
 
 def test_rank_mismatch_raises():
     with pytest.raises(DimensionMismatch):
-        intersect(zero_class(2), zero_class(3))
+        intersect(LatticeClass((0, 0)), LatticeClass((0, 0, 0)))
     with pytest.raises(DimensionMismatch):
-        add(zero_class(2), zero_class(3))
+        add(LatticeClass((0, 0)), LatticeClass((0, 0, 0)))
 
 
 def test_rank_zero_rejected():
@@ -129,10 +129,9 @@ def test_torsion_adds_mod_two():
     a = LatticeClass((1, 0), torsion2=True)
     b = LatticeClass((0, 1), torsion2=True)
     assert add(a, b).torsion2 is False
-    # order-2: negation preserves the twist, so a - b is untwisted too
-    assert negate(b).torsion2 is True
-    assert add(a, negate(b)).torsion2 is False
-    assert add(a, zero_class(2)).torsion2 is True
+    # order-2: -b carries the twist of b, so a - b is untwisted too
+    assert add(a, LatticeClass((0, -1), torsion2=True)).torsion2 is False
+    assert add(a, LatticeClass((0, 0))).torsion2 is True
     # the twist never shows up in intersection numbers
     assert intersect(a, b) == intersect(LatticeClass((1, 0)), LatticeClass((0, 1)))
 
@@ -171,6 +170,11 @@ def test_square_minus_one_means_exceptional(data):
 
 def test_normal_form_realize_and_classify_roundtrip():
     n = 6
+    build = {
+        TypeA: lambda f: type_a_class(n, f.base, f.blowups),
+        TypeB: lambda f: type_b_class(n, f.base, f.blowups),
+        FullCycle: lambda f: full_cycle_class(n, f.start),
+    }
     cases = [
         TypeA(2, frozenset({0, 4})),
         TypeA(0, frozenset()),
@@ -181,7 +185,7 @@ def test_normal_form_realize_and_classify_roundtrip():
         FullCycle(n),  # zero class
     ]
     for form in cases:
-        c = realize_normal_form(form, n)
+        c = build[type(form)](form)
         assert classify_normal_form(c) == form
 
 
@@ -193,10 +197,11 @@ def test_type_a_classify_roundtrip(data):
     blowups = frozenset(data.draw(st.sets(st.sampled_from(rest))))
     c = type_a_class(n, base, blowups)
     assert classify_normal_form(c) == TypeA(base, blowups)
-    geom = class_geometry(c, n)
-    assert geom.self_int == -1 - len(blowups)
-    assert geom.k_degree == -1 + len(blowups)
-    assert geom.arithmetic_genus == 0
+    self_int, k_degree = intersect(c, c), intersect(canonical_class(n), c)
+    assert self_int == -1 - len(blowups)
+    assert k_degree == -1 + len(blowups)
+    # adjunction, 2g - 2 = c.c + K.c: a smooth rational curve
+    assert self_int + k_degree == -2
 
 
 def test_lone_negative_basis_vector_is_a_tail_only_at_the_end():
@@ -246,7 +251,7 @@ def test_patterns_are_mutually_exclusive():
     assert classify_normal_form(LatticeClass((-2, 0, 0))) == TypeB(0, frozenset())
     assert classify_normal_form(LatticeClass((-2, -2, 0))) == Other()
     assert classify_normal_form(LatticeClass((1, 1, 0))) == Other()
-    assert classify_normal_form(zero_class(n)) == FullCycle(n)
+    assert classify_normal_form(LatticeClass((0,) * n)) == FullCycle(n)
 
 
 def test_full_cycle_geometry():
@@ -254,25 +259,21 @@ def test_full_cycle_geometry():
     n = 5
     for start in range(n + 1):
         c = full_cycle_class(n, start)
-        geom = class_geometry(c, n)
-        assert geom.self_int == -(n - start)
-        assert geom.k_degree == n - start
-        assert geom.arithmetic_genus == 1
+        self_int, k_degree = intersect(c, c), intersect(canonical_class(n), c)
+        assert self_int == -(n - start)
+        assert k_degree == n - start
+        # adjunction, 2g - 2 = c.c + K.c: genus 1
+        assert self_int + k_degree == 0
 
 
 def test_type_b_geometry():
     n = 4
     c = type_b_class(n, 0, {1, 2})
-    geom = class_geometry(c, n)
-    assert geom.self_int == -6
-    assert geom.k_degree == 4
-    assert geom.arithmetic_genus == 0
-
-
-def test_class_geometry_returns_exact_genus():
-    geom = class_geometry(LatticeClass((1, 1, 0)), 3)
-    assert isinstance(geom, ClassGeometry)
-    assert isinstance(geom.arithmetic_genus, Fraction)
+    self_int, k_degree = intersect(c, c), intersect(canonical_class(n), c)
+    assert self_int == -6
+    assert k_degree == 4
+    # adjunction, 2g - 2 = c.c + K.c: genus 0
+    assert self_int + k_degree == -2
 
 
 def test_base_inside_blowups_rejected():
