@@ -55,14 +55,7 @@ from .germs import (
 )
 from .homology import enumerate_representations, verify_representation
 from .lattice import FullCycle, LatticeClass, TypeA, classify_normal_form
-from .nac import (
-    NacStructureReport,
-    NoSolution,
-    ScaledNac,
-    cycle_structures,
-    solve_scaled,
-    star_rows,
-)
+from .nac import NacSolution, NoSolution, nac_structure_report, solve_nac, star_rows
 from .selftest import run_all
 
 EXIT_OK = 0
@@ -334,7 +327,7 @@ class _Records:
 # --- shared report sections ---------------------------------------------------
 
 
-def _nac_section(config: CurveConfig, sol: ScaledNac | NoSolution, m: int) -> dict:
+def _nac_section(config: CurveConfig, sol: NacSolution | NoSolution, m: int) -> dict:
     """The report of sol at level m."""
     if isinstance(sol, NoSolution):
         return {"m": m, "status": "no_solution", "reason": sol.reason}
@@ -362,12 +355,11 @@ def _nac_section(config: CurveConfig, sol: ScaledNac | NoSolution, m: int) -> di
     }
 
 
-def _structure_sections(config: CurveConfig, sol: ScaledNac) -> dict:
-    """nac_structure_report and verify_star_recurrence of sol, the star checks
-    from their integer rows."""
-    scaled, unit = sol.scaled, sol.index
-    report = NacStructureReport(cycle_structures(config, scaled, unit))
-    stars = star_rows(config, scaled, unit)
+def _structure_sections(config: CurveConfig, sol: NacSolution) -> dict:
+    """The structure and star-recurrence sections of sol: nac_structure_report,
+    and verify_star_recurrence's checks from star_rows' integer rows."""
+    report = nac_structure_report(config, sol)
+    stars, unit = star_rows(config, sol), sol.index
     return {
         "structure": {
             "ok": report.ok,
@@ -460,7 +452,7 @@ def _cmd_classify(args) -> int:
     doc["cycles"] = _cycles_section(config)
     doc["sigma_classification"] = _sigma_section(config)
     # k/m does not depend on m, so one solution serves both levels
-    sol = solve_scaled(config)
+    sol = solve_nac(config, 1)
     doc["nac"] = _nac_section(config, sol, 1)
     if not isinstance(sol, NoSolution):
         if sol.index > 1:
@@ -473,7 +465,7 @@ def _cmd_classify(args) -> int:
 def _cmd_nac(args) -> int:
     config = load_config(args.file)
     doc: dict = {"command": "nac"}
-    sol = solve_scaled(config, args.m)
+    sol = solve_nac(config, args.m)
     doc["nac"] = _nac_section(config, sol, args.m)
     if not isinstance(sol, NoSolution):
         doc.update(_structure_sections(config, sol))
@@ -483,7 +475,7 @@ def _cmd_nac(args) -> int:
 
 def _cmd_index(args) -> int:
     config = load_config(args.file)
-    sol = solve_scaled(config)
+    sol = solve_nac(config, 1)
     if isinstance(sol, NoSolution):
         _emit({"command": "index", "index": None, "reason": sol.reason})
     else:

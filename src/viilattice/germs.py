@@ -107,8 +107,11 @@ def _resonance(s: ExactComplex, p, q, formula: str) -> Condition:
     the slack of _log2_height covers; one spare bit covers the float log
     of 10.
     """
+    if s.is_zero():
+        # the term is 0 whatever the powers are, so they are not computed
+        return Condition("resonance", True, f"{formula} = {s}")
     limit = sys.get_int_max_str_digits()
-    if limit and not s.is_zero():
+    if limit:
         budget = 5 + 6 * limit * Fraction(math.log2(10)) + _log2_height(s, upper=True)
         for (b, k), (c, j) in ((p, q), (q, p)):
             if k * _log2_height(b, upper=False) > budget + j * _log2_height(c, upper=True):

@@ -14,12 +14,18 @@ the anticanonical class and is rejected.
 Degenerate (negative semidefinite) forms belong to the square-zero-cycle
 surfaces, where such a divisor exists precisely in the parabolic case with
 the elliptic curve present, at level m = 1 with every coefficient 1.
+
+The solution is linear in m, so a :class:`NacSolution` holds it over the
+integers, k_i = m * scaled[i] / index with index the least level at which
+every k_i is an integer.  The structure checks and the command line read
+those integers; ``coeffs`` builds the Fractions on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .curves import (
@@ -39,14 +45,32 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class NacSolution:
-    """Accepted coefficient vector for D_m, in curve listing order."""
+    """An accepted solution at level m, over integers: the i-th listed curve
+    has coefficient k_i = m * scaled[i] / index, and D_m^2 = m^2 * square."""
 
     m: int
-    coeffs: tuple[Fraction, ...]
+    scaled: tuple[int, ...]
     index: int
     effective: bool
-    self_int_check: int
+    square: int
     parabolic: bool = False
+
+    def __post_init__(self):
+        _check_level(self.m)
+        if not all(type(v) is int for v in self.scaled):
+            raise DomainError("NacSolution.scaled must hold ints")
+        if type(self.index) is not int or self.index < 1:
+            raise DomainError("NacSolution.index must be an int of at least 1")
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients k_i of D_m, in curve listing order."""
+        return tuple(Fraction(self.m * v, self.index) for v in self.scaled)
+
+    @property
+    def self_int_check(self) -> int:
+        """D_m^2 = m^2 * square."""
+        return self.m * self.m * self.square
 
 
 @dataclass(frozen=True)
@@ -54,30 +78,8 @@ class NoSolution:
     reason: str
 
 
-@dataclass(frozen=True)
-class ScaledNac:
-    """An accepted solution for every level, over integers: at level m the i-th
-    listed curve has coefficient m * scaled[i] / index, and D_m^2 = m^2 * square."""
-
-    scaled: tuple[int, ...]
-    index: int
-    effective: bool
-    square: int
-    parabolic: bool
-
-
 def solve_nac(config: CurveConfig, m: int) -> NacSolution | NoSolution:
     """Solve for the level-m numerically anticanonical divisor, exactly."""
-    sol = solve_scaled(config, m)
-    if isinstance(sol, NoSolution):
-        return sol
-    coeffs = tuple(Fraction(m * v, sol.index) for v in sol.scaled)
-    return NacSolution(m, coeffs, sol.index, sol.effective, m * m * sol.square, sol.parabolic)
-
-
-def solve_scaled(config: CurveConfig, m: int = 1) -> ScaledNac | NoSolution:
-    """The solution of :func:`solve_nac` for every level, without a Fraction;
-    m only sets the level a refusal speaks of."""
     require_valid(config)
     _check_level(m)
     if not config.curves:
@@ -119,7 +121,8 @@ def solve_scaled(config: CurveConfig, m: int = 1) -> ScaledNac | NoSolution:
         )
     # det > 0, so dividing y / det by the gcd leaves the index as denominator
     g = math.gcd(det, *y)
-    return ScaledNac(
+    return NacSolution(
+        m,
         tuple(v // g for v in y),
         det // g,
         all(v > 0 for v in y),
@@ -135,8 +138,8 @@ def _check_level(m) -> None:
 
 def index_of(config: CurveConfig) -> int | None:
     """Smallest level at which the coefficients clear denominators: the index
-    :func:`solve_scaled` reports, or None when no solution exists at level 1."""
-    sol = solve_scaled(config)
+    :func:`solve_nac` reports, or None when no solution exists at level 1."""
+    sol = solve_nac(config, 1)
     if isinstance(sol, NoSolution):
         return None
     return sol.index
@@ -226,19 +229,20 @@ def verify_star_recurrence(config: CurveConfig, sol: NacSolution) -> StarRecurre
     the solution.
     """
     require_valid(config)
-    scaled, unit = _scaled(config, sol)
+    unit = sol.index
     return StarRecurrenceReport(
         tuple(
             StarCheck(cid, Fraction(lhs, unit), Fraction(rhs, unit), lhs == rhs)
-            for cid, lhs, rhs in star_rows(config, scaled, unit)
+            for cid, lhs, rhs in star_rows(config, sol)
         )
     )
 
 
-def star_rows(config: CurveConfig, scaled: tuple[int, ...], unit: int) -> list[tuple]:
+def star_rows(config: CurveConfig, sol: NacSolution) -> list[tuple]:
     """(curve id, lhs, rhs) of each recurrence of :func:`verify_star_recurrence`,
-    both sides times unit, for the normalized coefficients k/m = scaled / unit
-    in listing order."""
+    both sides times sol.index, so over the integers sol.scaled."""
+    _check_length(config, sol)
+    scaled, unit = sol.scaled, sol.index
     position, adj = config._position, config._adj
     rows = []
     for c in config.curves:
@@ -249,6 +253,11 @@ def star_rows(config: CurveConfig, scaled: tuple[int, ...], unit: int) -> list[t
         rhs = (scaled[position[c.id]] - unit) * (-c.self_int)
         rows.append((c.id, lhs, rhs))
     return rows
+
+
+def _check_length(config: CurveConfig, sol: NacSolution) -> None:
+    if len(sol.scaled) != len(config.curves):
+        raise DomainError("solution length does not match the configuration")
 
 
 @dataclass(frozen=True)
@@ -287,14 +296,9 @@ def nac_structure_report(config: CurveConfig, sol: NacSolution) -> NacStructureR
       coefficient >= 2m necessarily supports one.
     """
     require_valid(config)
-    return NacStructureReport(cycle_structures(config, *_scaled(config, sol)))
-
-
-def cycle_structures(
-    config: CurveConfig, scaled: tuple[int, ...], unit: int
-) -> tuple[CycleStructure, ...]:
-    """The :class:`CycleStructure` of each cycle of rational curves, for the
-    normalized coefficients k/m = scaled / unit in listing order."""
+    _check_length(config, sol)
+    # the normalized coefficients k/m are scaled / unit
+    scaled, unit = sol.scaled, sol.index
     position = config._position
     structures = []
     for rec in find_cycles(config):
@@ -338,13 +342,5 @@ def cycle_structures(
         structures.append(
             CycleStructure(rec.member_ids, *coeffs, unit_cycle, max_at_root, tuple(violations))
         )
-    return tuple(structures)
+    return NacStructureReport(tuple(structures))
 
-
-def _scaled(config: CurveConfig, sol: NacSolution) -> tuple[tuple[int, ...], int]:
-    """The normalized coefficients k/m over one common denominator: (integer
-    numerators in listing order, unit), so that k_i / m = scaled[i] / unit."""
-    if len(sol.coeffs) != len(config.curves):
-        raise DomainError("solution length does not match the configuration")
-    lcm = math.lcm(*(k.denominator for k in sol.coeffs))
-    return tuple(k.numerator * (lcm // k.denominator) for k in sol.coeffs), sol.m * lcm

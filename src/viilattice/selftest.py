@@ -549,12 +549,13 @@ def _suite_star_recurrence(seed: int) -> tuple[int, str]:
             checks += max(1, len(report.checks))
     config = singrat_config(4, 3)
     sol = solve_nac(config, 1)
+    # k_1 + 1 at level 1
     bumped = NacSolution(
-        sol.m,
-        sol.coeffs[:1] + (sol.coeffs[1] + 1,) + sol.coeffs[2:],
+        1,
+        sol.scaled[:1] + (sol.scaled[1] + sol.index,) + sol.scaled[2:],
         sol.index,
         sol.effective,
-        sol.self_int_check,
+        sol.square,
     )
     if verify_star_recurrence(config, bumped).ok:
         raise _SuiteFailed(checks, "perturbed divisor passes the recurrence")

@@ -190,12 +190,12 @@ CORRUPTION_IDS = ["corrupt0", "corrupt1", "corrupt2"]
 def test_corrupted_solution_exits_internal(capsys, monkeypatch, singrat3_file, command, corrupt):
     # the report recomputes the square from the matrix, so a solver answer
     # that disagrees with it is an internal inconsistency
-    solve = cli.solve_scaled
+    solve = cli.solve_nac
 
-    def corrupted(config, m=1):
+    def corrupted(config, m):
         return corrupt(solve(config, m))
 
-    monkeypatch.setattr(cli, "solve_scaled", corrupted)
+    monkeypatch.setattr(cli, "solve_nac", corrupted)
     code, doc, err = run(capsys, [command, singrat3_file])
     assert code == 2
     assert doc is None
@@ -1542,7 +1542,9 @@ def test_selftest_reports_failing_suites(capsys, monkeypatch):
     def bumped(config, m):
         sol = solve(config, m)
         if isinstance(sol, NacSolution):
-            sol = dataclasses.replace(sol, coeffs=(sol.coeffs[0] + 1,) + sol.coeffs[1:])
+            # k_0 + 1 = m * (m * scaled_0 + index) / (m * index)
+            scaled = (m * sol.scaled[0] + sol.index,) + tuple(m * v for v in sol.scaled[1:])
+            sol = dataclasses.replace(sol, scaled=scaled, index=m * sol.index)
         return sol
 
     monkeypatch.setattr(selftest, "solve_nac", bumped)

@@ -411,3 +411,43 @@ def test_height_uses_the_exact_denominator_norm(x):
 def test_height_of_a_complex_base(x, height):
     for upper in (True, False):
         assert abs(germs._log2_height(x, upper) - math.log2(height)) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "validate, germ, powers, formula",
+    [
+        (
+            validate_strong,
+            lambda s, m: HopfGermStrong(Fraction(1, 2), Fraction(1, 8), s, m),
+            lambda m: ((Fraction(1, 8), m), (Fraction(1, 2), m + 1)),
+            "(a^m - alpha^(m+1)) * s",
+        ),
+        (
+            validate_primary,
+            lambda s, m: HopfGermPrimary(Fraction(1, 4), ExactComplex(Fraction(1, 3), Fraction(1, 5)), s, m),
+            lambda m: ((ExactComplex(Fraction(1, 3), Fraction(1, 5)), m), (Fraction(1, 4), 1)),
+            "(alpha2^m - alpha1) * s",
+        ),
+    ],
+    ids=["strong", "primary"],
+)
+def test_zero_s_computes_no_power(monkeypatch, validate, germ, powers, formula):
+    # s = 0 makes the resonance term 0 for every m, so the powers, whose size
+    # grows with m, are never computed; the report is what the full product gives
+    cases = []
+    for s in (0, Fraction(0), ExactComplex(0, 0)):
+        for m in (1, 2, 7, 100, 1000):
+            (b, k), (c, j) = powers(m)
+            term = (germs._lift(b) ** k - germs._lift(c) ** j) * germs._lift(s)
+            cases.append((germ(s, m), validate(germ(s, m)), f"{formula} = {term}"))
+
+    def refuse(*_):
+        raise AssertionError("a power was computed")
+
+    monkeypatch.setattr(ExactComplex, "__pow__", refuse)
+    for g, full, detail in cases:
+        verdict = validate(g)
+        assert verdict == full
+        assert verdict.condition("resonance") == germs.Condition("resonance", True, detail)
+    # far past the digit limit, which s = 0 never reaches
+    assert validate(germ(0, 10**9)).condition("resonance").ok

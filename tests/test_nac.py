@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viilattice import (
@@ -28,7 +28,6 @@ from viilattice import (
     solve_nac,
     verify_star_recurrence,
 )
-from viilattice.nac import solve_scaled
 from viilattice.selftest import definiteness_oracle
 
 
@@ -161,9 +160,34 @@ def test_level_must_be_an_int(config, parabolic, m):
     with pytest.raises(DomainError, match="level m must be a positive integer"):
         solve_nac(config, m)
     with pytest.raises(DomainError, match="level m must be a positive integer"):
-        solve_scaled(config, m)
-    with pytest.raises(DomainError, match="level m must be a positive integer"):
         singrat_closed_form(3, 2, m)
+
+
+def test_solution_holds_integers():
+    sol = NacSolution(2, (3, 2, 1), 2, True, -3)
+    assert sol.coeffs == (Fraction(3), Fraction(2), Fraction(1))
+    assert sol.self_int_check == -12
+    assert sol == solve_nac(singrat_config(3, 2), 2)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        # the old positional form, with Fraction coefficients, read as scaled
+        ((1, (Fraction(3, 2), Fraction(1), Fraction(1, 2)), 2, True, -3), "scaled must hold ints"),
+        ((1, (3, 2.0, 1), 2, True, -3), "scaled must hold ints"),
+        ((1, (3, True, 1), 2, True, -3), "scaled must hold ints"),
+        ((1, (3, 2, 1), 0, True, -3), "index must be an int of at least 1"),
+        ((1, (3, 2, 1), -2, True, -3), "index must be an int of at least 1"),
+        ((1, (3, 2, 1), Fraction(2), True, -3), "index must be an int of at least 1"),
+        ((1, (3, 2, 1), True, True, -3), "index must be an int of at least 1"),
+        ((0, (3, 2, 1), 2, True, -3), "level m must be a positive integer"),
+        ((1.0, (3, 2, 1), 2, True, -3), "level m must be a positive integer"),
+    ],
+)
+def test_solution_refuses_bad_integer_fields(fields, message):
+    with pytest.raises(DomainError, match=message):
+        NacSolution(*fields)
 
 
 def test_empty_config_has_no_solution():
@@ -288,6 +312,82 @@ def test_shuffled_singrat_in_the_hundreds_matches_the_closed_form():
     assert nac_structure_report(shuffled, sol).ok
 
 
+@st.composite
+def cycles_with_trees(draw):
+    """A nodal loop, a double curve or a ring, with trees hanging off it and
+    maybe an elliptic curve; b2 is the number of rational curves, or one more."""
+    length = draw(st.integers(1, 5))
+    if length == 1:
+        curves = [Curve(0, NODAL_RATIONAL, -draw(st.integers(0, 3)))]
+        meets = []
+    else:
+        curves = [Curve(i, SMOOTH_RATIONAL, -draw(st.integers(2, 5))) for i in range(length)]
+        meets = [(0, 1, 2)] if length == 2 else [(i, (i + 1) % length, 1) for i in range(length)]
+    for i in range(length, length + draw(st.integers(0, 4))):
+        curves.append(Curve(i, SMOOTH_RATIONAL, -draw(st.integers(2, 4))))
+        meets.append((draw(st.integers(0, i - 1)), i, 1))
+    b2 = len(curves) + draw(st.integers(0, 1))
+    if draw(st.booleans()):
+        curves.append(Curve(len(curves), ELLIPTIC, -draw(st.integers(0, 2))))
+    return CurveConfig(b2, tuple(curves), tuple(meets))
+
+
+def _nac_outcome(config: CurveConfig, m: int):
+    """What the NAC API says of config at level m, keyed by curve id."""
+    sol = solve_nac(config, m)
+    if isinstance(sol, NoSolution):
+        return sol
+    ids = [c.id for c in config.curves]
+    structure = [
+        (sorted(c.member_ids), c.min_coeff, c.max_coeff, c.unit_cycle, c.max_at_branch_root, c.violations)
+        for c in nac_structure_report(config, sol).cycles
+    ]
+    stars = {c.curve_id: (c.lhs, c.rhs, c.ok) for c in verify_star_recurrence(config, sol).checks}
+    return (
+        (sol.m, sol.index, sol.effective, sol.parabolic, sol.square),
+        dict(zip(ids, sol.coeffs)),
+        structure,
+        stars,
+    )
+
+
+# random cycles with trees mostly miss the square law, so the families that
+# meet it (singrat p = n - 1, the (-3)-rings, the parabolic Enoki cycles) are
+# drawn as often
+@settings(max_examples=150)
+@given(
+    st.one_of(
+        cycles_with_trees(),
+        st.integers(2, 12).flatmap(lambda n: st.integers(0, n - 1).map(lambda p: singrat_config(n, p))),
+        st.integers(2, 12).map(lambda n: singrat_config(n, n - 1)),
+        st.integers(3, 6).map(_minus_three_ring),
+        st.tuples(st.integers(1, 8), st.booleans()).map(lambda a: enoki_cycle_config(*a)),
+    ),
+    st.integers(1, 3),
+    st.randoms(use_true_random=False),
+)
+def test_nac_answers_survive_relabelling_and_reordering(config, m, rng):
+    ids = [c.id for c in config.curves]
+    new = dict(zip(ids, rng.sample(range(-50, 1000), len(ids))))
+    curves = [Curve(new[c.id], c.kind, c.self_int) for c in config.curves]
+    rng.shuffle(curves)
+    meets = [(new[i], new[j], v) for i, j, v in config.intersections]
+    rng.shuffle(meets)
+    relabelled = CurveConfig(config.b2, tuple(curves), tuple(meets))
+
+    want = _nac_outcome(config, m)
+    got = _nac_outcome(relabelled, m)
+    if isinstance(want, NoSolution):
+        assert got == want
+        return
+    (head, coeffs, structure, stars), (got_head, got_coeffs, got_structure, got_stars) = want, got
+    assert got_head == head
+    assert got_coeffs == {new[i]: k for i, k in coeffs.items()}
+    # find_cycles may start a cycle at another member, so members compare as sets
+    assert sorted(got_structure) == sorted((sorted(new[i] for i in c[0]), *c[1:]) for c in structure)
+    assert got_stars == {new[i]: v for i, v in stars.items()}
+
+
 # --- closed form on the nodal-plus-chain family ------------------------------
 
 
@@ -342,12 +442,13 @@ def test_star_recurrence_on_worked_instance():
 def test_star_recurrence_rejects_perturbed_solution():
     config = singrat_config(4, 3)
     sol = solve_nac(config, 1)
+    # the last coefficient plus 1, at level 1
     bad = NacSolution(
         m=sol.m,
-        coeffs=sol.coeffs[:-1] + (sol.coeffs[-1] + 1,),
+        scaled=sol.scaled[:-1] + (sol.scaled[-1] + sol.index,),
         index=sol.index,
         effective=sol.effective,
-        self_int_check=sol.self_int_check,
+        square=sol.square,
     )
     report = verify_star_recurrence(config, bad)
     assert not report.ok
@@ -365,7 +466,7 @@ def test_star_recurrence_counts_double_edges_twice():
 def test_star_recurrence_length_mismatch():
     config = singrat_config(3, 2)
     sol = solve_nac(config, 1)
-    short = NacSolution(1, sol.coeffs[:2], sol.index, True, -3)
+    short = NacSolution(1, sol.scaled[:2], sol.index, True, -3)
     with pytest.raises(DomainError):
         verify_star_recurrence(config, short)
 
@@ -404,13 +505,13 @@ def test_structure_unit_cycle():
 def test_structure_flags_fabricated_violations():
     config = singrat_config(3, 2)
     # all-unit vector on a cycle that carries a branch
-    fake = NacSolution(1, (Fraction(1),) * 3, 1, True, -3)
+    fake = NacSolution(1, (1,) * 3, 1, True, -3)
     report = nac_structure_report(config, fake)
     assert not report.ok
     assert any("branch" in v for v in report.cycles[0].violations)
 
     # coefficient below the unit
-    low = NacSolution(1, (Fraction(1, 2), Fraction(1), Fraction(1)), 2, True, -3)
+    low = NacSolution(1, (1, 2, 2), 2, True, -3)
     report = nac_structure_report(config, low)
     assert any("below" in v for v in report.cycles[0].violations)
 
@@ -448,7 +549,7 @@ def _ring_with_branch():
     ids=["unit-not-everywhere", "no-branch", "max-off-root"],
 )
 def test_structure_pins_each_cycle_violation(config, coeffs, violation, at_root):
-    fake = NacSolution(1, tuple(map(Fraction, coeffs)), 1, True, 0)
+    fake = NacSolution(1, coeffs, 1, True, 0)
     report = nac_structure_report(config, fake)
     assert not report.ok
     assert not report.inoue_ih_signature

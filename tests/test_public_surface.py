@@ -4,7 +4,7 @@ library contract change and edits this set on purpose."""
 import types
 
 import viilattice
-from viilattice import lattice
+from viilattice import lattice, nac
 
 PUBLIC_NAMES = {
     # curves
@@ -55,6 +55,10 @@ REMOVED_NAMES = (
     "ClassGeometry",
 )
 
+# the integer solution type and its entry points, folded into NacSolution and
+# solve_nac; CHANGES.md gives each one's replacement
+REMOVED_NAC_NAMES = ("ScaledNac", "solve_scaled", "cycle_structures")
+
 
 def test_exported_names_are_pinned():
     exported = {
@@ -69,3 +73,9 @@ def test_removed_lattice_helpers_stay_gone():
     for name in REMOVED_NAMES:
         assert not hasattr(viilattice, name), name
         assert not hasattr(lattice, name), name
+
+
+def test_removed_nac_names_stay_gone():
+    for name in REMOVED_NAC_NAMES:
+        assert not hasattr(viilattice, name), name
+        assert not hasattr(nac, name), name
