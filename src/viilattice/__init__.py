@@ -32,7 +32,6 @@ from .curves import (
     find_cycles,
     intersection_matrix,
     is_negative_definite,
-    partition_curves,
     require_valid,
     sigma_classify,
     validate,

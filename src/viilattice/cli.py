@@ -54,7 +54,7 @@ from .germs import (
     validate_strong,
 )
 from .homology import enumerate_representations, verify_representation
-from .lattice import FullCycle, LatticeClass, TypeA, classify_normal_form
+from .lattice import LatticeClass, TypeA, classify_normal_form
 from .nac import NacSolution, NoSolution, nac_structure_report, solve_nac, star_rows
 from .selftest import run_all
 
@@ -538,15 +538,13 @@ def _cmd_enumerate(args) -> int:
 
 def _render_class(klass: LatticeClass) -> str:
     form = classify_normal_form(klass)
-    n = klass.rank
     if isinstance(form, TypeA):
         tail = " - ".join(f"L{i}" for i in sorted(form.blowups))
         text = f"L{form.base}" + (f" - {tail}" if tail else "")
-    elif isinstance(form, FullCycle):
-        if form.start == n:
-            text = "0"
-        else:
-            text = "-(" + " + ".join(f"L{i}" for i in range(form.start, n)) + ")"
+    elif set(klass.coeffs) <= {0, -1}:
+        # a cycle-sum class: minus the sum over its support, wherever it lies
+        support = [f"L{i}" for i, x in enumerate(klass.coeffs) if x]
+        text = "-(" + " + ".join(support) + ")" if support else "0"
     else:
         text = "no recognized pattern"
     if klass.torsion2:
@@ -555,6 +553,8 @@ def _render_class(klass: LatticeClass) -> str:
 
 
 def _cmd_germ(args) -> int:
+    # the parameters are rendered after the Hopf check, before the Enoki flags:
+    # that order decides which refusal a command line with two faults gets
     params = _parse_params(args.params)
     if args.kind in HOPF_KINDS:
         germ_type, check = HOPF_KINDS[args.kind]
@@ -564,33 +564,30 @@ def _cmd_germ(args) -> int:
         )
         _reject_extras(params, set(names))
         verdict = check(germ)
-        _emit(
-            {
-                "command": "germ",
-                "kind": args.kind,
-                "parameters": {k: _render_number(v) for k, v in params.items()},
-                "exact": True,
-                "valid": verdict.valid,
-                "conditions": [
-                    {"name": c.name, "ok": c.ok, "detail": c.detail, "gating": c.gating}
-                    for c in verdict.conditions
-                ],
-                "invariants": dict(verdict.invariants),
-            }
-        )
-        return EXIT_OK
-    tail = params.get("a", ())
-    if not isinstance(tail, tuple):
-        tail = (tail,)
-    germ = EnokiGerm(t=_need(params, "t"), n=_need_int(params, "n"), a_coeffs=tail)
-    _reject_extras(params, {"t", "n", "a"})
+    else:
+        tail = params.get("a", ())
+        tail = tail if isinstance(tail, tuple) else (tail,)
+        germ = EnokiGerm(t=_need(params, "t"), n=_need_int(params, "n"), a_coeffs=tail)
+        _reject_extras(params, {"t", "n", "a"})
     doc: dict = {
         "command": "germ",
-        "kind": "enoki",
+        "kind": args.kind,
         "parameters": {k: _render_number(v) for k, v in params.items()},
-        "contracting": is_contracting(germ),
-        "parabolic": is_parabolic(germ),
     }
+    if args.kind in HOPF_KINDS:
+        doc.update(
+            exact=True,
+            valid=verdict.valid,
+            conditions=[
+                {"name": c.name, "ok": c.ok, "detail": c.detail, "gating": c.gating}
+                for c in verdict.conditions
+            ],
+            invariants=dict(verdict.invariants),
+        )
+        _emit(doc)
+        return EXIT_OK
+    doc["contracting"] = is_contracting(germ)
+    doc["parabolic"] = is_parabolic(germ)
     if not doc["contracting"]:
         doc["error"] = "not a contraction: |t| must lie strictly between 0 and 1"
         _emit(doc)

@@ -334,8 +334,8 @@ def find_cycles(config: CurveConfig) -> tuple[CycleRecord, ...]:
     graph (counting multiplicities); what survives must be a disjoint union
     of simple closed chains, each one an r-cycle with r >= 2.  Nodal and
     elliptic curves are 1- and 0-cycles on their own.  The leftover trees
-    are assigned to the unique cycle member they touch, or reported as
-    isolated by :func:`partition_curves`.
+    are assigned to the unique cycle member they touch; a tree touching no
+    cycle (an isolated one) is in no record.
     """
     if isinstance(cycles := config.cycles, StructureError):
         raise cycles.with_traceback(None)
@@ -348,12 +348,10 @@ def _decompose(config: CurveConfig) -> tuple[CycleRecord, ...]:
     smooth_set = set(smooth)
     adj = config._adj  # read, never copied: neighbors() copies per call
 
-    def smooth_degree(v: int, alive: set[int]) -> int:
-        return sum(m for u, m in adj[v] if u in alive)
-
-    # 2-core of the smooth subgraph: strip multiplicity-degree <= 1 until none is left
+    # 2-core of the smooth subgraph: strip multiplicity-degree <= 1 until none
+    # is left; degree[v] stays v's degree among the curves still in the core
     core = set(smooth)
-    degree = {v: smooth_degree(v, core) for v in smooth}
+    degree = {v: sum(m for u, m in adj[v] if u in core) for v in smooth}
     stack = [v for v in smooth if degree[v] <= 1]
     while stack:
         v = stack.pop()
@@ -367,7 +365,7 @@ def _decompose(config: CurveConfig) -> tuple[CycleRecord, ...]:
                     stack.append(u)
 
     for v in sorted(core):
-        if smooth_degree(v, core) != 2:
+        if degree[v] != 2:
             raise StructureError(
                 f"curve {v} lies on more than one cycle "
                 "(its pruned intersection graph degree exceeds 2)"
@@ -409,7 +407,7 @@ def _decompose(config: CurveConfig) -> tuple[CycleRecord, ...]:
                 if u in cycle_of:
                     attachments.extend([u] * m)
         if not attachments:
-            continue  # isolated tree, reported by partition_curves
+            continue  # isolated tree: in no record
         if len(attachments) > 1:
             raise StructureError(
                 f"tree through curve {start} attaches to a cycle more than once "
@@ -450,20 +448,6 @@ def _tree_component(config: CurveConfig, start: int, pool: set[int]) -> list[int
                 comp.add(u)
                 stack.append(u)
     return sorted(comp)
-
-
-def partition_curves(
-    config: CurveConfig, cycles: tuple[CycleRecord, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Split curve ids into (cycle members, branch members, isolated)."""
-    cycle_ids = {cid for rec in cycles for cid in rec.member_ids}
-    branch_ids = {cid for rec in cycles for br in rec.branches for cid in br.member_ids}
-    isolated = [c.id for c in config.curves if c.id not in cycle_ids and c.id not in branch_ids]
-    return (
-        tuple(sorted(cycle_ids)),
-        tuple(sorted(branch_ids)),
-        tuple(sorted(isolated)),
-    )
 
 
 # --- numerical classification ----------------------------------------------

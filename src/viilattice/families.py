@@ -8,6 +8,7 @@ from .curves import (
     SMOOTH_RATIONAL,
     Curve,
     CurveConfig,
+    _ints,
 )
 from .errors import DomainError
 
@@ -20,6 +21,7 @@ def singrat_config(n: int, p: int) -> CurveConfig:
     so the configuration only carries all of its rational curves when
     p = n - 1.
     """
+    _ints((n, p), "family parameters")
     if n < 1:
         raise DomainError(f"n must be at least 1, got {n}")
     if not 0 <= p <= n - 1:
@@ -41,6 +43,7 @@ def enoki_cycle_config(n: int, with_elliptic: bool = False) -> CurveConfig:
     self-intersection -n carried by the parabolic degeneration, whose class
     together with the cycle exhausts the anticanonical class.
     """
+    _ints((n,), "family parameters")
     if n < 1:
         raise DomainError(f"n must be at least 1, got {n}")
     if n == 1:
@@ -52,7 +55,6 @@ def enoki_cycle_config(n: int, with_elliptic: bool = False) -> CurveConfig:
     else:
         curves = [Curve(i, SMOOTH_RATIONAL, -2) for i in range(n)]
         meets = [(i, (i + 1) % n, 1) for i in range(n)]
-        meets = [(min(a, b), max(a, b), m) for a, b, m in meets]
     if with_elliptic:
         curves.append(Curve(n, ELLIPTIC, -n))
-    return CurveConfig(n, tuple(curves), tuple(sorted(set(meets))))
+    return CurveConfig(n, tuple(curves), tuple(meets))

@@ -4,9 +4,9 @@ A germ here is the data of a polynomial contraction of (C^2, 0).  The
 validation rules are inequalities between moduli of the parameters plus one
 polynomial resonance identity, so everything can be decided exactly when
 the parameters are rational complex numbers, and they are exactly that: a
-parameter is an int, a Fraction or an ExactComplex, and any other type is
-refused with DomainError rather than rounded.  So the resonance identity is
-decided with no tolerance.
+parameter is an int (not a bool), a Fraction or an ExactComplex, and
+ExactComplex refuses any other type with DomainError rather than round it.
+So the resonance identity is decided with no tolerance.
 
 Moduli are never extracted: all modulus comparisons are done on squared
 moduli, which are rational.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .curves import CurveConfig
+from .curves import CurveConfig, _is_int
 from .errors import DomainError
 from .families import enoki_cycle_config
 
@@ -33,8 +33,14 @@ class ExactComplex:
     im: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+        # the one gate for a germ number: a Fraction is kept, an int (a bool
+        # is not) wrapped, anything else refused rather than rounded
+        for part in ("re", "im"):
+            if not isinstance(x := getattr(self, part), Fraction):
+                if not _is_int(x):
+                    what = "germ parameters must be int, Fraction or ExactComplex"
+                    raise DomainError(f"{what}, got {type(x).__name__}")
+                object.__setattr__(self, part, Fraction(x))
 
     def __add__(self, other: "ExactComplex") -> "ExactComplex":
         return ExactComplex(self.re + other.re, self.im + other.im)
@@ -81,14 +87,8 @@ Number = Union[int, Fraction, ExactComplex]
 
 
 def _lift(x: Number) -> ExactComplex:
-    """x as an ExactComplex; only an int, a Fraction or an ExactComplex is taken."""
-    if isinstance(x, ExactComplex):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return ExactComplex(x)
-    raise DomainError(
-        f"germ parameters must be int, Fraction or ExactComplex, got {type(x).__name__}"
-    )
+    """x as an ExactComplex; ExactComplex refuses what is not a germ number."""
+    return x if isinstance(x, ExactComplex) else ExactComplex(x)
 
 
 def _resonance(s: ExactComplex, p, q, formula: str) -> Condition:

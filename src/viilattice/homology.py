@@ -98,6 +98,7 @@ from .curves import (
     CurveConfig,
     CycleRecord,
     _cycle_square,
+    _is_int,
     find_cycles,
     intersection_matrix,
     require_valid,
@@ -131,6 +132,8 @@ def enumerate_representations(
     n = config.b2
     if cap is None:
         cap = DEFAULT_CAP
+    elif not _is_int(cap) or cap < 0:
+        raise DomainError(f"the cap must be a non-negative integer, got {cap!r}")
     if n > cap:
         raise EnumerationCapError(n, cap)
     cycles = find_cycles(config)

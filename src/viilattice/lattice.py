@@ -119,8 +119,8 @@ class Other:
 NormalForm = Union[TypeA, TypeB, FullCycle, Other]
 
 
-def type_a_class(n: int, base: int, blowups, torsion2: bool = False) -> LatticeClass:
-    return _base_minus_blowups(n, base, 1, blowups, torsion2)
+def type_a_class(n: int, base: int, blowups) -> LatticeClass:
+    return _base_minus_blowups(n, base, 1, blowups)
 
 
 def type_b_class(n: int, base: int, blowups) -> LatticeClass:
@@ -180,9 +180,7 @@ def _check_index(what: str, i: int, high: int) -> None:
         raise DomainError(f"{what} {i} outside [0, {high}]")
 
 
-def _base_minus_blowups(
-    n: int, base: int, lead: int, blowups, torsion2: bool = False
-) -> LatticeClass:
+def _base_minus_blowups(n: int, base: int, lead: int, blowups) -> LatticeClass:
     """lead * L_base - sum(L_j for j in blowups): the TypeA and TypeB classes."""
     _check_rank(n)
     _check_index("base index", base, n - 1)
@@ -196,4 +194,4 @@ def _base_minus_blowups(
     coeffs[base] = lead
     for j in indices:
         coeffs[j] = -1
-    return LatticeClass(tuple(coeffs), torsion2=torsion2)
+    return LatticeClass(tuple(coeffs))

@@ -36,6 +36,7 @@ from .curves import (
     CurveConfig,
     CycleRecord,
     _is_int,
+    _ints,
     adjunction_degree,
     find_cycles,
     require_valid,
@@ -171,6 +172,7 @@ def singrat_closed_form(n: int, p: int, m: int) -> SingratClosedForm:
     particular for p = 0 the requirement m^2 n = k_0^2 (n-1) has no integer
     solution since n(n-1) is never a perfect square.
     """
+    _ints((n, p), "family parameters")
     if n < 2:
         raise DomainError(f"family needs n >= 2, got {n}")
     if not 0 <= p <= n - 1:

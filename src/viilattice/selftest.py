@@ -45,7 +45,6 @@ from .homology import (
     verify_representation,
 )
 from .lattice import LatticeClass, type_a_class
-from .linalg import determinant
 from .nac import (
     NacSolution,
     NoSolution,
@@ -197,9 +196,7 @@ def random_definite_config(rng: random.Random) -> CurveConfig:
         rational = sum(1 for c in curves if c.kind != ELLIPTIC)
         b2 = max(1, rational + (1 if rng.random() < 0.2 else 0))
         config = CurveConfig(b2, tuple(curves), tuple(pairs))
-        if not validate(config).valid:
-            continue
-        if is_negative_definite(intersection_matrix(config)) == DEFINITE:
+        if validate(config).valid and config.elimination[0] == DEFINITE:
             return config
 
 
@@ -275,13 +272,21 @@ class _SuiteFailed(Exception):
         self.detail = detail
 
 
+def _determinant(config: CurveConfig) -> int | None:
+    """det M from the elimination the commands run (None unless definite):
+    it holds det(-M), which is (-1)^size det M."""
+    solved = config.elimination[1]
+    return None if solved is None else (-1) ** len(config.curves) * solved[1]
+
+
 def _suite_determinant_grid(seed: int) -> tuple[int, str]:
     checks = 0
     for n in range(2, 11):
         for p in range(0, n):
-            matrix = intersection_matrix(singrat_config(n, p))
+            config = singrat_config(n, p)
             formula = (-1) ** (p + 1) * ((n - 1) * (p + 1) - p)
-            if determinant(matrix) != formula or det_cofactor(matrix) != formula:
+            cofactor = det_cofactor(intersection_matrix(config))
+            if _determinant(config) != formula or cofactor != formula:
                 raise _SuiteFailed(checks, f"determinant disagreement at n={n}, p={p}")
             checks += 2
     return checks, (
@@ -332,7 +337,7 @@ def _suite_worked_instance(seed: int) -> tuple[int, str]:
     failures = []
     if matrix != [[-2, 1, 0], [1, -2, 1], [0, 1, -2]]:
         failures.append("matrix")
-    if determinant(matrix) != -4:
+    if _determinant(config) != -4:
         failures.append("determinant")
     sol1 = solve_nac(config, 1)
     sol2 = solve_nac(config, 2)
@@ -568,24 +573,20 @@ def _suite_star_recurrence(seed: int) -> tuple[int, str]:
     )
 
 
+def _random_symmetric(rng: random.Random, size: int) -> list[list[int]]:
+    """A symmetric matrix with entries in [-4, 4], drawn row by row from the diagonal."""
+    m = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            m[i][j] = m[j][i] = rng.randint(-4, 4)
+    return m
+
+
 def _suite_definiteness_oracle(seed: int) -> tuple[int, str]:
     rng = random.Random(seed + 2)
     checks = 0
-    matrices = []
-    for _ in range(10000):
-        size = rng.randint(1, 4)
-        m = [[0] * size for _ in range(size)]
-        for i in range(size):
-            for j in range(i, size):
-                m[i][j] = m[j][i] = rng.randint(-4, 4)
-        matrices.append(m)
-    for _ in range(500):
-        size = 8
-        m = [[0] * size for _ in range(size)]
-        for i in range(size):
-            for j in range(i, size):
-                m[i][j] = m[j][i] = rng.randint(-4, 4)
-        matrices.append(m)
+    matrices = [_random_symmetric(rng, rng.randint(1, 4)) for _ in range(10000)]
+    matrices += [_random_symmetric(rng, 8) for _ in range(500)]
     for n in range(2, 7):
         matrices.append(intersection_matrix(singrat_config(n, n - 1)))
         matrices.append(intersection_matrix(enoki_cycle_config(n)))

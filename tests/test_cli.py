@@ -21,6 +21,7 @@ from viilattice import (
     ConstraintResult,
     Curve,
     CurveConfig,
+    DomainError,
     NacSolution,
     NoSolution,
     StructureError,
@@ -29,6 +30,7 @@ from viilattice import (
     config_to_doc,
     config_to_text,
     enoki_cycle_config,
+    enumerate_representations,
     intersection_matrix,
     nac_structure_report,
     singrat_config,
@@ -365,8 +367,11 @@ def test_enumerate_exits_internal_when_re_verification_fails(capsys, monkeypatch
         # the zero class of a nodal 0-curve, and a twisted nodal (-1)-loop
         (enoki_cycle_config(1), ["0"]),
         (CurveConfig(1, (Curve(0, NODAL_RATIONAL, -1),), ()), ["-(L0) + order-2 twist"]),
+        # two disjoint nodal (-1)-curves: the class (-1, 0) of the second one
+        # used to read "no recognized pattern", as only a tail block was named
+        (selftest.disjoint_pair_config(), ["-(L1)", "-(L0)"]),
     ],
-    ids=["zero-class", "twisted-loop"],
+    ids=["zero-class", "twisted-loop", "two-cycles"],
 )
 def test_enumerate_renders_zero_and_twisted_classes(capsys, tmp_path, config, patterns):
     path = tmp_path / "loop.json"
@@ -374,6 +379,25 @@ def test_enumerate_renders_zero_and_twisted_classes(capsys, tmp_path, config, pa
     code, doc, _ = run(capsys, ["enumerate", str(path)])
     assert code == 0
     assert [[c["pattern"] for c in rep["classes"]] for rep in doc["representations"]] == [patterns]
+
+
+def _render_sweep_configs():
+    yield from selftest.representation_fixtures()
+    for n in range(1, 7):
+        for p in range(n):
+            yield f"singrat-{n}-{p}", singrat_config(n, p)
+        for elliptic in (False, True):
+            yield f"enoki-{n}-{elliptic}", enoki_cycle_config(n, elliptic)
+
+
+def test_enumerate_renders_every_class_up_to_b2_6():
+    rendered = 0
+    for name, config in _render_sweep_configs():
+        for rep in enumerate_representations(config):
+            for klass in rep.classes:
+                assert cli._render_class(klass) != "no recognized pattern", (name, klass)
+                rendered += 1
+    assert rendered > 100
 
 
 @pytest.mark.parametrize(
@@ -606,6 +630,9 @@ def test_germ_parameter_errors(capsys):
     code, _, err = run(capsys, ["germ", "enoki", "t=1/2", "n=x"])
     assert code == 1 and "cannot parse number" in err
 
+    code, _, err = run(capsys, ["germ", "hopf-strong", "alpha=", "a=1/4", "s=1", "m=1"])
+    assert code == 1 and "empty number in 'alpha='" in err
+
     # a comma list is a tail; anywhere else it is refused, not a traceback
     for argv in (
         ["germ", "hopf-strong", "alpha=1/2,1/3", "a=1/4", "s=1", "m=1"],
@@ -613,6 +640,18 @@ def test_germ_parameter_errors(capsys):
     ):
         code, _, err = run(capsys, argv)
         assert code == 1 and "must be int, Fraction or ExactComplex, got tuple" in err
+
+
+@pytest.mark.parametrize("text, value", [("j", "0+1j"), ("-j", "0-1j"), ("+j", "0+1j")])
+def test_germ_reads_a_bare_imaginary_unit(capsys, text, value):
+    code, doc, _ = run(capsys, ["germ", "hopf-strong", "alpha=1/2", "a=1/8", f"s={text}", "m=1"])
+    assert code == 0
+    assert doc["parameters"]["s"] == value
+
+
+def test_run_suite_refuses_an_unknown_name():
+    with pytest.raises(DomainError, match="unknown suite 'missing'"):
+        selftest.run_suite("missing")
 
 
 # --- report output ----------------------------------------------------------------

@@ -25,7 +25,6 @@ from viilattice import (
     find_cycles,
     intersection_matrix,
     is_negative_definite,
-    partition_curves,
     require_valid,
     sigma_classify,
     singrat_config,
@@ -628,16 +627,18 @@ def test_elliptic_is_a_zero_cycle():
     assert lengths == [0, 3]
 
 
-def test_isolated_tree_reported_by_partition():
+def test_isolated_tree_is_in_no_cycle_record():
     # a nodal loop plus a smooth curve touching nothing
     config = CurveConfig(
         2, (Curve(0, NODAL_RATIONAL, -1), Curve(5, SMOOTH_RATIONAL, -2)), ()
     )
     cycles = find_cycles(config)
-    cycle_ids, branch_ids, isolated = partition_curves(config, cycles)
-    assert cycle_ids == (0,)
-    assert branch_ids == ()
-    assert isolated == (5,)
+    cycle_ids = {cid for rec in cycles for cid in rec.member_ids}
+    branch_ids = {cid for rec in cycles for br in rec.branches for cid in br.member_ids}
+    isolated = {c.id for c in config.curves} - cycle_ids - branch_ids
+    assert cycle_ids == {0}
+    assert branch_ids == set()
+    assert isolated == {5}
 
 
 def test_two_cycles_sharing_a_curve_rejected():
@@ -761,3 +762,26 @@ def test_adjunction_degree():
     assert adjunction_degree(Curve(0, NODAL_RATIONAL, -1)) == 1
     assert adjunction_degree(Curve(0, NODAL_RATIONAL, 0)) == 0
     assert adjunction_degree(Curve(0, ELLIPTIC, -3)) == 3
+    with pytest.raises(DomainError, match="unknown curve kind 'cuspidal'"):
+        adjunction_degree(Curve(0, "cuspidal", -1))
+
+
+def test_curve_lookup_refuses_an_unknown_id():
+    config = singrat_config(3, 2)
+    assert config.curve(2) == Curve(2, SMOOTH_RATIONAL, -2)
+    with pytest.raises(DomainError, match="no curve with id 7"):
+        config.curve(7)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: singrat_config(0, 0), "n must be at least 1, got 0"),
+        (lambda: singrat_config(3, 3), r"p must lie in \[0, 2\], got 3"),
+        (lambda: enoki_cycle_config(0), "n must be at least 1, got 0"),
+    ],
+    ids=["singrat-n0", "singrat-p-too-large", "enoki-n0"],
+)
+def test_families_refuse_out_of_range_sizes(build, message):
+    with pytest.raises(DomainError, match=message):
+        build()

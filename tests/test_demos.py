@@ -29,3 +29,34 @@ def test_demo_runs_clean(demo):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout and not done.stderr
+
+
+def _library_snippet() -> list[str]:
+    """The lines of the first python block under the README's "Library" heading."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0].splitlines()
+
+
+def test_readme_library_snippet_states_its_values():
+    # each bare expression's comment opens with its value, up to any ": "
+    # that starts an explanation; the snippet runs in order, so it cannot drift
+    namespace: dict = {}
+    exec("from fractions import Fraction", namespace)
+    stated = 0
+    for line in _library_snippet():
+        code, _, comment = line.partition("#")
+        code = code.strip()
+        if not code:
+            continue
+        try:
+            compiled = compile(code, "README.md", "eval")
+        except SyntaxError:
+            exec(code, namespace)
+            continue
+        value = eval(compiled, namespace)
+        if comment.strip():
+            want = eval(comment.strip().split(": ", 1)[0], namespace)
+            assert value == want, line
+            stated += 1
+    assert stated == 3

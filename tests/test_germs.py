@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -224,7 +225,9 @@ def test_cycle_length_bound():
 # --- exact inputs only ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("bad", [0.5, 1e-20, 0.5 + 0.25j, "1/2", (1, 2)])
+@pytest.mark.parametrize(
+    "bad", [0.5, 1e-20, 0.5 + 0.25j, "1/2", (1, 2), True, Decimal("0.5")]
+)
 def test_inexact_parameters_are_refused(bad):
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     calls = [
@@ -255,6 +258,36 @@ def test_integer_fields_are_refused_unless_int(bad):
             build()
     with pytest.raises(DomainError, match="cycle length n must be an int"):
         EnokiGerm(half, bad)
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [(0.1,), ("1/3",), (Decimal("0.1"),), (1j,), (ExactComplex(1),), (True,), (1, False), (1, 0.5)],
+)
+def test_exact_complex_admits_only_germ_numbers(parts):
+    # ExactComplex is the one gate: these used to be rounded in, or to raise
+    # a bare TypeError
+    with pytest.raises(DomainError, match="must be int, Fraction or ExactComplex"):
+        ExactComplex(*parts)
+
+
+def test_exact_complex_keeps_a_fraction_and_wraps_an_int():
+    half = Fraction(1, 2)
+    z = ExactComplex(half, 3)
+    assert z.re is half
+    assert type(z.im) is Fraction and z.im == 3
+
+
+def test_exact_complex_refuses_negative_powers():
+    with pytest.raises(ValueError, match="negative powers"):
+        ExactComplex(2) ** -1
+
+
+def test_verdict_condition_lookup_refuses_an_unknown_name():
+    verdict = validate_strong(HopfGermStrong(Fraction(1, 2), Fraction(1, 8), 0, 1))
+    assert verdict.condition("resonance").ok
+    with pytest.raises(KeyError):
+        verdict.condition("missing")
 
 
 def test_integer_fields_refuse_the_inputs_that_used_to_leak():

@@ -27,6 +27,7 @@ from viilattice import (
     enumerate_representations,
     index_of,
     sigma_classify,
+    singrat_closed_form,
     singrat_config,
     solve_nac,
     verify_representation,
@@ -238,6 +239,34 @@ def test_cap_parameter():
     assert exc.value.cap == 3
     # raising the cap admits the same size
     assert enumerate_representations(enoki_cycle_config(4), cap=4)
+
+
+@pytest.mark.parametrize(
+    "call, args, kwargs",
+    [
+        pytest.param(
+            enumerate_representations, (enoki_cycle_config(2),), {"cap": cap}, id=f"cap={cap!r}"
+        )
+        for cap in (2.5, True, "9", -1)
+    ]
+    + [
+        pytest.param(call, args, {}, id=f"{call.__name__}{args}")
+        for call, args in [
+            (singrat_config, (3, True)),
+            (singrat_config, (3, 1.5)),
+            (singrat_config, (3.0, 2)),
+            (enoki_cycle_config, (3.0,)),
+            (enoki_cycle_config, (True,)),
+            (singrat_closed_form, (2, True, 1)),
+            (singrat_closed_form, (3, 1.0, 1)),
+        ]
+    ],
+)
+def test_integer_arguments_refuse_bools_floats_and_strings(call, args, kwargs):
+    # these used to be compared as integers, build a curve too many or too
+    # few, or raise a bare TypeError; a negative cap raised EnumerationCapError
+    with pytest.raises(DomainError, match="integer"):
+        call(*args, **kwargs)
 
 
 def test_no_cycle_rejected():

@@ -76,6 +76,11 @@ def test_constructors_refuse_non_integer_ranks_and_indices(slot, bad):
         build(bad)
 
 
+def test_canonical_class_refuses_rank_zero():
+    with pytest.raises(DomainError, match="lattice rank must be at least 1, got 0"):
+        canonical_class(0)
+
+
 def test_canonical_square_and_degrees():
     for n in range(1, 9):
         k = canonical_class(n)

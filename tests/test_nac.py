@@ -34,6 +34,11 @@ from viilattice.selftest import definiteness_oracle
 # --- exact linear algebra ---------------------------------------------------
 
 
+def test_determinant_refuses_a_non_square_matrix():
+    with pytest.raises(DomainError, match="matrix must be square"):
+        determinant([[1, 2]])
+
+
 def test_determinant_knowns():
     assert determinant([]) == 1
     assert determinant([[7]]) == 7

@@ -1,10 +1,11 @@
 """The names ``viilattice`` exports, pinned: adding or removing one is a
 library contract change and edits this set on purpose."""
 
+import inspect
 import types
 
 import viilattice
-from viilattice import lattice, nac
+from viilattice import curves, lattice, nac
 
 PUBLIC_NAMES = {
     # curves
@@ -13,8 +14,7 @@ PUBLIC_NAMES = {
     "SMOOTH_RATIONAL", "Branch", "Curve", "CurveConfig", "CycleRecord",
     "SigmaClassification", "ValidationIssue", "ValidationReport",
     "adjunction_degree", "find_cycles", "intersection_matrix",
-    "is_negative_definite", "partition_curves", "require_valid",
-    "sigma_classify", "validate",
+    "is_negative_definite", "require_valid", "sigma_classify", "validate",
     # configio
     "config_from_doc", "config_from_text", "config_to_doc", "config_to_text",
     "load_config",
@@ -59,6 +59,10 @@ REMOVED_NAMES = (
 # solve_nac; CHANGES.md gives each one's replacement
 REMOVED_NAC_NAMES = ("ScaledNac", "solve_scaled", "cycle_structures")
 
+# surface no caller used: a curves helper, and a parameter nothing passed;
+# CHANGES.md gives each one's replacement
+REMOVED_CURVES_NAMES = ("partition_curves",)
+
 
 def test_exported_names_are_pinned():
     exported = {
@@ -79,3 +83,10 @@ def test_removed_nac_names_stay_gone():
     for name in REMOVED_NAC_NAMES:
         assert not hasattr(viilattice, name), name
         assert not hasattr(nac, name), name
+
+
+def test_removed_curves_surface_stays_gone():
+    for name in REMOVED_CURVES_NAMES:
+        assert not hasattr(viilattice, name), name
+        assert not hasattr(curves, name), name
+    assert list(inspect.signature(lattice.type_a_class).parameters) == ["n", "base", "blowups"]
