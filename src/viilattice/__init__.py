@@ -105,8 +105,17 @@ from .nac import (
     solve_nac,
     verify_star_recurrence,
 )
-from .selftest import SuiteResult, run_all, run_suite
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# selftest and these names of it load on first use (PEP 562): only its command needs them
+_SELFTEST_NAMES = ("SuiteResult", "run_all", "run_suite")
+__all__ = sorted([*(n for n in dir() if not n.startswith("_")), "selftest", *_SELFTEST_NAMES])
+
+
+def __getattr__(name: str):
+    if name != "selftest" and name not in _SELFTEST_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib  # not "from . import selftest", whose fromlist probe calls back here
+    selftest = importlib.import_module(".selftest", __name__)
+    return selftest if name == "selftest" else getattr(selftest, name)

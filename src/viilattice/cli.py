@@ -56,7 +56,6 @@ from .germs import (
 from .homology import enumerate_representations, verify_representation
 from .lattice import LatticeClass, TypeA, classify_normal_form
 from .nac import NacSolution, NoSolution, nac_structure_report, solve_nac, star_rows
-from .selftest import run_all
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -303,6 +302,7 @@ class _Matrix:
         return "[" + inner + ("," + inner).join(rows) + newline + "]"
 
 
+# not a tuple: _write tests for a list or tuple before it tests for _Records
 @dataclasses.dataclass
 class _Records:
     """A list of records with the same keys, for _write, which writes the
@@ -679,6 +679,7 @@ def _parse_real(text: str, context: str) -> Fraction:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_all  # here, so that no other command loads the suites
     results = run_all(seed=args.seed)
     passed = 0
     for result in results:

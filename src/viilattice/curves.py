@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DomainError, InvalidConfigError, StructureError
 
@@ -37,8 +38,11 @@ SEMIDEFINITE = "semidefinite"
 NEITHER = "neither"
 
 
+# a dataclass: every layer reads these fields, and they read faster than a NamedTuple's
 @dataclass(frozen=True)
 class Curve:
+    """A curve: its id, its kind (one of CURVE_KINDS) and its self-intersection."""
+
     id: int
     kind: str
     self_int: int
@@ -182,14 +186,12 @@ def _ints(values, what: str) -> list[int]:
     return [int(x) for x in values]
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(NamedTuple):
     message: str
     curve_id: int | None = None
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     issues: tuple[ValidationIssue, ...]
 
     @property
@@ -312,14 +314,12 @@ def _symmetric_elimination(rows: list[dict[int, int]], column: list[int]) -> tup
 # --- cycle decomposition ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     root_id: int
     member_ids: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CycleRecord:
+class CycleRecord(NamedTuple):
     member_ids: tuple[int, ...]
     length: int
     branches: tuple[Branch, ...] = ()
@@ -458,8 +458,7 @@ INOUE_HIRZEBRUCH = "inoue_hirzebruch"
 OUT_OF_RANGE = "out_of_range"
 
 
-@dataclass(frozen=True)
-class SigmaClassification:
+class SigmaClassification(NamedTuple):
     sigma: int
     verdict: str
     ih_parity: str | None = None

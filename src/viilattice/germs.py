@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .curves import CurveConfig, _is_int
 from .errors import DomainError
@@ -37,6 +37,8 @@ class ExactComplex:
         # is not) wrapped, anything else refused rather than rounded
         for part in ("re", "im"):
             if not isinstance(x := getattr(self, part), Fraction):
+                if isinstance(x, ExactComplex):
+                    raise DomainError("an ExactComplex part must be int or Fraction, got ExactComplex")
                 if not _is_int(x):
                     what = "germ parameters must be int, Fraction or ExactComplex"
                     raise DomainError(f"{what}, got {type(x).__name__}")
@@ -141,16 +143,14 @@ def _log2_height(x: ExactComplex, upper: bool) -> Fraction:
     return log + Fraction(1, 2**30) if upper else log - Fraction(1, 2**30)
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     name: str
     ok: bool
     detail: str
     gating: bool = True
 
 
-@dataclass(frozen=True)
-class GermVerdict:
+class GermVerdict(NamedTuple):
     valid: bool
     conditions: tuple[Condition, ...]
     invariants: tuple[tuple[str, str], ...] = ()
@@ -273,8 +273,7 @@ def is_parabolic(germ: EnokiGerm) -> bool:
     return all(a.is_zero() for a in tail)
 
 
-@dataclass(frozen=True)
-class EnokiRealization:
+class EnokiRealization(NamedTuple):
     config: CurveConfig
     parabolic: bool
     has_nac: bool

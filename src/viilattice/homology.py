@@ -90,7 +90,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curves import (
     DEFINITE,
@@ -109,8 +109,7 @@ from .lattice import LatticeClass, TypeA, classify_normal_form
 DEFAULT_CAP = 8
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(NamedTuple):
     """Curve classes in configuration order, plus the order-2 twist flag.
 
     ``odd_ih`` marks the twisted single-cycle case, where the cycle class
@@ -368,15 +367,13 @@ def _vectors(config: CurveConfig, rep: Representation) -> list[tuple[int, ...]]:
 # --- independent re-verification ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstraintResult:
+class ConstraintResult(NamedTuple):
     name: str
     ok: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     results: tuple[ConstraintResult, ...]
 
     @property

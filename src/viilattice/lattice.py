@@ -88,6 +88,7 @@ def add(a: LatticeClass, b: LatticeClass) -> LatticeClass:
 # --- normal forms ---------------------------------------------------------
 
 
+# dataclasses, not tuples: as tuples TypeA(0, s) would equal TypeB(0, s)
 @dataclass(frozen=True)
 class TypeA:
     """c = L_base - sum(L_j for j in blowups), base not a blowup."""

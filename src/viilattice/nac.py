@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from typing import NamedTuple
 
 from .curves import (
     DEFINITE,
@@ -74,8 +75,7 @@ class NacSolution:
         return self.m * self.m * self.square
 
 
-@dataclass(frozen=True)
-class NoSolution:
+class NoSolution(NamedTuple):
     reason: str
 
 
@@ -149,8 +149,7 @@ def index_of(config: CurveConfig) -> int | None:
 # --- the singular-rational-curve family in closed form ----------------------
 
 
-@dataclass(frozen=True)
-class SingratClosedForm:
+class SingratClosedForm(NamedTuple):
     coeffs: tuple[Fraction, ...]
     det: int
     consistent: bool
@@ -200,16 +199,14 @@ def singrat_closed_form(n: int, p: int, m: int) -> SingratClosedForm:
 # --- structural checks on an accepted solution ------------------------------
 
 
-@dataclass(frozen=True)
-class StarCheck:
+class StarCheck(NamedTuple):
     curve_id: int
     lhs: Fraction
     rhs: Fraction
     ok: bool
 
 
-@dataclass(frozen=True)
-class StarRecurrenceReport:
+class StarRecurrenceReport(NamedTuple):
     checks: tuple[StarCheck, ...]
 
     @property
@@ -262,8 +259,7 @@ def _check_length(config: CurveConfig, sol: NacSolution) -> None:
         raise DomainError("solution length does not match the configuration")
 
 
-@dataclass(frozen=True)
-class CycleStructure:
+class CycleStructure(NamedTuple):
     member_ids: tuple[int, ...]
     min_coeff: Fraction  # normalized by m
     max_coeff: Fraction
@@ -272,8 +268,7 @@ class CycleStructure:
     violations: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class NacStructureReport:
+class NacStructureReport(NamedTuple):
     cycles: tuple[CycleStructure, ...]
 
     @property

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from .curves import (
     DEFINITE,
@@ -55,8 +55,7 @@ from .nac import (
 )
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     passed: bool
     checks: int

@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -262,12 +263,20 @@ def test_integer_fields_are_refused_unless_int(bad):
 
 @pytest.mark.parametrize(
     "parts",
-    [(0.1,), ("1/3",), (Decimal("0.1"),), (1j,), (ExactComplex(1),), (True,), (1, False), (1, 0.5)],
+    [
+        (0.1,), ("1/3",), (Decimal("0.1"),), (1j,), (ExactComplex(1),), (True,), (1, False), (1, 0.5),
+        (1, ExactComplex(0)),
+    ],
 )
 def test_exact_complex_admits_only_germ_numbers(parts):
     # ExactComplex is the one gate: these used to be rounded in, or to raise
-    # a bare TypeError
-    with pytest.raises(DomainError, match="must be int, Fraction or ExactComplex"):
+    # a bare TypeError; a nested ExactComplex has a message of its own, which
+    # names no type it refuses as allowed
+    if any(isinstance(part, ExactComplex) for part in parts):
+        message = "an ExactComplex part must be int or Fraction, got ExactComplex"
+    else:
+        message = "germ parameters must be int, Fraction or ExactComplex"
+    with pytest.raises(DomainError, match=re.escape(message)):
         ExactComplex(*parts)
 
 

@@ -1,11 +1,23 @@
 """The names ``viilattice`` exports, pinned: adding or removing one is a
-library contract change and edits this set on purpose."""
+library contract change and edits this set on purpose.  Also the modules
+``import viilattice.cli`` loads: every one the benchmark's tracer wraps,
+and not ``selftest``."""
 
+import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
+
+import pytest
 
 import viilattice
 from viilattice import curves, lattice, nac
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC_NAMES = {
     # curves
@@ -43,6 +55,12 @@ PUBLIC_NAMES = {
     "verify_star_recurrence",
     # selftest
     "SuiteResult", "run_all", "run_suite",
+}
+
+# what "from viilattice import *" binds: the public names and the submodules
+STAR_NAMES = PUBLIC_NAMES | {
+    "configio", "curves", "errors", "families", "germs", "homology", "lattice",
+    "linalg", "nac", "selftest",
 }
 
 # lattice helpers no module used; CHANGES.md gives each one's replacement
@@ -90,3 +108,54 @@ def test_removed_curves_surface_stays_gone():
         assert not hasattr(viilattice, name), name
         assert not hasattr(curves, name), name
     assert list(inspect.signature(lattice.type_a_class).parameters) == ["n", "base", "blowups"]
+
+
+def _traced_modules() -> set[str]:
+    """The modules named in perfbench/tracer.py's TARGETS, which it looks up
+    in sys.modules right after importing viilattice.cli."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {module for module, _ in tracer.TARGETS}
+
+
+def test_cli_import_loads_the_traced_modules_and_not_selftest():
+    probe = (
+        "import json, sys, viilattice.cli; "
+        "print(json.dumps(sorted(name for name in sys.modules if name.startswith('viilattice'))))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout))
+    assert "viilattice.selftest" not in loaded
+    traced = _traced_modules()
+    assert {"configio", "curves", "linalg", "nac", "homology", "lattice", "germs", "cli"} <= traced
+    assert {f"viilattice.{module}" for module in traced} <= loaded
+
+
+def test_selftest_names_are_the_selftest_objects():
+    from viilattice import selftest
+
+    assert viilattice.selftest is selftest
+    for name in ("SuiteResult", "run_all", "run_suite"):
+        assert getattr(viilattice, name) is getattr(selftest, name)
+
+
+def test_an_unknown_attribute_still_raises():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        viilattice.no_such_name  # noqa: B018
+    assert not hasattr(viilattice, "no_such_name")
+
+
+def test_star_import_binds_the_same_names():
+    namespace: dict = {}
+    exec("from viilattice import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(viilattice.__all__) == STAR_NAMES
