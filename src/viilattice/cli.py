@@ -20,7 +20,6 @@ environment variable VII_ENUM_CAP overrides the enumeration cap.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -31,6 +30,7 @@ from fractions import Fraction
 from .configio import config_to_doc, load_config
 from .curves import (
     CurveConfig,
+    _Frozen,
     find_cycles,
     sigma_classify,
     validate,
@@ -62,8 +62,8 @@ EXIT_INVALID = 1
 EXIT_INTERNAL = 2
 EXIT_CAP = 3
 
-# each Hopf kind: its germ dataclass, whose fields name the parameters, and
-# the validator of that dataclass
+# each Hopf kind: its germ class, whose _fields name the parameters, and the
+# validator of that class
 HOPF_KINDS = {
     "hopf-strong": (HopfGermStrong, validate_strong),
     "hopf-primary": (HopfGermPrimary, validate_primary),
@@ -303,14 +303,15 @@ class _Matrix:
 
 
 # not a tuple: _write tests for a list or tuple before it tests for _Records
-@dataclasses.dataclass
-class _Records:
+class _Records(_Frozen):
     """A list of records with the same keys, for _write, which writes the
     whole list from one %-format string filled with the JSON text of the
     values; rows holds one tuple of values per record, in the order of keys."""
 
-    keys: tuple[str, ...]
-    rows: list[tuple]
+    __slots__ = _fields = ("keys", "rows")
+
+    def __init__(self, keys: tuple[str, ...], rows: list[tuple]):
+        self._set(keys, rows)
 
     def text(self, newline: str) -> str:
         if not self.rows:
@@ -558,7 +559,7 @@ def _cmd_germ(args) -> int:
     params = _parse_params(args.params)
     if args.kind in HOPF_KINDS:
         germ_type, check = HOPF_KINDS[args.kind]
-        names = [field.name for field in dataclasses.fields(germ_type)]
+        names = germ_type._fields
         germ = germ_type(
             **{k: _need_int(params, k) if k == "m" else _need(params, k) for k in names}
         )

@@ -21,7 +21,6 @@ tied to two cycle members, is structurally impossible and rejected.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import DomainError, InvalidConfigError, StructureError
@@ -38,18 +37,62 @@ SEMIDEFINITE = "semidefinite"
 NEITHER = "neither"
 
 
-# a dataclass: every layer reads these fields, and they read faster than a NamedTuple's
-@dataclass(frozen=True)
-class Curve:
+class _Frozen:
+    """Base of the immutable classes: ``_fields`` names the parameters of
+    ``__init__``; equality, hashing, repr, pickling and ``_replace`` read them."""
+
+    __slots__ = ()
+
+    def _set(self, *values):  # for __init__ (a class built in hot loops sets its own fields)
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+    __replace__ = _replace
+
+
+# not a tuple: every layer reads these fields, and a slot reads faster than a NamedTuple's
+class Curve(_Frozen):
     """A curve: its id, its kind (one of CURVE_KINDS) and its self-intersection."""
 
-    id: int
-    kind: str
-    self_int: int
+    __slots__ = _fields = ("id", "kind", "self_int")
+
+    def __init__(self, id: int, kind: str, self_int: int):
+        _set_id(self, id)
+        _set_kind(self, kind)
+        _set_self_int(self, self_int)
 
 
-@dataclass(frozen=True)
-class CurveConfig:
+_set_id, _set_kind, _set_self_int = (getattr(Curve, name).__set__ for name in Curve._fields)
+
+
+class CurveConfig(_Frozen):
     """Immutable curve configuration.
 
     ``intersections`` holds one (low_id, high_id, mult) triple per meeting
@@ -61,17 +104,10 @@ class CurveConfig:
     built, and refused by each computation that needs it valid.
     """
 
-    b2: int
-    curves: tuple[Curve, ...]
-    intersections: tuple[tuple[int, int, int], ...] = ()
-    _mult: dict = field(init=False, repr=False, compare=False)
-    _by_id: dict = field(init=False, repr=False, compare=False)
-    _adj: dict = field(init=False, repr=False, compare=False)
-    _position: dict = field(init=False, repr=False, compare=False)
-    _validation: ValidationReport = field(init=False, repr=False, compare=False)
+    _fields = ("b2", "curves", "intersections")  # a __dict__ holds the caches
 
-    def __post_init__(self):
-        curves, b2 = tuple(self.curves), self.b2
+    def __init__(self, b2: int, curves: tuple[Curve, ...], intersections=()):
+        curves = tuple(curves)
         if not (type(b2) is int or _is_int(b2)):
             raise InvalidConfigError(f"b2 must be an integer, got {b2!r}")
         issues = [ValidationIssue(f"b2 must be at least 1, got {b2}")] if b2 < 1 else []
@@ -100,7 +136,7 @@ class CurveConfig:
             issues.append(ValidationIssue(f"at most one elliptic curve allowed, got {elliptic}"))
         mult: dict[tuple[int, int], int] = {}
         met: dict[int, list[tuple[int, int]]] = {cid: [] for cid in by_id}  # in row order
-        for entry in self.intersections:
+        for entry in intersections:
             i, j, m = entry if isinstance(entry, (tuple, list)) and len(entry) == 3 else (None,) * 3
             if not (type(i) is type(j) is type(m) is int or _is_int(i) and _is_int(j) and _is_int(m)):
                 raise InvalidConfigError(f"intersection entry {entry!r} needs three integers")
@@ -127,13 +163,10 @@ class CurveConfig:
         for cid in by_id:
             for other, m in met[cid]:
                 adj[other].append((cid, m))
-        object.__setattr__(self, "curves", curves)
-        object.__setattr__(self, "intersections", normalized)
-        object.__setattr__(self, "_mult", mult)
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_adj", adj)
-        object.__setattr__(self, "_position", position)
-        object.__setattr__(self, "_validation", ValidationReport(tuple(issues)))
+        self.__dict__.update(
+            b2=b2, curves=curves, intersections=normalized, _mult=mult, _by_id=by_id,
+            _adj=adj, _position=position, _validation=ValidationReport(tuple(issues)),
+        )
 
     def mult(self, i: int, j: int) -> int:
         return self._mult.get((min(i, j), max(i, j)), 0)

@@ -16,33 +16,40 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .curves import CurveConfig, _is_int
+from .curves import CurveConfig, _Frozen, _is_int
 from .errors import DomainError
 from .families import enoki_cycle_config
 
 
-@dataclass(frozen=True)
-class ExactComplex:
+class ExactComplex(_Frozen):
     """Gaussian rational: real and imaginary parts are Fractions."""
 
-    re: Fraction
-    im: Fraction = Fraction(0)
+    __slots__ = _fields = ("re", "im")
 
-    def __post_init__(self):
+    def __init__(self, re: Fraction, im: Fraction = Fraction(0)):
         # the one gate for a germ number: a Fraction is kept, an int (a bool
         # is not) wrapped, anything else refused rather than rounded
-        for part in ("re", "im"):
-            if not isinstance(x := getattr(self, part), Fraction):
+        for x in (re, im):
+            if not isinstance(x, Fraction):
                 if isinstance(x, ExactComplex):
                     raise DomainError("an ExactComplex part must be int or Fraction, got ExactComplex")
                 if not _is_int(x):
                     what = "germ parameters must be int, Fraction or ExactComplex"
                     raise DomainError(f"{what}, got {type(x).__name__}")
-                object.__setattr__(self, part, Fraction(x))
+        _set_re(self, re if isinstance(re, Fraction) else Fraction(re))
+        _set_im(self, im if isinstance(im, Fraction) else Fraction(im))
+
+    # the base's __eq__ and __hash__ with the fields read inline, as fast as a dataclass's
+    def __eq__(self, other):
+        if other.__class__ is not ExactComplex:
+            return NotImplemented
+        return (self.re, self.im) == (other.re, other.im)
+
+    def __hash__(self):
+        return hash((self.re, self.im))
 
     def __add__(self, other: "ExactComplex") -> "ExactComplex":
         return ExactComplex(self.re + other.re, self.im + other.im)
@@ -86,6 +93,7 @@ class ExactComplex:
 
 
 Number = Union[int, Fraction, ExactComplex]
+_set_re, _set_im = ExactComplex.re.__set__, ExactComplex.im.__set__
 
 
 def _lift(x: Number) -> ExactComplex:
@@ -170,47 +178,38 @@ def _require_count(value, name: str) -> None:
         raise DomainError(f"{name} must be at least 1")
 
 
-@dataclass(frozen=True)
-class HopfGermStrong:
+class HopfGermStrong(_Frozen):
     """z -> (alpha*z1 + s*z2^m, a*z2) with a single eigenvalue datum a."""
 
-    alpha: Number
-    a: Number
-    s: Number
-    m: int
+    __slots__ = _fields = ("alpha", "a", "s", "m")
 
-    def __post_init__(self):
-        _require_count(self.m, "the twisting degree m")
+    def __init__(self, alpha: Number, a: Number, s: Number, m: int):
+        _require_count(m, "the twisting degree m")
+        self._set(alpha, a, s, m)
 
 
-@dataclass(frozen=True)
-class HopfGermPrimary:
+class HopfGermPrimary(_Frozen):
     """z -> (alpha1*z1 + s*z2^m, alpha2*z2), the two-eigenvalue form."""
 
-    alpha1: Number
-    alpha2: Number
-    s: Number
-    m: int
+    __slots__ = _fields = ("alpha1", "alpha2", "s", "m")
 
-    def __post_init__(self):
-        _require_count(self.m, "the twisting degree m")
+    def __init__(self, alpha1: Number, alpha2: Number, s: Number, m: int):
+        _require_count(m, "the twisting degree m")
+        self._set(alpha1, alpha2, s, m)
 
 
-@dataclass(frozen=True)
-class EnokiGerm:
+class EnokiGerm(_Frozen):
     """Degree-n contraction t*z*w^n plus a polynomial tail in w.
 
     ``a_coeffs`` are the tail coefficients; the germ is parabolic exactly
     when all of them vanish.
     """
 
-    t: Number
-    n: int
-    a_coeffs: tuple[Number, ...] = ()
+    __slots__ = _fields = ("t", "n", "a_coeffs")
 
-    def __post_init__(self):
-        _require_count(self.n, "the cycle length n")
-        object.__setattr__(self, "a_coeffs", tuple(self.a_coeffs))
+    def __init__(self, t: Number, n: int, a_coeffs: tuple[Number, ...] = ()):
+        _require_count(n, "the cycle length n")
+        self._set(t, n, tuple(a_coeffs))
 
 
 def validate_strong(germ: HopfGermStrong) -> GermVerdict:

@@ -29,28 +29,28 @@ All indices are 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
-from .curves import _ints, _is_int
+from .curves import _Frozen, _ints, _is_int
 from .errors import DimensionMismatch, DomainError
 
 
-@dataclass(frozen=True)
-class LatticeClass:
+class LatticeClass(_Frozen):
     """A lattice vector in the L_i coordinates, plus an order-2 twist flag."""
 
-    coeffs: tuple[int, ...]
-    torsion2: bool = False
+    __slots__ = _fields = ("coeffs", "torsion2")
 
-    def __post_init__(self):
-        coeffs = self.coeffs
+    def __init__(self, coeffs: tuple[int, ...], torsion2: bool = False):
         # a tuple of exact ints is kept as it is (a bool is not an exact int)
         if type(coeffs) is not tuple or not all(type(x) is int for x in coeffs):
             coeffs = tuple(_ints(coeffs, "lattice coefficients"))
-            object.__setattr__(self, "coeffs", coeffs)
         if not coeffs:
             raise DomainError("lattice rank must be at least 1")
+        if type(torsion2) is not bool:
+            what = type(torsion2).__name__
+            raise DomainError(f"LatticeClass.torsion2 must be a bool, got {what}")
+        _set_coeffs(self, coeffs)
+        _set_torsion2(self, torsion2)
 
     @property
     def rank(self) -> int:
@@ -88,36 +88,41 @@ def add(a: LatticeClass, b: LatticeClass) -> LatticeClass:
 # --- normal forms ---------------------------------------------------------
 
 
-# dataclasses, not tuples: as tuples TypeA(0, s) would equal TypeB(0, s)
-@dataclass(frozen=True)
-class TypeA:
+# not tuples: as tuples TypeA(0, s) would equal TypeB(0, s)
+class TypeA(_Frozen):
     """c = L_base - sum(L_j for j in blowups), base not a blowup."""
 
-    base: int
-    blowups: frozenset[int]
+    __slots__ = _fields = ("base", "blowups")
+
+    def __init__(self, base: int, blowups: frozenset[int]):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "blowups", blowups)
 
 
-@dataclass(frozen=True)
-class TypeB:
+class TypeB(_Frozen):
     """c = -2 L_base - sum(L_j for j in blowups), base not a blowup."""
 
-    base: int
-    blowups: frozenset[int]
+    __slots__ = _fields = ("base", "blowups")
+    __init__ = TypeA.__init__
 
 
-@dataclass(frozen=True)
-class FullCycle:
+class FullCycle(_Frozen):
     """c = -(L_start + ... + L_{n-1}); start = n is the zero class."""
 
-    start: int
+    __slots__ = _fields = ("start",)
+
+    def __init__(self, start: int):
+        object.__setattr__(self, "start", start)
 
 
-@dataclass(frozen=True)
-class Other:
+class Other(_Frozen):
     """No recognised coefficient pattern."""
+
+    __slots__ = _fields = ()
 
 
 NormalForm = Union[TypeA, TypeB, FullCycle, Other]
+_set_coeffs, _set_torsion2 = LatticeClass.coeffs.__set__, LatticeClass.torsion2.__set__
 
 
 def type_a_class(n: int, base: int, blowups) -> LatticeClass:

@@ -24,7 +24,6 @@ those integers; ``coeffs`` builds the Fractions on first use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
@@ -36,6 +35,7 @@ from .curves import (
     SMOOTH_RATIONAL,
     CurveConfig,
     CycleRecord,
+    _Frozen,
     _is_int,
     _ints,
     adjunction_degree,
@@ -45,24 +45,25 @@ from .curves import (
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class NacSolution:
+class NacSolution(_Frozen):
     """An accepted solution at level m, over integers: the i-th listed curve
     has coefficient k_i = m * scaled[i] / index, and D_m^2 = m^2 * square."""
 
-    m: int
-    scaled: tuple[int, ...]
-    index: int
-    effective: bool
-    square: int
-    parabolic: bool = False
+    _fields = ("m", "scaled", "index", "effective", "square", "parabolic")  # coeffs is cached
 
-    def __post_init__(self):
-        _check_level(self.m)
-        if not all(type(v) is int for v in self.scaled):
+    def __init__(self, m: int, scaled: tuple[int, ...], index: int, effective: bool,
+                 square: int, parabolic: bool = False):
+        _check_level(m)
+        if not all(type(v) is int for v in scaled):
             raise DomainError("NacSolution.scaled must hold ints")
-        if type(self.index) is not int or self.index < 1:
+        if type(index) is not int or index < 1:
             raise DomainError("NacSolution.index must be an int of at least 1")
+        if not _is_int(square):
+            raise DomainError(f"NacSolution.square must be an int, got {type(square).__name__}")
+        for name, flag in (("effective", effective), ("parabolic", parabolic)):
+            if type(flag) is not bool:
+                raise DomainError(f"NacSolution.{name} must be a bool, got {type(flag).__name__}")
+        self._set(m, scaled, index, effective, square, parabolic)
 
     @cached_property
     def coeffs(self) -> tuple[Fraction, ...]:

@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -176,13 +175,12 @@ def test_classify_missing_file(capsys):
 # corruptions of the solver's answer: the first coefficient +1, the last
 # coefficient +1/3, and the square of D_m / m (self_int_check at m = 1) -1
 CORRUPTIONS = [
-    lambda s: dataclasses.replace(s, scaled=(s.scaled[0] + s.index,) + s.scaled[1:]),
-    lambda s: dataclasses.replace(
-        s,
+    lambda s: s._replace(scaled=(s.scaled[0] + s.index,) + s.scaled[1:]),
+    lambda s: s._replace(
         scaled=tuple(3 * v for v in s.scaled[:-1]) + (3 * s.scaled[-1] + s.index,),
         index=3 * s.index,
     ),
-    lambda s: dataclasses.replace(s, square=s.square - 1),
+    lambda s: s._replace(square=s.square - 1),
 ]
 CORRUPTION_IDS = ["corrupt0", "corrupt1", "corrupt2"]
 
@@ -1583,7 +1581,7 @@ def test_selftest_reports_failing_suites(capsys, monkeypatch):
         if isinstance(sol, NacSolution):
             # k_0 + 1 = m * (m * scaled_0 + index) / (m * index)
             scaled = (m * sol.scaled[0] + sol.index,) + tuple(m * v for v in sol.scaled[1:])
-            sol = dataclasses.replace(sol, scaled=scaled, index=m * sol.index)
+            sol = sol._replace(scaled=scaled, index=m * sol.index)
         return sol
 
     monkeypatch.setattr(selftest, "solve_nac", bumped)

@@ -46,6 +46,12 @@ def test_class_refuses_non_integer_coefficients(bad):
         LatticeClass((bad, -1))
 
 
+@pytest.mark.parametrize("bad", [5, 1, 0, None, "yes"])
+def test_class_refuses_a_twist_flag_that_is_not_a_bool(bad):
+    with pytest.raises(DomainError, match="torsion2 must be a bool"):
+        LatticeClass((1, 0), torsion2=bad)
+
+
 # L_i is the TypeA class with no blowups, and the zero class the empty cycle
 CONSTRUCTOR_SLOTS = {
     "basis-rank": lambda v: type_a_class(v, 0, ()),

@@ -195,6 +195,24 @@ def test_solution_refuses_bad_integer_fields(fields, message):
         NacSolution(*fields)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        # self_int_check used to read 0.5 for the first
+        ((1, (2,), 1, True, 0.5), "square must be an int, got float"),
+        ((1, (2,), 1, True, True), "square must be an int, got bool"),
+        ((1, (2,), 1, True, Fraction(-3)), "square must be an int, got Fraction"),
+        ((1, (2,), 1, "yes", -1), "effective must be a bool, got str"),
+        ((1, (2,), 1, 1, -1), "effective must be a bool, got int"),
+        ((1, (2,), 1, True, -1, 3), "parabolic must be a bool, got int"),
+        ((1, (2,), 1, True, -1, None), "parabolic must be a bool, got NoneType"),
+    ],
+)
+def test_solution_refuses_mistyped_square_and_flags(fields, message):
+    with pytest.raises(DomainError, match=message):
+        NacSolution(*fields)
+
+
 def test_empty_config_has_no_solution():
     out = solve_nac(CurveConfig(1, (), ()), 1)
     assert isinstance(out, NoSolution)

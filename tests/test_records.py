@@ -1,15 +1,21 @@
 """The result records are ``typing.NamedTuple`` classes.  Each keeps the field
 names, field order, defaults and repr text of the frozen dataclass it was,
-and stays immutable and hashable.  The classes that stay dataclasses are
-pinned too, each for the reason given where it is declared."""
+and stays immutable and hashable.  The inputs, the normal forms,
+``NacSolution`` and ``cli._Records`` are plain classes on one immutable base,
+``curves._Frozen``: each keeps the same of its dataclass, never equals a
+tuple, and pickles, copies and replaces through its constructor."""
 
+import copy
 import dataclasses
+import pickle
+import sys
 from fractions import Fraction
 
 import pytest
 
 from viilattice import cli, curves, germs, homology, lattice, nac, selftest
-from viilattice.germs import EnokiGerm, realize_enoki
+from viilattice.curves import Curve, CurveConfig
+from viilattice.germs import EnokiGerm, ExactComplex, realize_enoki
 from viilattice.lattice import LatticeClass, TypeA, TypeB
 
 # type, field names, defaults, a sample, and the sample's repr; the names,
@@ -154,22 +160,93 @@ RECORDS = [
     ),
 ]
 
-# dataclasses on purpose; the reason is where each is declared, or its
-# __post_init__ or cached properties show it
-KEPT_DATACLASSES = [
-    curves.Curve,
-    curves.CurveConfig,
-    nac.NacSolution,
-    lattice.LatticeClass,
-    germs.ExactComplex,
-    germs.HopfGermStrong,
-    germs.HopfGermPrimary,
-    germs.EnokiGerm,
-    lattice.TypeA,
-    lattice.TypeB,
-    lattice.FullCycle,
-    lattice.Other,
-    cli._Records,
+# type, field names, defaults, a sample, and the sample's repr; the names
+# (of the constructor's parameters), defaults and repr text are those the
+# frozen dataclass had, each kept for the reason given where it is declared
+FROZEN = [
+    (
+        Curve,
+        ("id", "kind", "self_int"),
+        {},
+        lambda: Curve(1, "smooth_rational", -2),
+        "Curve(id=1, kind='smooth_rational', self_int=-2)",
+    ),
+    (
+        CurveConfig,
+        ("b2", "curves", "intersections"),
+        {"intersections": ()},
+        lambda: CurveConfig(
+            2, (Curve(0, "smooth_rational", -3), Curve(1, "smooth_rational", -3)), ((1, 0, 2),)
+        ),
+        "CurveConfig(b2=2, curves=(Curve(id=0, kind='smooth_rational', self_int=-3),"
+        " Curve(id=1, kind='smooth_rational', self_int=-3)), intersections=((0, 1, 2),))",
+    ),
+    (
+        nac.NacSolution,
+        ("m", "scaled", "index", "effective", "square", "parabolic"),
+        {"parabolic": False},
+        lambda: nac.NacSolution(2, (3, 2, 1), 2, True, -3),
+        "NacSolution(m=2, scaled=(3, 2, 1), index=2, effective=True, square=-3, parabolic=False)",
+    ),
+    (
+        LatticeClass,
+        ("coeffs", "torsion2"),
+        {"torsion2": False},
+        lambda: LatticeClass((1, -1), torsion2=True),
+        "LatticeClass(coeffs=(1, -1), torsion2=True)",
+    ),
+    (
+        ExactComplex,
+        ("re", "im"),
+        {"im": Fraction(0)},
+        lambda: ExactComplex(Fraction(1, 2), 3),
+        "ExactComplex(re=Fraction(1, 2), im=Fraction(3, 1))",
+    ),
+    (
+        germs.HopfGermStrong,
+        ("alpha", "a", "s", "m"),
+        {},
+        lambda: germs.HopfGermStrong(Fraction(1, 2), Fraction(1, 8), 0, 1),
+        "HopfGermStrong(alpha=Fraction(1, 2), a=Fraction(1, 8), s=0, m=1)",
+    ),
+    (
+        germs.HopfGermPrimary,
+        ("alpha1", "alpha2", "s", "m"),
+        {},
+        lambda: germs.HopfGermPrimary(Fraction(1, 3), ExactComplex(0, Fraction(1, 2)), 1, 2),
+        "HopfGermPrimary(alpha1=Fraction(1, 3), alpha2=ExactComplex(re=Fraction(0, 1),"
+        " im=Fraction(1, 2)), s=1, m=2)",
+    ),
+    (
+        EnokiGerm,
+        ("t", "n", "a_coeffs"),
+        {"a_coeffs": ()},
+        lambda: EnokiGerm(Fraction(1, 2), 3, [0, Fraction(1, 3)]),
+        "EnokiGerm(t=Fraction(1, 2), n=3, a_coeffs=(0, Fraction(1, 3)))",
+    ),
+    (
+        TypeA,
+        ("base", "blowups"),
+        {},
+        lambda: TypeA(0, frozenset({1, 2})),
+        "TypeA(base=0, blowups=frozenset({1, 2}))",
+    ),
+    (
+        TypeB,
+        ("base", "blowups"),
+        {},
+        lambda: TypeB(1, frozenset()),
+        "TypeB(base=1, blowups=frozenset())",
+    ),
+    (lattice.FullCycle, ("start",), {}, lambda: lattice.FullCycle(2), "FullCycle(start=2)"),
+    (lattice.Other, (), {}, lattice.Other, "Other()"),
+    (
+        cli._Records,
+        ("keys", "rows"),
+        {},
+        lambda: cli._Records(("curve", "ok"), ((0, True),)),
+        "_Records(keys=('curve', 'ok'), rows=((0, True),))",
+    ),
 ]
 
 
@@ -195,11 +272,39 @@ def test_record_keeps_the_dataclass_fields_and_repr(record_type, fields, default
     assert record == tuple(record) and len(record) == len(fields)
 
 
-@pytest.mark.parametrize("kept", KEPT_DATACLASSES, ids=lambda kept: kept.__name__)
-def test_kept_classes_stay_dataclasses(kept):
-    assert dataclasses.is_dataclass(kept)
+@pytest.mark.parametrize(
+    "frozen_type, fields, defaults, build, text", FROZEN, ids=[row[0].__name__ for row in FROZEN]
+)
+def test_frozen_class_keeps_the_dataclass_contract(frozen_type, fields, defaults, build, text):
+    assert not issubclass(frozen_type, tuple) and not dataclasses.is_dataclass(frozen_type)
+    assert frozen_type._fields == fields
+    sample = build()
+    assert type(sample) is frozen_type
+    assert repr(sample) == text
+    values = {name: getattr(sample, name) for name in fields}
+    assert frozen_type(**values) == sample
+    bare = frozen_type(**{k: v for k, v in values.items() if k not in defaults})
+    assert {name: getattr(bare, name) for name in defaults} == defaults
+    again = build()
+    assert again == sample and hash(again) == hash(sample)
+    assert sample != tuple(values.values())
+    for name in fields:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(sample, name, values[name])
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(sample, name)
+    # a CurveConfig's caches are filled first: a copy computes its own
+    cached = (sample.elimination, sample.cycles) if frozen_type is CurveConfig else None
+    for twin in (pickle.loads(pickle.dumps(sample)), copy.deepcopy(sample)):
+        assert type(twin) is frozen_type and twin == sample
+        if cached:
+            assert (twin.elimination, twin.cycles) == cached
+    if fields:
+        assert sample._replace(**{fields[0]: values[fields[0]]}) == sample
+        if sys.version_info >= (3, 13):
+            assert copy.replace(sample, **{fields[-1]: values[fields[-1]]}) == sample
 
 
 def test_normal_forms_of_two_types_never_compare_equal():
-    # the reason TypeA and TypeB stay dataclasses: as tuples these would be equal
+    # the reason TypeA and TypeB are not tuples: as tuples these would be equal
     assert TypeA(0, frozenset()) != TypeB(0, frozenset())
