@@ -51,7 +51,7 @@ from .errors import (
     InvalidConfigError,
     StructureError,
 )
-from .families import enoki_cycle_config, singrat_config
+from .families import enoki_cycle_config, gss_config, singrat_config
 from .germs import (
     Condition,
     EnokiGerm,

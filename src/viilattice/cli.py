@@ -127,55 +127,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
-
-    p = sub.add_parser("classify", help="full pipeline report for a configuration file")
-    p.set_defaults(run=_cmd_classify)
-    commands["classify"] = _grammar("classify", p, p.add_argument("file"))
-
-    p = sub.add_parser("nac", help="anticanonical coefficients at a chosen level")
-    p.set_defaults(run=_cmd_nac)
-    commands["nac"] = _grammar(
-        "nac",
-        p,
-        p.add_argument("file"),
-        p.add_argument("--m", type=int, default=1, help="divisor level (default 1)"),
-    )
-
-    p = sub.add_parser("index", help="smallest level with integer coefficients")
-    p.set_defaults(run=_cmd_index)
-    commands["index"] = _grammar("index", p, p.add_argument("file"))
-
-    p = sub.add_parser("enumerate", help="canonical homology representations")
-    p.set_defaults(run=_cmd_enumerate)
-    commands["enumerate"] = _grammar(
-        "enumerate",
-        p,
-        p.add_argument("file"),
-        p.add_argument(
-            "--max-solutions",
-            type=int,
-            default=None,
-            help="truncate the report after this many representations",
-        ),
-    )
-
-    p = sub.add_parser("germ", help="validate contracting-germ parameters")
-    p.set_defaults(run=_cmd_germ)
-    commands["germ"] = _grammar(
-        "germ",
-        p,
-        p.add_argument("kind", choices=GERM_KINDS),
-        p.add_argument("params", nargs="*", metavar="key=value"),
-    )
-
-    p = sub.add_parser("selftest", help="run the built-in verification suites")
-    p.set_defaults(run=_cmd_selftest)
-    commands["selftest"] = _grammar(
-        "selftest",
-        p,
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized suites"),
-    )
-
+    for command, (run, help_line, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        p.set_defaults(run=run)
+        actions = [p.add_argument(name, **keywords) for name, keywords in arguments]
+        commands[command] = _grammar(command, p, *actions)
     return parser, commands
 
 
@@ -328,15 +284,15 @@ class _Records(_Frozen):
 # --- shared report sections ---------------------------------------------------
 
 
-def _nac_section(config: CurveConfig, sol: NacSolution | NoSolution, m: int) -> dict:
-    """The report of sol at level m."""
+def _checked(config: CurveConfig, sol):
+    """sol, once a solution's square is recomputed from the stored
+    intersection numbers, before any section is built from it.  A mismatch
+    means the solver and the report pipeline disagree, which is an internal
+    error.  Over the common denominator unit the sum is over integers, and
+    square / unit^2 is the square of D_m / m, which is K^2 = -b2."""
     if isinstance(sol, NoSolution):
-        return {"m": m, "status": "no_solution", "reason": sol.reason}
-    # defensive recomputation straight from the stored intersection numbers; a
-    # mismatch means the solver and the report pipeline disagree, which is an
-    # internal error.  Over the common denominator unit the sum is over
-    # integers, and square / unit^2 is the square of D_m / m, which is K^2 = -b2.
-    scaled, unit, position = sol.scaled, sol.index, config._position
+        return sol
+    m, scaled, unit, position = sol.m, sol.scaled, sol.index, config._position
     square = sum(c.self_int * v * v for c, v in zip(config.curves, scaled)) + 2 * sum(
         v * scaled[position[i]] * scaled[position[j]] for i, j, v in config.intersections
     )
@@ -345,10 +301,18 @@ def _nac_section(config: CurveConfig, sol: NacSolution | NoSolution, m: int) -> 
             "solver self-intersection check failed: "
             f"{Fraction(square * m * m, unit * unit)} vs {m * m * sol.square}"
         )
+    return sol
+
+
+def _nac_section(sol: NacSolution | NoSolution, m: int) -> dict:
+    """The report of sol at level m."""
+    if isinstance(sol, NoSolution):
+        return {"m": m, "status": "no_solution", "reason": sol.reason}
+    unit = sol.index
     return {
         "m": m,
         "status": "solved",
-        "coeffs": [_ratio(m * v, unit) for v in scaled],
+        "coeffs": [_ratio(m * v, unit) for v in sol.scaled],
         "index": sol.index,
         "effective": sol.effective,
         "self_int_check": m * m * sol.square,
@@ -453,11 +417,11 @@ def _cmd_classify(args) -> int:
     doc["cycles"] = _cycles_section(config)
     doc["sigma_classification"] = _sigma_section(config)
     # k/m does not depend on m, so one solution serves both levels
-    sol = solve_nac(config, 1)
-    doc["nac"] = _nac_section(config, sol, 1)
+    sol = _checked(config, solve_nac(config, 1))
+    doc["nac"] = _nac_section(sol, 1)
     if not isinstance(sol, NoSolution):
         if sol.index > 1:
-            doc["nac_at_index"] = _nac_section(config, sol, sol.index)
+            doc["nac_at_index"] = _nac_section(sol, sol.index)
         doc.update(_structure_sections(config, sol))
     _emit(doc)
     return EXIT_OK
@@ -466,8 +430,8 @@ def _cmd_classify(args) -> int:
 def _cmd_nac(args) -> int:
     config = load_config(args.file)
     doc: dict = {"command": "nac"}
-    sol = solve_nac(config, args.m)
-    doc["nac"] = _nac_section(config, sol, args.m)
+    sol = _checked(config, solve_nac(config, args.m))
+    doc["nac"] = _nac_section(sol, args.m)
     if not isinstance(sol, NoSolution):
         doc.update(_structure_sections(config, sol))
     _emit(doc)
@@ -542,12 +506,11 @@ def _render_class(klass: LatticeClass) -> str:
     if isinstance(form, TypeA):
         tail = " - ".join(f"L{i}" for i in sorted(form.blowups))
         text = f"L{form.base}" + (f" - {tail}" if tail else "")
-    elif set(klass.coeffs) <= {0, -1}:
-        # a cycle-sum class: minus the sum over its support, wherever it lies
+    else:
+        # verify_representation passed every class shown, so one that is not
+        # TypeA is a 0/-1 cycle-sum class: minus the sum over its support
         support = [f"L{i}" for i, x in enumerate(klass.coeffs) if x]
         text = "-(" + " + ".join(support) + ")" if support else "0"
-    else:
-        text = "no recognized pattern"
     if klass.torsion2:
         text += " + order-2 twist"
     return text
@@ -690,6 +653,40 @@ def _cmd_selftest(args) -> int:
             passed += 1
     print(f"{passed}/{len(results)} suites passed")
     return EXIT_OK if passed == len(results) else EXIT_INTERNAL
+
+
+# each command: its handler, its help line and its arguments, as the name and
+# the keywords of each add_argument call
+_COMMANDS = {
+    "classify": (_cmd_classify, "full pipeline report for a configuration file", [("file", {})]),
+    "nac": (
+        _cmd_nac,
+        "anticanonical coefficients at a chosen level",
+        [("file", {}), ("--m", dict(type=int, default=1, help="divisor level (default 1)"))],
+    ),
+    "index": (_cmd_index, "smallest level with integer coefficients", [("file", {})]),
+    "enumerate": (
+        _cmd_enumerate,
+        "canonical homology representations",
+        [
+            ("file", {}),
+            (
+                "--max-solutions",
+                dict(type=int, help="truncate the report after this many representations"),
+            ),
+        ],
+    ),
+    "germ": (
+        _cmd_germ,
+        "validate contracting-germ parameters",
+        [("kind", dict(choices=GERM_KINDS)), ("params", dict(nargs="*", metavar="key=value"))],
+    ),
+    "selftest": (
+        _cmd_selftest,
+        "run the built-in verification suites",
+        [("--seed", dict(type=int, default=0, help="seed for randomized suites"))],
+    ),
+}
 
 
 if __name__ == "__main__":

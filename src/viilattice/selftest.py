@@ -260,15 +260,26 @@ def representation_fixtures() -> list[tuple[str, CurveConfig]]:
 
 # --- the suites --------------------------------------------------------------
 #
-# A suite returns (checks, detail) when it passes and raises _SuiteFailed,
-# with the checks counted so far, at its first failure.
+# A suite states each check as one checks.require call and returns its pass
+# detail.  The first failed check ends the suite, with the count so far.
 
 
 class _SuiteFailed(Exception):
-    def __init__(self, checks: int, detail: str):
-        super().__init__(detail)
-        self.checks = checks
-        self.detail = detail
+    pass
+
+
+class _Checks:
+    """The check count of one suite run: require adds weight to it when ok
+    holds and fails the suite with detail otherwise.  Checks counted as one
+    group carry the group's weight on the last of them."""
+
+    def __init__(self):
+        self.count = 0
+
+    def require(self, ok: bool, detail: str, weight: int = 1) -> None:
+        if not ok:
+            raise _SuiteFailed(detail)
+        self.count += weight
 
 
 def _determinant(config: CurveConfig) -> int | None:
@@ -278,59 +289,39 @@ def _determinant(config: CurveConfig) -> int | None:
     return None if solved is None else (-1) ** len(config.curves) * solved[1]
 
 
-def _suite_determinant_grid(seed: int) -> tuple[int, str]:
-    checks = 0
+def _suite_determinant_grid(seed: int, checks: _Checks) -> str:
     for n in range(2, 11):
         for p in range(0, n):
             config = singrat_config(n, p)
             formula = (-1) ** (p + 1) * ((n - 1) * (p + 1) - p)
             cofactor = det_cofactor(intersection_matrix(config))
-            if _determinant(config) != formula or cofactor != formula:
-                raise _SuiteFailed(checks, f"determinant disagreement at n={n}, p={p}")
-            checks += 2
-    return checks, (
-        "elimination and cofactor expansion both match the closed formula "
-        "for n in [2,10]"
-    )
+            ok = _determinant(config) == formula == cofactor
+            checks.require(ok, f"determinant disagreement at n={n}, p={p}", 2)
+    return "elimination and cofactor expansion both match the closed formula for n in [2,10]"
 
 
-def _suite_closed_form_grid(seed: int) -> tuple[int, str]:
-    checks = 0
+def _suite_closed_form_grid(seed: int, checks: _Checks) -> str:
     for n in range(2, 11):
         for p in range(0, n):
             for m in (1, n - 1):
-                config = singrat_config(n, p)
                 cf = singrat_closed_form(n, p, m)
-                sol = solve_nac(config, m)
-                if isinstance(sol, NacSolution) != cf.consistent:
-                    raise _SuiteFailed(
-                        checks,
-                        f"solver and closed form disagree on consistency at "
-                        f"n={n}, p={p}, m={m}",
-                    )
-                checks += 1
+                sol = solve_nac(singrat_config(n, p), m)
+                at = f"at n={n}, p={p}, m={m}"
+                ok = isinstance(sol, NacSolution) == cf.consistent
+                checks.require(ok, f"solver and closed form disagree on consistency {at}")
                 want = tuple(
                     Fraction(m * (n - 1) * (p + 1 - i), (n - 1) * (p + 1) - p)
                     for i in range(p + 1)
                 )
-                if cf.coeffs != want:
-                    raise _SuiteFailed(
-                        checks, f"closed-form coefficients drifted at n={n}, p={p}, m={m}"
-                    )
-                checks += 1
+                checks.require(cf.coeffs == want, f"closed-form coefficients drifted {at}")
                 if cf.consistent:
-                    if sol.coeffs != want or not sol.effective:
-                        raise _SuiteFailed(
-                            checks, f"solver coefficients differ at n={n}, p={p}, m={m}"
-                        )
-                    checks += 1
-        if index_of(singrat_config(n, n - 1)) != n - 1:
-            raise _SuiteFailed(checks, f"index at n={n} is not n-1")
-        checks += 1
-    return checks, "solver output equals the closed form on the whole grid; index is n-1"
+                    ok = sol.coeffs == want and sol.effective
+                    checks.require(ok, f"solver coefficients differ {at}")
+        checks.require(index_of(singrat_config(n, n - 1)) == n - 1, f"index at n={n} is not n-1")
+    return "solver output equals the closed form on the whole grid; index is n-1"
 
 
-def _suite_worked_instance(seed: int) -> tuple[int, str]:
+def _suite_worked_instance(seed: int, checks: _Checks) -> str:
     config = singrat_config(3, 2)
     matrix = intersection_matrix(config)
     failures = []
@@ -355,90 +346,64 @@ def _suite_worked_instance(seed: int) -> tuple[int, str]:
         if isinstance(sol, NacSolution):
             if _divisor_square(sol.coeffs, matrix) != -m * m * 3:
                 failures.append(f"square at m={m}")
-    if failures:
-        raise _SuiteFailed(8, "failed: " + ", ".join(failures))
-    return 8, "k=(3/2,1,1/2), k=(3,2,1), det=-4, squares -m^2*3"
+    # the eight checks count whether they pass or fail
+    checks.count += 8
+    checks.require(not failures, "failed: " + ", ".join(failures), 0)
+    return "k=(3/2,1,1/2), k=(3,2,1), det=-4, squares -m^2*3"
 
 
-def _suite_random_nac(seed: int) -> tuple[int, str]:
+def _suite_random_nac(seed: int, checks: _Checks) -> str:
     rng = random.Random(seed)
-    checks = 0
     accepted = 0
     for config in _nac_suite_configs(rng, 1000):
         matrix = intersection_matrix(config)
         for m in (1, 2):
             sol = solve_nac(config, m)
             if isinstance(sol, NoSolution):
-                if not sol.reason:
-                    raise _SuiteFailed(checks, "empty reason")
+                checks.require(bool(sol.reason), "empty reason", 0)
                 continue
             accepted += 1
-            square = _divisor_square(sol.coeffs, matrix)
-            if square != -m * m * config.b2:
-                raise _SuiteFailed(
-                    checks, f"accepted divisor square {square} != {-m * m * config.b2}"
-                )
-            if any(k < 0 for k in sol.coeffs):
-                raise _SuiteFailed(checks, "accepted divisor with a negative coefficient")
-            if any((k * sol.index / m).denominator != 1 for k in sol.coeffs):
-                raise _SuiteFailed(checks, "index does not clear the denominators")
-            checks += 3
-    if accepted == 0:
-        raise _SuiteFailed(checks, "no solution accepted")
-    return checks, (
+            square, want = _divisor_square(sol.coeffs, matrix), -m * m * config.b2
+            checks.require(square == want, f"accepted divisor square {square} != {want}", 0)
+            ok = all(k >= 0 for k in sol.coeffs)
+            checks.require(ok, "accepted divisor with a negative coefficient", 0)
+            ok = all((k * sol.index / m).denominator == 1 for k in sol.coeffs)
+            checks.require(ok, "index does not clear the denominators", 3)
+    checks.require(accepted > 0, "no solution accepted", 0)
+    return (
         f"{accepted} accepted divisors recomputed against the matrix "
         "(square law, positivity, index)"
     )
 
 
-def _suite_p0_impossibility(seed: int) -> tuple[int, str]:
-    checks = 0
+def _suite_p0_impossibility(seed: int, checks: _Checks) -> str:
     for n in range(2, 11):
-        if singrat_closed_form(n, 0, 1).consistent:
-            raise _SuiteFailed(checks, f"p=0 consistent at n={n}")
-        if not isinstance(solve_nac(singrat_config(n, 0), 1), NoSolution):
-            raise _SuiteFailed(checks, f"solver accepts p=0 at n={n}")
-        checks += 2
+        checks.require(not singrat_closed_form(n, 0, 1).consistent, f"p=0 consistent at n={n}", 0)
+        ok = isinstance(solve_nac(singrat_config(n, 0), 1), NoSolution)
+        checks.require(ok, f"solver accepts p=0 at n={n}", 2)
     for n in range(2, 61):
         # the obstruction in integers: n(n-1) is strictly between consecutive squares
         target = n * (n - 1)
-        if isqrt(target) ** 2 == target:
-            raise _SuiteFailed(checks, f"n(n-1) square at n={n}")
-        checks += 1
-    return checks, "p=0 inconsistent for n in [2,10]; n(n-1) never a square up to 60"
+        checks.require(isqrt(target) ** 2 != target, f"n(n-1) square at n={n}")
+    return "p=0 inconsistent for n in [2,10]; n(n-1) never a square up to 60"
 
 
-def _suite_enumerator_oracle(seed: int) -> tuple[int, str]:
-    checks = 0
+def _suite_enumerator_oracle(seed: int, checks: _Checks) -> str:
     for name, config in representation_fixtures():
         mine = enumerate_representations(config)
         naive = brute_force_representations(config)
-        if sorted(_rep_fingerprint(r) for r in mine) != sorted(
-            _rep_fingerprint(r) for r in naive
-        ):
-            raise _SuiteFailed(
-                checks,
-                f"pruned and unpruned enumerations differ on {name} "
-                f"({len(mine)} vs {len(naive)})",
-            )
-        for rep in mine:
-            if not verify_representation(config, rep).ok:
-                raise _SuiteFailed(
-                    checks, f"enumerated representation fails verification on {name}"
-                )
-        checks += 1 + len(mine)
-    return checks, (
-        "pruned enumeration matches the unpruned product search on every "
-        "rank <= 4 fixture"
-    )
+        ok = sorted(map(_rep_fingerprint, mine)) == sorted(map(_rep_fingerprint, naive))
+        counts = f"({len(mine)} vs {len(naive)})"
+        checks.require(ok, f"pruned and unpruned enumerations differ on {name} {counts}", 0)
+        ok = all(verify_representation(config, rep).ok for rep in mine)
+        checks.require(ok, f"enumerated representation fails verification on {name}", 1 + len(mine))
+    return "pruned enumeration matches the unpruned product search on every rank <= 4 fixture"
 
 
-def _suite_sharp_c_b2(seed: int) -> tuple[int, str]:
-    checks = 0
+def _suite_sharp_c_b2(seed: int, checks: _Checks) -> str:
     for name, config in representation_fixtures():
         reps = enumerate_representations(config)
-        if not reps:
-            raise _SuiteFailed(checks, f"no representation on {name}")
+        checks.require(len(reps) > 0, f"no representation on {name}", 0)
         cycles = find_cycles(config)
         pos = {c.id: i for i, c in enumerate(config.curves)}
         for rep in reps:
@@ -447,99 +412,67 @@ def _suite_sharp_c_b2(seed: int) -> tuple[int, str]:
                 for cid in rec.member_ids:
                     for t, x in enumerate(rep.classes[pos[cid]].coeffs):
                         total[t] += x
-                square = -sum(x * x for x in total)
+                law = rec.length + sum(x * x for x in total)
                 want = (2 if rep.odd_ih else 1) * config.b2
-                if rec.length - square != want:
-                    raise _SuiteFailed(
-                        checks,
-                        f"{name}: #C - C^2 = {rec.length - square}, expected {want}",
-                    )
-                checks += 1
+                checks.require(law == want, f"{name}: #C - C^2 = {law}, expected {want}")
         rational_cycles = [rec for rec in cycles if rec.length >= 1]
         rational = sum(1 for c in config.curves if c.kind != ELLIPTIC)
         if len(rational_cycles) == 1 and rational == config.b2:
             # the intersection-data route must agree with the homology route
-            crosscheck = sigma_classify(config).torsion_crosscheck
-            if crosscheck != reps[0].odd_ih:
-                raise _SuiteFailed(
-                    checks, f"{name}: torsion cross-check disagrees with the enumeration"
-                )
-            checks += 1
-    return checks, (
+            ok = sigma_classify(config).torsion_crosscheck == reps[0].odd_ih
+            checks.require(ok, f"{name}: torsion cross-check disagrees with the enumeration")
+    return (
         "#C - C^2 equals b2 (2*b2 in the twisted case) on every fixture, "
         "and the sigma cross-check agrees"
     )
 
 
-def _suite_representation_uniqueness(seed: int) -> tuple[int, str]:
-    checks = 0
+def _suite_representation_uniqueness(seed: int, checks: _Checks) -> str:
     for n in (2, 3, 4):
         config = singrat_config(n, n - 1)
         reps = enumerate_representations(config)
-        if len(reps) != 1:
-            raise _SuiteFailed(checks, f"{len(reps)} representations at n={n}, expected 1")
+        checks.require(len(reps) == 1, f"{len(reps)} representations at n={n}, expected 1", 0)
         rep = reps[0]
         expected = [LatticeClass(tuple(0 if t == 0 else -1 for t in range(n)))]
         for i in range(1, n):
             expected.append(type_a_class(n, i, frozenset({i - 1})))
-        if rep.odd_ih or list(rep.classes) != expected:
-            raise _SuiteFailed(
-                checks, f"canonical representation at n={n} is not the chain pattern"
-            )
-        if not verify_representation(config, rep).ok:
-            raise _SuiteFailed(
-                checks, f"canonical representation at n={n} fails verification"
-            )
-        checks += 3
-    return checks, (
-        "exactly one representation for n in {2,3,4}: the tail class plus "
-        "the difference chain"
-    )
+        ok = not rep.odd_ih and list(rep.classes) == expected
+        checks.require(ok, f"canonical representation at n={n} is not the chain pattern", 0)
+        ok = verify_representation(config, rep).ok
+        checks.require(ok, f"canonical representation at n={n} fails verification", 3)
+    return "exactly one representation for n in {2,3,4}: the tail class plus the difference chain"
 
 
-def _suite_enoki_pipeline(seed: int) -> tuple[int, str]:
-    checks = 0
+def _suite_enoki_pipeline(seed: int, checks: _Checks) -> str:
     for n in range(1, 7):
         for zeros in (True, False):
             tail = (0,) * n if zeros else tuple(1 if i == 0 else 0 for i in range(n))
             germ = EnokiGerm(Fraction(1, 2), n, tail)
-            if not is_contracting(germ) or is_parabolic(germ) != zeros:
-                raise _SuiteFailed(checks, f"germ flags wrong at n={n}")
+            ok = is_contracting(germ) and is_parabolic(germ) == zeros
+            checks.require(ok, f"germ flags wrong at n={n}", 0)
             real = realize_enoki(germ)
             cls = sigma_classify(real.config)
-            if cls.sigma != 2 * n or cls.verdict != ENOKI_CLASS:
-                raise _SuiteFailed(
-                    checks, f"sigma = {cls.sigma} (verdict {cls.verdict}) at n={n}"
-                )
+            ok = cls.sigma == 2 * n and cls.verdict == ENOKI_CLASS
+            checks.require(ok, f"sigma = {cls.sigma} (verdict {cls.verdict}) at n={n}", 0)
             sol = solve_nac(real.config, 1)
-            if real.has_nac != isinstance(sol, NacSolution):
-                raise _SuiteFailed(
-                    checks, f"divisor verdict does not match the tail flag at n={n}"
-                )
-            if isinstance(sol, NacSolution):
-                if not sol.parabolic or sol.index != 1 or set(sol.coeffs) != {
-                    Fraction(1)
-                }:
-                    raise _SuiteFailed(
-                        checks, f"parabolic divisor is not the unit vector at n={n}"
-                    )
-            checks += 4
+            ok = real.has_nac == isinstance(sol, NacSolution)
+            checks.require(ok, f"divisor verdict does not match the tail flag at n={n}", 0)
+            ok = not isinstance(sol, NacSolution) or (
+                sol.parabolic and sol.index == 1 and set(sol.coeffs) == {Fraction(1)}
+            )
+            checks.require(ok, f"parabolic divisor is not the unit vector at n={n}", 4)
     for bad in (Fraction(0), Fraction(1), Fraction(3, 2)):
         try:
             realize_enoki(EnokiGerm(bad, 2, (0, 0)))
+            refused = False
         except DomainError:
-            checks += 1
-        else:
-            raise _SuiteFailed(checks, f"non-contraction t={bad} accepted")
-    return checks, (
-        "germ to surface to trichotomy to divisor agrees with the tail flag "
-        "for n in [1,6]"
-    )
+            refused = True
+        checks.require(refused, f"non-contraction t={bad} accepted")
+    return "germ to surface to trichotomy to divisor agrees with the tail flag for n in [1,6]"
 
 
-def _suite_star_recurrence(seed: int) -> tuple[int, str]:
+def _suite_star_recurrence(seed: int, checks: _Checks) -> str:
     rng = random.Random(seed + 1)
-    checks = 0
     accepted = 0
     for config in _nac_suite_configs(rng, 300):
         for m in (1, 2):
@@ -548,25 +481,17 @@ def _suite_star_recurrence(seed: int) -> tuple[int, str]:
                 continue
             accepted += 1
             report = verify_star_recurrence(config, sol)
-            if not report.ok:
-                raise _SuiteFailed(checks, "recurrence fails on an accepted divisor")
-            checks += max(1, len(report.checks))
+            weight = max(1, len(report.checks))
+            checks.require(report.ok, "recurrence fails on an accepted divisor", weight)
     config = singrat_config(4, 3)
     sol = solve_nac(config, 1)
     # k_1 + 1 at level 1
-    bumped = NacSolution(
-        1,
-        sol.scaled[:1] + (sol.scaled[1] + sol.index,) + sol.scaled[2:],
-        sol.index,
-        sol.effective,
-        sol.square,
-    )
-    if verify_star_recurrence(config, bumped).ok:
-        raise _SuiteFailed(checks, "perturbed divisor passes the recurrence")
-    checks += 1
-    if accepted == 0:
-        raise _SuiteFailed(checks, "no accepted divisors")
-    return checks, (
+    scaled = sol.scaled[:1] + (sol.scaled[1] + sol.index,) + sol.scaled[2:]
+    bumped = NacSolution(1, scaled, sol.index, sol.effective, sol.square)
+    ok = not verify_star_recurrence(config, bumped).ok
+    checks.require(ok, "perturbed divisor passes the recurrence")
+    checks.require(accepted > 0, "no accepted divisors", 0)
+    return (
         f"recurrence holds at every interior curve across {accepted} accepted "
         "divisors and detects a perturbed one"
     )
@@ -581,9 +506,8 @@ def _random_symmetric(rng: random.Random, size: int) -> list[list[int]]:
     return m
 
 
-def _suite_definiteness_oracle(seed: int) -> tuple[int, str]:
+def _suite_definiteness_oracle(seed: int, checks: _Checks) -> str:
     rng = random.Random(seed + 2)
-    checks = 0
     matrices = [_random_symmetric(rng, rng.randint(1, 4)) for _ in range(10000)]
     matrices += [_random_symmetric(rng, 8) for _ in range(500)]
     for n in range(2, 7):
@@ -592,12 +516,9 @@ def _suite_definiteness_oracle(seed: int) -> tuple[int, str]:
     matrices.append([[0]])
     matrices.append([[-2, 2], [2, -2]])
     for m in matrices:
-        mine = is_negative_definite(m)
-        ref = definiteness_oracle(m)
-        if mine != ref:
-            raise _SuiteFailed(checks, f"disagreement on {m}: {mine} vs {ref}")
-        checks += 1
-    return checks, (
+        mine, ref = is_negative_definite(m), definiteness_oracle(m)
+        checks.require(mine == ref, f"disagreement on {m}: {mine} vs {ref}")
+    return (
         "symmetric elimination agrees with the all-principal-minors oracle "
         "on every sampled matrix"
     )
@@ -623,11 +544,12 @@ SUITE_NAMES = list(_SUITES)
 def run_suite(name: str, seed: int = 0) -> SuiteResult:
     if name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}")
+    checks = _Checks()
     try:
-        checks, detail = _SUITES[name](seed)
+        detail = _SUITES[name](seed, checks)
     except _SuiteFailed as exc:
-        return SuiteResult(name, False, exc.checks, exc.detail)
-    return SuiteResult(name, True, checks, detail)
+        return SuiteResult(name, False, checks.count, str(exc))
+    return SuiteResult(name, True, checks.count, detail)
 
 
 def run_all(seed: int = 0) -> list[SuiteResult]:

@@ -24,7 +24,9 @@ from viilattice import (
     NacSolution,
     NoSolution,
     StructureError,
+    TypeA,
     VerificationReport,
+    classify_normal_form,
     config_from_text,
     config_to_doc,
     config_to_text,
@@ -202,23 +204,46 @@ def test_corrupted_solution_exits_internal(capsys, monkeypatch, singrat3_file, c
     assert "solver self-intersection check failed" in err
 
 
+def _count_sections_and_checks(monkeypatch):
+    """The levels of the NAC sections classify builds, and the solutions whose
+    square it checks, in call order."""
+    section, checked = cli._nac_section, cli._checked
+    levels, solutions = [], []
+
+    def counted_section(sol, m):
+        levels.append(m)
+        return section(sol, m)
+
+    def counted_check(config, sol):
+        solutions.append(sol)
+        return checked(config, sol)
+
+    monkeypatch.setattr(cli, "_nac_section", counted_section)
+    monkeypatch.setattr(cli, "_checked", counted_check)
+    return levels, solutions
+
+
 @pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=CORRUPTION_IDS)
 def test_corrupted_level_index_section_exits_internal(capsys, monkeypatch, singrat3_file, corrupt):
-    # singrat3 has index 2: the level-1 section gets the true solution, and
-    # only the level-index section is checked against a corrupted one
-    section = cli._nac_section
-    levels = []
-
-    def corrupted(config, sol, m):
-        levels.append(m)
-        return section(config, corrupt(sol) if m > 1 else sol, m)
-
-    monkeypatch.setattr(cli, "_nac_section", corrupted)
+    # singrat3 has index 2, so classify would write a level-index section as
+    # well; the solution's square is checked once, before either section is
+    # built, so a corrupted solution builds neither
+    solve = cli.solve_nac
+    monkeypatch.setattr(cli, "solve_nac", lambda config, m: corrupt(solve(config, m)))
+    levels, solutions = _count_sections_and_checks(monkeypatch)
     code, doc, err = run(capsys, ["classify", singrat3_file])
-    assert levels == [1, 2]
+    assert (levels, len(solutions)) == ([], 1)
     assert code == 2
     assert doc is None
     assert "solver self-intersection check failed" in err
+
+
+def test_classify_checks_the_square_once_per_solution(capsys, monkeypatch, singrat3_file):
+    want = run(capsys, ["classify", singrat3_file])
+    levels, solutions = _count_sections_and_checks(monkeypatch)
+    assert run(capsys, ["classify", singrat3_file]) == want
+    assert want[0] == 0 and "nac_at_index" in want[1]
+    assert levels == [1, 2] and len(solutions) == 1
 
 
 def test_malformed_json_exits_invalid(capsys, tmp_path):
@@ -393,7 +418,10 @@ def test_enumerate_renders_every_class_up_to_b2_6():
     for name, config in _render_sweep_configs():
         for rep in enumerate_representations(config):
             for klass in rep.classes:
-                assert cli._render_class(klass) != "no recognized pattern", (name, klass)
+                # the two shapes _render_class names: a TypeA class, or a 0/-1 cycle sum
+                form = classify_normal_form(klass)
+                assert isinstance(form, TypeA) or set(klass.coeffs) <= {0, -1}, (name, klass)
+                assert cli._render_class(klass), (name, klass)
                 rendered += 1
     assert rendered > 100
 
@@ -1430,6 +1458,98 @@ def test_parser_is_built_once_and_reused(capsys, tmp_path):
     assert [code for code, _, _ in passes[0]] == [1, 0, 1, 0, 0]
     assert passes[1] == passes[0] and passes[2] == passes[0]
     assert cli._build_parser.cache_info().misses == 1
+
+
+def _referee_parser():
+    """The parser as one add_parser block per command, the way it was built
+    before the command table: the table's referee."""
+    parser = argparse.ArgumentParser(
+        prog="viilattice",
+        description="Exact lattice invariants of curve configurations on "
+        "minimal class-VII surfaces with positive second Betti number.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+
+    p = sub.add_parser("classify", help="full pipeline report for a configuration file")
+    p.set_defaults(run=cli._cmd_classify)
+    commands["classify"] = cli._grammar("classify", p, p.add_argument("file"))
+
+    p = sub.add_parser("nac", help="anticanonical coefficients at a chosen level")
+    p.set_defaults(run=cli._cmd_nac)
+    commands["nac"] = cli._grammar(
+        "nac",
+        p,
+        p.add_argument("file"),
+        p.add_argument("--m", type=int, default=1, help="divisor level (default 1)"),
+    )
+
+    p = sub.add_parser("index", help="smallest level with integer coefficients")
+    p.set_defaults(run=cli._cmd_index)
+    commands["index"] = cli._grammar("index", p, p.add_argument("file"))
+
+    p = sub.add_parser("enumerate", help="canonical homology representations")
+    p.set_defaults(run=cli._cmd_enumerate)
+    commands["enumerate"] = cli._grammar(
+        "enumerate",
+        p,
+        p.add_argument("file"),
+        p.add_argument(
+            "--max-solutions",
+            type=int,
+            default=None,
+            help="truncate the report after this many representations",
+        ),
+    )
+
+    p = sub.add_parser("germ", help="validate contracting-germ parameters")
+    p.set_defaults(run=cli._cmd_germ)
+    commands["germ"] = cli._grammar(
+        "germ",
+        p,
+        p.add_argument("kind", choices=cli.GERM_KINDS),
+        p.add_argument("params", nargs="*", metavar="key=value"),
+    )
+
+    p = sub.add_parser("selftest", help="run the built-in verification suites")
+    p.set_defaults(run=cli._cmd_selftest)
+    commands["selftest"] = cli._grammar(
+        "selftest",
+        p,
+        p.add_argument("--seed", type=int, default=0, help="seed for randomized suites"),
+    )
+
+    return parser, commands
+
+
+def _help_texts(parser) -> dict:
+    """format_help() of the parser and of each of its commands' parsers."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {None: parser.format_help(), **{k: p.format_help() for k, p in sub.choices.items()}}
+
+
+def _grammar_shape(grammar):
+    """A grammar with each action as the dict of its attributes but the
+    argument group that holds it."""
+    if grammar is None:
+        return None
+    defaults, positionals, options = grammar
+
+    def shape(action):
+        return {k: v for k, v in vars(action).items() if k != "container"}
+
+    return defaults, [shape(a) for a in positionals], {k: shape(a) for k, a in options.items()}
+
+
+def test_the_command_table_builds_the_referee_parser():
+    parser, commands = cli._build_parser()
+    referee, referee_commands = _referee_parser()
+    texts = _help_texts(parser)
+    assert list(texts) == [None, *COMMAND_NAMES]
+    assert texts == _help_texts(referee)
+    assert list(commands) == list(referee_commands)
+    for name, grammar in commands.items():
+        assert _grammar_shape(grammar) == _grammar_shape(referee_commands[name]), name
 
 
 def _through_argparse(capsys, argv):

@@ -33,8 +33,8 @@ PUBLIC_NAMES = {
     # errors
     "ConfigParseError", "DimensionMismatch", "DomainError", "EnumerationCapError",
     "InvalidConfigError", "StructureError",
-    # families
-    "enoki_cycle_config", "singrat_config",
+    # families; gss_config added with the blow-up-word corpus
+    "enoki_cycle_config", "gss_config", "singrat_config",
     # germs
     "Condition", "EnokiGerm", "EnokiRealization", "ExactComplex", "GermVerdict",
     "HopfGermPrimary", "HopfGermStrong", "is_contracting", "is_parabolic",
