@@ -187,14 +187,53 @@ class CurveConfig(_Frozen):
 
         det = det(-M) > 0 and y = det * x for the level-1 solution x of
         M x = -K.D, in listing order.  The rows of -M come straight from the
-        stored triples, symmetric by construction.
+        stored triples, symmetric by construction, and are eliminated leaves
+        first: the curves :attr:`_peel` strips, in stripping order, then the
+        rest in listing order.  In a tree hung on one curve, a step then
+        fills at most one entry, joining the curve met to that root (Rose,
+        Tarjan & Lueker 1976); the verdict, det and y do not depend on the order.
         """
         require_valid(self)  # before any degree is read
-        rows = [{a: -c.self_int} if c.self_int else {} for a, c in enumerate(self.curves)]
+        stripped, by_id = self._peel[0], self._by_id
+        order = [by_id[v] for v in stripped] + [c for c in self.curves if c.id not in stripped]
+        rank = {c.id: k for k, c in enumerate(order)}
+        rows = [{a: -c.self_int} if c.self_int else {} for a, c in enumerate(order)]
         for i, j, v in self.intersections:
-            a, b = sorted((self._position[i], self._position[j]))
+            a, b = rank[i], rank[j]
+            if a > b:
+                a, b = b, a
             rows[a][b] = -v
-        return _symmetric_elimination(rows, [adjunction_degree(c) for c in self.curves])
+        verdict, solved = _symmetric_elimination(rows, [adjunction_degree(c) for c in order])
+        if solved:
+            solved = tuple([solved[0][rank[c.id]] for c in self.curves]), solved[1]
+        return verdict, solved
+
+    @functools.cached_property
+    def _peel(self) -> tuple[dict[int, int | None], dict[int, int]]:
+        """(stripped, core): the smooth rational curves stripped down to the
+        2-core of their intersection graph, counting multiplicities, one
+        curve of degree <= 1 at a time.  ``stripped`` maps each stripped
+        curve, in stripping order, to the one curve left that it met then,
+        or None; ``core`` maps each curve left to its degree among them."""
+        adj, stripped = self._adj, {}
+        core = {c.id: 0 for c in self.curves if c.kind == SMOOTH_RATIONAL}
+        for i, j, m in self.intersections:
+            if i in core and j in core:
+                core[i] += m
+                core[j] += m
+        stack = [v for v, d in core.items() if d <= 1]
+        while stack:
+            v = stack.pop()
+            if v in core:
+                del core[v]
+                stripped[v] = None
+                for u, m in adj[v]:
+                    if u in core:
+                        stripped[v] = u
+                        core[u] -= m
+                        if core[u] <= 1:
+                            stack.append(u)
+        return stripped, core
 
     @functools.cached_property
     def cycles(self) -> tuple[CycleRecord, ...] | StructureError:
@@ -260,7 +299,7 @@ def intersection_matrix(config: CurveConfig) -> list[list[int]]:
 
 
 def is_negative_definite(matrix: list[list[int]]) -> str:
-    """Exact definiteness verdict: "definite", "semidefinite" or "neither"."""
+    """The exact verdict "definite", "semidefinite" or "neither", eliminating in row order."""
     return _symmetric_elimination(_upper_rows(matrix), [0] * len(matrix))[0]
 
 
@@ -280,7 +319,7 @@ def _symmetric_elimination(rows: list[dict[int, int]], column: list[int]) -> tup
 
     rows[i] maps j >= i to the entry -M[i][j] and stores no zero; det is
     det(-M) > 0 and y is integral.  One symmetric fraction-free (Bareiss)
-    elimination of [-M | column] in listing order, on the nonzeros only;
+    elimination of [-M | column] in row order, on the nonzeros only;
     each pivot has the sign of a Schur complement's diagonal entry.  A
     negative pivot, or a zero pivot with a nonzero remaining row (a 2 x 2
     principal minor is then negative), refutes semidefiniteness.  A zero
@@ -377,35 +416,16 @@ def find_cycles(config: CurveConfig) -> tuple[CycleRecord, ...]:
 
 def _decompose(config: CurveConfig) -> tuple[CycleRecord, ...]:
     require_valid(config)
-    smooth = [c.id for c in config.curves if c.kind == SMOOTH_RATIONAL]
-    smooth_set = set(smooth)
+    stripped, core = config._peel
     adj = config._adj  # read, never copied: neighbors() copies per call
-
-    # 2-core of the smooth subgraph: strip multiplicity-degree <= 1 until none
-    # is left; degree[v] stays v's degree among the curves still in the core
-    core = set(smooth)
-    degree = {v: sum(m for u, m in adj[v] if u in core) for v in smooth}
-    stack = [v for v in smooth if degree[v] <= 1]
-    while stack:
-        v = stack.pop()
-        if v not in core:
-            continue
-        core.remove(v)
-        for u, m in adj[v]:
-            if u in core:
-                degree[u] -= m
-                if degree[u] <= 1:
-                    stack.append(u)
-
     for v in sorted(core):
-        if degree[v] != 2:
+        if core[v] != 2:
             raise StructureError(
                 f"curve {v} lies on more than one cycle "
                 "(its pruned intersection graph degree exceeds 2)"
             )
 
-    cycles: list[CycleRecord] = []
-    seen: set[int] = set()
+    cycles, seen = [], set()
     for start in sorted(core):
         if start in seen:
             continue
@@ -413,11 +433,9 @@ def _decompose(config: CurveConfig) -> tuple[CycleRecord, ...]:
         seen.update(members)
         cycles.append(CycleRecord(tuple(members), len(members)))
 
-    for c in config.curves:
-        if c.kind == NODAL_RATIONAL:
-            cycles.append(CycleRecord((c.id,), 1))
-        elif c.kind == ELLIPTIC:
-            cycles.append(CycleRecord((c.id,), 0))
+    # a nodal curve is a 1-cycle and the elliptic one a 0-cycle
+    cycles += [CycleRecord((c.id,), int(c.kind == NODAL_RATIONAL))
+               for c in config.curves if c.kind != SMOOTH_RATIONAL]
 
     cycle_of = {cid: k for k, rec in enumerate(cycles) for cid in rec.member_ids}
     # the triples are sorted, so the first offending pair is the least one
@@ -425,41 +443,34 @@ def _decompose(config: CurveConfig) -> tuple[CycleRecord, ...]:
         if a in cycle_of and b in cycle_of and cycle_of[a] != cycle_of[b]:
             raise StructureError(f"curves {a} and {b} join two distinct cycles")
 
-    # trees: connected components of the remaining smooth curves
-    pool = smooth_set.difference(cycle_of)
-    assigned: dict[int, list[tuple[int, list[int]]]] = {}
-    visited: set[int] = set()
-    for start in sorted(pool):
-        if start in visited:
-            continue
-        component = _tree_component(config, start, pool)
-        visited.update(component)
-        attachments = []
-        for v in component:
-            for u, m in adj[v]:
-                if u in cycle_of:
-                    attachments.extend([u] * m)
+    # trees: the stripped curves.  Two of them meet only if the first one
+    # stripped met the other, so a curve joins the tree of the curve it met
+    # unless that one is on a cycle; last stripped first, that tree is known
+    top, trees = {}, {}
+    for v, met in reversed(stripped.items()):
+        top[v] = t = top.get(met, v)
+        trees.setdefault(t, []).append(v)
+    assigned: dict[int, list[list[int]]] = {}
+    for component in sorted(map(sorted, trees.values())):
+        attachments = [u for v in component for u, m in adj[v] if u in cycle_of for _ in range(m)]
         if not attachments:
             continue  # isolated tree: in no record
         if len(attachments) > 1:
             raise StructureError(
-                f"tree through curve {start} attaches to a cycle more than once "
+                f"tree through curve {component[0]} attaches to a cycle more than once "
                 f"(roots {sorted(set(attachments))})"
             )
-        root = attachments[0]
-        assigned.setdefault(root, []).append((min(component), sorted(component)))
+        assigned.setdefault(attachments[0], []).append(component)
 
     out = []
     for rec in sorted(cycles, key=lambda r: min(r.member_ids)):
-        branches = []
-        for root in rec.member_ids:
-            for _, members in sorted(assigned.get(root, [])):
-                branches.append(Branch(root, tuple(members)))
+        branches = [Branch(root, tuple(members))
+                    for root in rec.member_ids for members in assigned.get(root, ())]
         out.append(CycleRecord(rec.member_ids, rec.length, tuple(branches)))
     return tuple(out)
 
 
-def _walk_cycle(config: CurveConfig, core: set[int], start: int) -> list[int]:
+def _walk_cycle(config: CurveConfig, core: dict[int, int], start: int) -> list[int]:
     # every core vertex has multiplicity-degree exactly 2 here, so it meets one
     # core curve twice (a 2-cycle, whose walk steps back to the start) or two
     # core curves once each
@@ -469,18 +480,6 @@ def _walk_cycle(config: CurveConfig, core: set[int], start: int) -> list[int]:
         members.append(cur)
         prev, cur = cur, next((u for u, _ in adj[cur] if u in core and u != prev), start)
     return members
-
-
-def _tree_component(config: CurveConfig, start: int, pool: set[int]) -> list[int]:
-    comp = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u, _ in config._adj[v]:
-            if u in pool and u not in comp:
-                comp.add(u)
-                stack.append(u)
-    return sorted(comp)
 
 
 # --- numerical classification ----------------------------------------------
