@@ -137,18 +137,21 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 def _grammar(command: str, parser: argparse.ArgumentParser, *actions: argparse.Action):
     """(namespace defaults, positional actions, {option string: action}) of
-    one command, or None unless each action reads exactly one token and has
-    no choices.  The parser adds no append, count or custom action, so such
-    an action stores that token, converted by its type, under its dest."""
-    if any(action.nargs is not None or action.choices is not None for action in actions):
+    one command, or None unless each action reads exactly one token, or is a
+    last positional with nargs="*" and no default on a command without
+    options.  The parser adds no append, count or custom action, so such an
+    action stores its token, converted by its type and checked against its
+    choices, under its dest; the "*" positional stores the list of the rest."""
+    positionals = [action for action in actions if not action.option_strings]
+    options = {option: action for action in actions for option in action.option_strings}
+    star = not options and (actions[-1].nargs, actions[-1].default) == ("*", None)
+    if any(action.nargs is not None for action in actions[: -1 if star else None]):
         return None
     defaults = {
         "command": command,
         **{action.dest: action.default for action in actions},
         "run": parser.get_default("run"),
     }
-    positionals = [action for action in actions if not action.option_strings]
-    options = {option: action for action in actions for option in action.option_strings}
     return defaults, positionals, options
 
 
@@ -156,34 +159,48 @@ def _plain_args(argv: list) -> argparse.Namespace | None:
     """The namespace parse_args(argv) returns, for an argv of a command name
     followed by each of its positionals and any of its exact option strings
     with a value; None for every other argv, which parse_args reads.  So
-    help, usage errors, abbreviations, "--", "--m=2", a value or positional
-    that starts with "-" and the germ command stay with argparse."""
-    grammar = _build_parser()[1].get(argv[0]) if argv and type(argv[0]) is str else None
+    help, usage errors, abbreviations, "--", "--m=2", a token past the
+    command that starts with "-" and a value outside its choices stay with
+    argparse."""
+    if not argv or any(type(token) is not str for token in argv):
+        return None
+    grammar = _build_parser()[1].get(argv[0])
     if grammar is None:
         return None
     defaults, positionals, options = grammar
     values = dict(defaults)
     positionals = iter(positionals)
     tokens = iter(argv[1:])
-    for token in tokens:
-        if type(token) is not str:
-            return None
-        action = options.get(token)
-        if action is None:
-            action = next(positionals, None)
-        else:
-            token = next(tokens, None)
-            if type(token) is not str:
+    try:
+        for token in tokens:
+            action = options.get(token)
+            if action is None:
+                action = next(positionals)
+            else:
+                token = next(tokens)
+            if action.nargs is None:
+                values[action.dest] = _token_value(action, token)
+            else:
+                values[action.dest] = [_token_value(action, t) for t in (token, *tokens)]
+        for action in positionals:
+            if action.nargs is None:
                 return None
-        if action is None or token.startswith("-"):
-            return None
-        try:
-            values[action.dest] = token if action.type is None else action.type(token)
-        except (TypeError, ValueError):
-            return None
-    if next(positionals, None) is not None:
+            values[action.dest] = []
+    except (StopIteration, TypeError, ValueError):
         return None
     return argparse.Namespace(**values)
+
+
+def _token_value(action: argparse.Action, token: str):
+    """token as parse_args stores it for action; ValueError (or the
+    TypeError or ValueError of its type) for a token it reads otherwise or
+    refuses."""
+    if token.startswith("-"):
+        raise ValueError(token)
+    value = token if action.type is None else action.type(token)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(token)
+    return value
 
 
 def _emit(doc: dict) -> None:

@@ -40,12 +40,15 @@ def config_from_text(text: str) -> CurveConfig:
 
 
 def load_config(path: str) -> CurveConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ConfigParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    return config_from_text(text)
+    """The configuration of the file at path, read in one unbuffered call and
+    decoded as text mode decodes it: UTF-8, with CRLF and a lone CR read as LF."""
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.readall()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return config_from_text(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 _CURVE_KEYS = frozenset(("id", "kind", "self_int"))

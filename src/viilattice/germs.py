@@ -101,6 +101,9 @@ def _lift(x: Number) -> ExactComplex:
     return x if isinstance(x, ExactComplex) else ExactComplex(x)
 
 
+_LOG2_10 = Fraction(math.log2(10))
+
+
 def _resonance(s: ExactComplex, p, q, formula: str) -> Condition:
     """The "resonance" condition s * (b^k - c^j) = 0, for p = (b, k) and
     q = (c, j); its detail reads ``formula`` = the term.  The term is refused
@@ -116,13 +119,20 @@ def _resonance(s: ExactComplex, p, q, formula: str) -> Condition:
     the bounds on log2 H differ only by the float error of the logs, which
     the slack of _log2_height covers; one spare bit covers the float log
     of 10.
+
+    Those bounds run only when an integer bound cannot clear both pairs:
+    log2 H(b) <= _bits(b), the lower bound of _log2_height lies below
+    log2 H(b), and the right-hand side exceeds 5 + 6L * log2(10) > 19L, as
+    log2 H is never negative.  So k * _bits(b) <= 19L for both pairs means
+    that neither pair is refused, and every input the exact bounds refuse
+    still reaches them.
     """
     if s.is_zero():
         # the term is 0 whatever the powers are, so they are not computed
         return Condition("resonance", True, f"{formula} = {s}")
     limit = sys.get_int_max_str_digits()
-    if limit:
-        budget = 5 + 6 * limit * Fraction(math.log2(10)) + _log2_height(s, upper=True)
+    if limit and any(k * _bits(b) > 19 * limit for b, k in (p, q)):
+        budget = 5 + 6 * limit * _LOG2_10 + _log2_height(s, upper=True)
         for (b, k), (c, j) in ((p, q), (q, p)):
             if k * _log2_height(b, upper=False) > budget + j * _log2_height(c, upper=True):
                 raise DomainError(
@@ -132,6 +142,17 @@ def _resonance(s: ExactComplex, p, q, formula: str) -> Condition:
     (b, k), (c, j) = p, q
     obstruction = (b**k - c**j) * s
     return Condition("resonance", obstruction.is_zero(), f"{formula} = {obstruction}")
+
+
+def _bits(x: ExactComplex) -> int:
+    """An integer at least log2 H(x): for x = (A + Bi)/D as in _log2_height,
+    H(x) <= D^2 * max(1, (A^2 + B^2)/D^2) = max(D^2, A^2 + B^2), and an
+    integer n >= 1 has log2 n < n.bit_length()."""
+    re, im = x.re, x.im
+    den = math.lcm(re.denominator, im.denominator)
+    a = re.numerator * (den // re.denominator)
+    b = im.numerator * (den // im.denominator)
+    return max(2 * den.bit_length(), (a * a + b * b).bit_length())
 
 
 def _log2_height(x: ExactComplex, upper: bool) -> Fraction:

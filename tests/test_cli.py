@@ -1569,6 +1569,7 @@ ARGV_TOKENS = st.one_of(
     st.sampled_from(
         [*COMMAND_NAMES, "--m", "--max-solutions", "--seed", "--max", "--m=2", "-h", "--help"]
         + ["--", "-", "", "f", "x", "1.5", "1_0", "-1_0", " 2", "a=1", "enoki", "t=1/2"]
+        + ["hopf-strong", "hopf-primary", "alpha=1/2", "s=0", "-1/2"]
     ),
     st.integers(-3, 12).map(str),
     st.integers(),
@@ -1606,7 +1607,10 @@ DEFERRED_ARGV = {
     "double-dash": ["classify", "--", "FILE"],
     "dash-file": ["classify", "-"],
     "negative-value": ["enumerate", "FILE", "--max-solutions", "-0"],
-    "germ": ["germ", "hopf-strong", "alpha=1/2", "a=1/8", "s=1", "m=1"],
+    "germ-without-kind": ["germ"],
+    "germ-help": ["germ", "-h"],
+    "germ-double-dash": ["germ", "enoki", "--", "t=1/2", "n=2"],
+    "germ-dash-token": ["germ", "enoki", "t=-1", "-x"],
 }
 
 
@@ -1661,6 +1665,10 @@ def test_plain_command_lines_never_reach_parse_args(capsys, monkeypatch, singrat
         ["nac", singrat3_file, "--m", "3"],
         ["index", singrat3_file],
         ["enumerate", singrat3_file, "--max-solutions", "1"],
+        ["germ", "hopf-strong", "alpha=1/2", "a=1/8", "s=1", "m=1"],
+        ["germ", "hopf-primary", "alpha1=1/4", "alpha2=1/2", "s=0", "m=2"],
+        ["germ", "enoki", "t=1/2", "n=3", "a=1/3,0"],
+        ["germ", "enoki", "t=2", "n=1"],
     ]
     want = [_through_argparse(capsys, argv) for argv in argvs]
 
@@ -1669,7 +1677,7 @@ def test_plain_command_lines_never_reach_parse_args(capsys, monkeypatch, singrat
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
     assert [(main(argv), *capsys.readouterr()) for argv in argvs] == want
-    assert [code for code, _, _ in want] == [0, 0, 0, 0, 0]
+    assert [code for code, _, _ in want] == [0, 0, 0, 0, 0, 0, 0, 0, 1]
 
 
 @pytest.mark.parametrize("rest", [["nac", "FILE", "--m", "2"], ["--help"]], ids=["plain", "help"])

@@ -160,7 +160,7 @@ def referee_config(b2, curves, intersections) -> dict:
 def _outcome(build, *args):
     try:
         return "built", build(*args)
-    except (ConfigParseError, InvalidConfigError) as exc:
+    except (ConfigParseError, InvalidConfigError, OSError) as exc:
         return type(exc), str(exc)
 
 
@@ -377,3 +377,66 @@ def test_non_utf8_file_is_a_parse_error(tmp_path):
     path.write_bytes(b'{"b2": 1, "curves": [' + b" " * 20_000 + b"\xc3\x28]}")
     with pytest.raises(ConfigParseError, match="^not UTF-8 text: invalid continuation byte at byte 20021$"):
         load_config(str(path))
+
+
+# --- the file reader against the text-mode reader ---------------------------------
+
+
+def _text_mode_load(path):
+    """load_config as it read a file before: one text-mode read."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return config_from_text(text)
+
+
+_DOC = (
+    '{\n  "b2": 2,\n  "curves": [\n'
+    '    {"id": 0, "kind": "nodal_rational", "self_int": -2},\n'
+    '    {"id": 1, "kind": "smooth_rational", "self_int": -2}\n'
+    '  ],\n  "intersections": [[0, 1, 1]]\n}\n'
+)
+_PADDED = _DOC.replace("{\n", "{" + " " * 9000 + "\n", 1)
+FILES = {
+    "lf": _DOC.encode(),
+    "crlf": _DOC.replace("\n", "\r\n").encode(),
+    "lone-cr": _DOC.replace("\n", "\r").encode(),
+    "mixed-ends": _DOC.replace("\n", "\r\r\n", 3).encode(),
+    "crlf-past-8192": _PADDED.replace("\n", "\r\n").encode(),
+    # the line of a parse error counts the translated line ends
+    "crlf-then-error": (_DOC + "x").replace("\n", "\r\n").encode(),
+    "lone-cr-then-error": (_DOC + "x").replace("\n", "\r").encode(),
+    # a raw CR or CRLF inside a string: JSON refuses the control character
+    # at the line and column of the translated text
+    "cr-in-kind": _DOC.replace("smooth_rational", "smooth\r_rational").encode(),
+    "crlf-in-kind": _DOC.replace("smooth_rational", "smooth\r\n_rational").encode(),
+    "cr-in-key": _DOC.replace('"b2"', '"b\r2"').replace("\n", "\r\n").encode(),
+    "bom": b"\xef\xbb\xbf" + _DOC.encode(),
+    "invalid-at-0": b"\xff" + _DOC.encode(),
+    "invalid-mid-file": _DOC.encode().replace(b"nodal", b"no\xc3\x28al"),
+    "invalid-past-8192": _PADDED.encode().replace(b"nodal", b"no\xe2\x82al"),
+    "truncated-at-end": _DOC.encode() + b"\xe2\x82",
+    "empty": b"",
+    "non-ascii-kind": _DOC.replace("smooth_rational", "smooth_rätiönal ").encode(),
+    "non-ascii-key": _DOC.replace("]]", "]], \"é\": 1").encode(),
+}
+
+
+@pytest.mark.parametrize("data", FILES.values(), ids=FILES)
+def test_file_reader_matches_the_text_mode_reader(tmp_path, data):
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    got = _outcome(load_config, str(path))
+    assert got == _outcome(_text_mode_load, str(path))
+    if data in (FILES["crlf"], FILES["lone-cr"], FILES["crlf-past-8192"]):
+        assert got == ("built", config_from_text(_DOC))
+
+
+@pytest.mark.parametrize("where", ["directory", "missing"])
+def test_file_reader_raises_what_the_text_mode_reader_raises(tmp_path, where):
+    path = str(tmp_path if where == "directory" else tmp_path / "missing.json")
+    got = _outcome(load_config, path)
+    assert got == _outcome(_text_mode_load, path)
+    assert got[0] is (IsADirectoryError if where == "directory" else FileNotFoundError)

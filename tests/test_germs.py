@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -493,3 +494,126 @@ def test_zero_s_computes_no_power(monkeypatch, validate, germ, powers, formula):
         assert verdict.condition("resonance") == germs.Condition("resonance", True, detail)
     # far past the digit limit, which s = 0 never reaches
     assert validate(germ(0, 10**9)).condition("resonance").ok
+
+
+# --- the integer bound before the exact digit guard ------------------------------
+
+
+def _referee_room(s, c, j, limit):
+    """What k * log2 H(b) may reach before the exact digit guard refuses."""
+    budget = 5 + 6 * limit * Fraction(math.log2(10)) + germs._log2_height(s, upper=True)
+    return budget + j * germs._log2_height(c, upper=True)
+
+
+def _referee_refuses(s, p, q, limit):
+    """The exact digit guard alone, as _resonance ran it before the integer
+    bound: whether it refuses s * (b^k - c^j) at the limit."""
+    return any(
+        k * germs._log2_height(b, upper=False) > _referee_room(s, c, j, limit)
+        for (b, k), (c, j) in ((p, q), (q, p))
+    )
+
+
+def _referee_threshold(s, b, q, limit):
+    """The least k at which the referee refuses b^k against q, or None when
+    it refuses at no k."""
+    low = germs._log2_height(b, upper=False)
+    return math.floor(_referee_room(s, *q, limit) / low) + 1 if low > 0 else None
+
+
+class _PowerComputed(Exception):
+    pass
+
+
+def _guard_refuses(s, p, q, limit):
+    """Whether _resonance refuses s, p, q at the limit; a power it would
+    compute raises _PowerComputed in its place."""
+    def computed(*_):
+        raise _PowerComputed
+
+    saved = sys.get_int_max_str_digits()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ExactComplex, "__pow__", computed)
+        sys.set_int_max_str_digits(limit)
+        try:
+            germs._resonance(s, p, q, "term")
+        except DomainError:
+            return True
+        except _PowerComputed:
+            return False
+        finally:
+            sys.set_int_max_str_digits(saved)
+    raise AssertionError("the guard neither refused nor computed a power")
+
+
+gaussian = st.builds(
+    ExactComplex,
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
+)
+powers = st.integers(1, 10**6)
+
+
+@settings(max_examples=300)
+@given(
+    gaussian.filter(lambda s: not s.is_zero()),
+    gaussian,
+    gaussian,
+    powers,
+    powers,
+    st.sampled_from([640, 4300, 10**5]),
+    st.none() | st.integers(-2, 2),
+)
+def test_integer_bound_refuses_exactly_when_the_exact_guard_does(s, b, c, k, j, limit, near):
+    # half the draws put k next to the referee's threshold, where a bound
+    # that cleared too much would show
+    threshold = _referee_threshold(s, b, (c, j), limit)
+    if near is not None and threshold is not None:
+        k = min(max(threshold + near, 1), 10**6)
+    p, q = (b, k), (c, j)
+    assert _guard_refuses(s, p, q, limit) == _referee_refuses(s, p, q, limit)
+    assert _guard_refuses(s, q, p, limit) == _referee_refuses(s, q, p, limit)
+
+
+@pytest.mark.parametrize(
+    "alpha, a, threshold",
+    [
+        (Fraction(1, 2), Fraction(1, 8), 21_429),
+        (ExactComplex(Fraction(1, 4), Fraction(1, 4)), Fraction(1, 4), 85_714),
+    ],
+    ids=["alpha=1/2 a=1/8", "alpha=1/4+1/4j a=1/4"],
+)
+def test_guard_threshold_of_the_refusal_tests(alpha, a, threshold):
+    # the strong germ's resonance (a^m - alpha^(m+1)) * 1 at the default
+    # limit: the exact guard first refuses at m = threshold, and the integer
+    # bound hands it each m around there
+    alpha, a, one = germs._lift(alpha), germs._lift(a), ExactComplex(1)
+    for m in (threshold - 1, threshold, threshold + 1):
+        p, q = (a, m), (alpha, m + 1)
+        refused = _referee_refuses(one, p, q, 4300)
+        assert refused == (m >= threshold)
+        assert _guard_refuses(one, p, q, 4300) == refused
+        assert any(k * germs._bits(b) > 19 * 4300 for b, k in (p, q))
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=99)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 3), st.lists(small, min_size=6, max_size=6))
+def test_small_germs_never_reach_the_exact_guard(m, parts):
+    # the integer bound clears every such germ, so the Fraction heights are
+    # never computed; at m <= 3 with denominators below 100 the powers'
+    # heights stay under a few hundred bits
+    alpha, a, s = (ExactComplex(parts[i], parts[i + 1]) for i in (0, 2, 4))
+    if s.is_zero():
+        s = ExactComplex(Fraction(1, 99))
+    germs_ = HopfGermStrong(alpha, a, s, m), HopfGermPrimary(alpha, a, s, m)
+    want = validate_strong(germs_[0]), validate_primary(germs_[1])
+
+    def refuse(*_, **__):
+        raise AssertionError("the exact guard ran")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(germs, "_log2_height", refuse)
+        assert (validate_strong(germs_[0]), validate_primary(germs_[1])) == want
