@@ -1607,6 +1607,7 @@ DEFERRED_ARGV = {
     "double-dash": ["classify", "--", "FILE"],
     "dash-file": ["classify", "-"],
     "negative-value": ["enumerate", "FILE", "--max-solutions", "-0"],
+    "germ": ["germ", "hopf-strong", "alpha=1/2", "a=1/8", "s=1", "m=1", "--help"],
     "germ-without-kind": ["germ"],
     "germ-help": ["germ", "-h"],
     "germ-double-dash": ["germ", "enoki", "--", "t=1/2", "n=2"],
