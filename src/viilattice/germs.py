@@ -144,15 +144,21 @@ def _resonance(s: ExactComplex, p, q, formula: str) -> Condition:
     return Condition("resonance", obstruction.is_zero(), f"{formula} = {obstruction}")
 
 
-def _bits(x: ExactComplex) -> int:
-    """An integer at least log2 H(x): for x = (A + Bi)/D as in _log2_height,
-    H(x) <= D^2 * max(1, (A^2 + B^2)/D^2) = max(D^2, A^2 + B^2), and an
-    integer n >= 1 has log2 n < n.bit_length()."""
+def _gaussian(x: ExactComplex) -> tuple[int, int]:
+    """(D, A^2 + B^2) for x = (A + Bi)/D with D the common denominator."""
     re, im = x.re, x.im
     den = math.lcm(re.denominator, im.denominator)
     a = re.numerator * (den // re.denominator)
     b = im.numerator * (den // im.denominator)
-    return max(2 * den.bit_length(), (a * a + b * b).bit_length())
+    return den, a * a + b * b
+
+
+def _bits(x: ExactComplex) -> int:
+    """An integer at least log2 H(x): for x = (A + Bi)/D as in _log2_height,
+    H(x) <= D^2 * max(1, (A^2 + B^2)/D^2) = max(D^2, A^2 + B^2), and an
+    integer n >= 1 has log2 n < n.bit_length()."""
+    den, norm = _gaussian(x)
+    return max(2 * den.bit_length(), norm.bit_length())
 
 
 def _log2_height(x: ExactComplex, upper: bool) -> Fraction:
@@ -165,9 +171,9 @@ def _log2_height(x: ExactComplex, upper: bool) -> Fraction:
     = gcd(A^2 + B^2, D).  So N(denominator ideal) = D^2 / gcd(A^2 + B^2, D)
     exactly.  The float logs err by far less than the slack.
     """
-    den = math.lcm(x.re.denominator, x.im.denominator)
-    ideal = den * den // math.gcd(int(x.abs2() * den * den), den)
-    value = ideal * max(Fraction(1), x.abs2())
+    den, norm = _gaussian(x)
+    ideal = den * den // math.gcd(norm, den)
+    value = Fraction(ideal * norm, den * den) if norm > den * den else Fraction(ideal)
     log = Fraction(math.log2(value.numerator) - math.log2(value.denominator))
     return log + Fraction(1, 2**30) if upper else log - Fraction(1, 2**30)
 
