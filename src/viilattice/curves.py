@@ -21,6 +21,7 @@ tied to two cycle members, is structurally impossible and rejected.
 from __future__ import annotations
 
 import functools
+from math import prod
 from typing import NamedTuple
 
 from .errors import DomainError, InvalidConfigError, StructureError
@@ -187,26 +188,18 @@ class CurveConfig(_Frozen):
 
         det = det(-M) > 0 and y = det * x for the level-1 solution x of
         M x = -K.D, in listing order.  The rows of -M come straight from the
-        stored triples, symmetric by construction, and are eliminated leaves
-        first: the curves :attr:`_peel` strips, in stripping order, then the
-        rest in listing order.  In a tree hung on one curve, a step then
-        fills at most one entry, joining the curve met to that root (Rose,
-        Tarjan & Lueker 1976); the verdict, det and y do not depend on the order.
+        stored triples in listing order, symmetric by construction; the
+        elimination takes the leaves of every tree first, whatever that order.
         """
-        require_valid(self)  # before any degree is read
-        stripped, by_id = self._peel[0], self._by_id
-        order = [by_id[v] for v in stripped] + [c for c in self.curves if c.id not in stripped]
-        rank = {c.id: k for k, c in enumerate(order)}
-        rows = [{a: -c.self_int} if c.self_int else {} for a, c in enumerate(order)]
+        require_valid(self)
+        position = self._position
+        rows = [{a: -c.self_int} if c.self_int else {} for a, c in enumerate(self.curves)]
         for i, j, v in self.intersections:
-            a, b = rank[i], rank[j]
+            a, b = position[i], position[j]
             if a > b:
                 a, b = b, a
             rows[a][b] = -v
-        verdict, solved = _symmetric_elimination(rows, [adjunction_degree(c) for c in order])
-        if solved:
-            solved = tuple([solved[0][rank[c.id]] for c in self.curves]), solved[1]
-        return verdict, solved
+        return _symmetric_elimination(rows, [adjunction_degree(c) for c in self.curves])
 
     @functools.cached_property
     def _peel(self) -> tuple[dict[int, int | None], dict[int, int]]:
@@ -299,7 +292,8 @@ def intersection_matrix(config: CurveConfig) -> list[list[int]]:
 
 
 def is_negative_definite(matrix: list[list[int]]) -> str:
-    """The exact verdict "definite", "semidefinite" or "neither", eliminating in row order."""
+    """The exact verdict "definite", "semidefinite" or "neither", by the
+    elimination :attr:`CurveConfig.elimination` runs."""
     return _symmetric_elimination(_upper_rows(matrix), [0] * len(matrix))[0]
 
 
@@ -318,13 +312,97 @@ def _symmetric_elimination(rows: list[dict[int, int]], column: list[int]) -> tup
     """Definiteness verdict of M and, if definite, (y, det) with -M y = det * column.
 
     rows[i] maps j >= i to the entry -M[i][j] and stores no zero; det is
-    det(-M) > 0 and y is integral.  One symmetric fraction-free (Bareiss)
-    elimination of [-M | column] in row order, on the nonzeros only;
-    each pivot has the sign of a Schur complement's diagonal entry.  A
-    negative pivot, or a zero pivot with a nonzero remaining row (a 2 x 2
-    principal minor is then negative), refutes semidefiniteness.  A zero
-    pivot with a zero row is a null direction, dropped as semidefinite.  y
-    is back-substituted only on a definite verdict.
+    det(-M) > 0 and y is integral.  First the leaves go: while a live row v
+    has at most one nonzero off-diagonal entry a, to a live row u, it is
+    folded into u.  Each live row holds integers N, R and P > 0 whose
+    quotients N / P and R / P are its diagonal and column entries in the
+    Schur complement of the rows taken; off-diagonal entries never change.
+    With v's values when it is taken, the fold divides nothing:
+
+        N_u <- N_u N_v - a^2 P_v P_u,  R_u <- R_u N_v - a R_v P_u,  P_u <- P_u N_v.
+
+    A leaf fills no entry (Rose, Tarjan & Lueker 1976), and on a tree each
+    N and P is a minor of -M.  The rows left form S, which is -M itself when
+    no row is a leaf.  :func:`_bareiss` runs on Q S Q, with Q = diag(P),
+    against Q times the column: the integer rows N_u P_u and a_uw P_u P_w
+    and the column R_u.  That is a congruence, and -M is congruent to S
+    beside the leaf pivots N_v / P_v, so the verdict is that of -M.
+    det(-M) is the product of those pivots and det S, which comes to
+    Bareiss's det times the N of each leaf that met nothing, over the
+    product of the core's P.  y is back-substituted through the leaves in
+    reverse order, y_v = (det R_v - a P_v y_u) / N_v, from
+    y_u = det P_u z_u / det(Q S Q) on the core, for Bareiss's
+    z = det(Q S Q) (Q S Q)^-1 R.  Each quotient is an entry of the integral
+    y or det, so each division is exact.
+    """
+    n = len(rows)
+    diag, rhs, scale = [row.get(i, 0) for i, row in enumerate(rows)], list(column), [1] * n
+    # of each live row: how many live rows it meets, and the sum of their
+    # indices, which names the one it meets when it is a leaf
+    degree, links = [0] * n, [0] * n
+    for i, row in enumerate(rows):
+        for j in row:
+            if j != i:
+                degree[i] += 1
+                degree[j] += 1
+                links[i] += j
+                links[j] += i
+    stack = [i for i in range(n - 1, -1, -1) if degree[i] <= 1]
+    if not stack:
+        return _bareiss(rows, column)
+    verdict, taken = DEFINITE, []
+    while stack:
+        v = stack.pop()
+        d, met, degree[v] = diag[v], degree[v], -1
+        if d < 0 or (d == 0 and met):  # the pivot rule of _bareiss
+            return NEITHER, None
+        if not met:  # with a = 0, u = v adds nothing below
+            if d == 0:
+                verdict = SEMIDEFINITE  # a null direction, dropped
+            taken.append((v, v, 0))
+            continue
+        u = links[v]
+        a = rows[v][u] if v < u else rows[u][v]
+        degree[u] -= 1
+        links[u] -= v
+        p = scale[u]
+        diag[u] = diag[u] * d - a * a * scale[v] * p
+        rhs[u] = rhs[u] * d - a * rhs[v] * p
+        scale[u] = p * d
+        if degree[u] == 1:
+            stack.append(u)
+        taken.append((v, u, a))
+    core = [i for i in range(n) if degree[i] >= 0]
+    rank = {i: k for k, i in enumerate(core)}
+    core_rows = []
+    for i in core:
+        p = scale[i]
+        row = {rank[j]: v * p * scale[j] for j, v in rows[i].items() if j > i and degree[j] >= 0}
+        if diag[i]:
+            row[rank[i]] = diag[i] * p
+        core_rows.append(row)
+    core_verdict, solved = _bareiss(core_rows, [rhs[i] for i in core])
+    if core_verdict != DEFINITE or verdict != DEFINITE:
+        return (NEITHER if NEITHER in (core_verdict, verdict) else SEMIDEFINITE), None
+    z, core_det = solved
+    det = core_det * prod([diag[v] for v, _, a in taken if not a]) // prod([scale[i] for i in core])
+    y = [0] * n
+    for k, i in enumerate(core):
+        y[i] = det * scale[i] * z[k] // core_det
+    for v, u, a in reversed(taken):
+        y[v] = (det * rhs[v] - a * scale[v] * y[u]) // diag[v]
+    return DEFINITE, (tuple(y), det)
+
+
+def _bareiss(rows: list[dict[int, int]], column: list[int]) -> tuple:
+    """The answer of :func:`_symmetric_elimination` without its leaf phase:
+    one symmetric fraction-free (Bareiss) elimination of [-M | column] in
+    row order, on the nonzeros only; each pivot has the sign of a Schur
+    complement's diagonal entry.  A negative pivot, or a zero pivot with a
+    nonzero remaining row (a 2 x 2 principal minor is then negative),
+    refutes semidefiniteness.  A zero pivot with a zero row is a null
+    direction, dropped as semidefinite.  y is back-substituted only on a
+    definite verdict.
 
     Rows that a step leaves alone are not rescaled.  After the steps with
     pivots p_0 .. p_k (and p_-1 = 1), entry (i, j) of a row not yet pivoted

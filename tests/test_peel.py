@@ -1,18 +1,23 @@
-"""One peel of the dual graph: the leaves-first elimination and the cycle
-decomposition against the code they replaced, kept here as referees, and
-the answers that no relabelling may change.
+"""Leaves first: the elimination and the cycle decomposition against the
+code they replaced, kept here as referees, and the answers that no
+relabelling may change.
 
-``listing_elimination`` eliminates the rows of -M in listing order, where
-``CurveConfig.elimination`` takes the stripped curves first.
+``listing_bareiss`` is the elimination as it stood before its leaf phase:
+one Bareiss elimination of the rows in listing order, where
+``_symmetric_elimination`` first folds every leaf of the matrix's graph
+into its neighbour and hands only the rows left to Bareiss.
 ``listing_decompose`` strips the smooth curves down to their 2-core on its
 own and then finds each tree again with a second search, where
 ``find_cycles`` follows the links the one peel records.  The corpus: seeded
 random definite configurations, the two families, every blow-up word with
 b2 <= 8, seeded random configurations that are often not definite or not
-even a union of cycles with trees, and stars and caterpillars of high
-degree, each one also shuffled.
+even a union of cycles with trees, stars and caterpillars of high degree
+(a smooth centre meeting many nodal curves among them), each one also
+shuffled; and, for the elimination alone, sparse random symmetric matrices
+and forests and cycles with trees whose entries are not all +-1.
 """
 
+import contextlib
 import random
 
 import pytest
@@ -32,29 +37,88 @@ from viilattice import (
     enoki_cycle_config,
     find_cycles,
     gss_config,
+    index_of,
     require_valid,
     sigma_classify,
     singrat_config,
     solve_nac,
     validate,
 )
-from viilattice.curves import Branch, CycleRecord, _symmetric_elimination
-from viilattice.selftest import random_definite_config
+from viilattice import curves
+from viilattice.curves import (
+    DEFINITE,
+    NEITHER,
+    SEMIDEFINITE,
+    Branch,
+    CycleRecord,
+    _symmetric_elimination,
+    _upper_rows,
+)
+from viilattice.selftest import _random_symmetric, random_definite_config
 
 from test_gss import corpus
 
 # --- the referees ------------------------------------------------------------
 
 
+def listing_bareiss(rows, column):
+    """The verdict and, if definite, (y, det) with -M y = det * column, by
+    one symmetric fraction-free (Bareiss) elimination of [-M | column] in
+    row order, on the nonzeros only; rows[i] maps j >= i to -M[i][j].  A row
+    that a step leaves alone keeps the stamp of the pivot it was stored at,
+    and is brought current, stored * pivot // stamp, when it is next read."""
+    n = len(rows)
+    a = list(rows)
+    for i, c in enumerate(column):
+        if c:
+            a[i] = {**a[i], n: c}
+    stamp = [1] * n
+    verdict, prev = DEFINITE, 1
+    for k in range(n):
+        row = a[k]
+        if stamp[k] != prev:
+            row = a[k] = {j: v * prev // stamp[k] for j, v in row.items()}
+        pivot = row.get(k, 0)
+        if pivot < 0 or (pivot == 0 and any(j != n for j in row)):
+            return NEITHER, None
+        if pivot == 0:
+            verdict = SEMIDEFINITE
+            continue
+        for i, a_ki in row.items():
+            if i == k or i == n:
+                continue
+            s = stamp[i]
+            if s == prev:
+                new = {j: v * pivot for j, v in a[i].items()}
+            else:
+                new = {j: v * prev // s * pivot for j, v in a[i].items()}
+            for j, a_kj in row.items():
+                if j >= i:
+                    new[j] = new.get(j, 0) - a_ki * a_kj
+            a[i] = {j: v // prev for j, v in new.items() if v}
+            stamp[i] = pivot
+        prev = pivot
+    if verdict != DEFINITE:
+        return verdict, None
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        total = prev * a[i].get(n, 0)
+        for j, v in a[i].items():
+            if i < j < n:
+                total -= v * y[j]
+        y[i] = total // a[i][i]
+    return verdict, (tuple(y), prev)
+
+
 def listing_elimination(config: CurveConfig):
-    """config.elimination with the rows eliminated in listing order."""
+    """config.elimination by listing_bareiss alone, in listing order."""
     require_valid(config)
     position = {c.id: a for a, c in enumerate(config.curves)}
     rows = [{a: -c.self_int} if c.self_int else {} for a, c in enumerate(config.curves)]
     for i, j, v in config.intersections:
         a, b = sorted((position[i], position[j]))
         rows[a][b] = -v
-    return _symmetric_elimination(rows, [adjunction_degree(c) for c in config.curves])
+    return listing_bareiss(rows, [adjunction_degree(c) for c in config.curves])
 
 
 def listing_decompose(config: CurveConfig):
@@ -350,8 +414,8 @@ def centre_first_star(d: int) -> CurveConfig:
 
 
 def test_the_centre_first_star_is_eliminated_leaves_first():
-    # the leaves go first, then the centre while the last leaf is left; the
-    # centre joins that leaf to the nodal curve, the one entry it fills
+    # the peel, which the cycle decomposition reads, strips the leaves
+    # first, then the centre while the last leaf is left
     config = centre_first_star(40)
     stripped, core = config._peel
     assert list(stripped.items()) == [(v, 1) for v in range(41, 2, -1)] + [(1, 2), (2, None)]
@@ -365,6 +429,156 @@ def test_a_large_centre_first_star_is_definite():
     verdict, (y, det) = config.elimination
     assert verdict == "definite" and det > 0 and len(y) == 2002
     assert [rec.length for rec in find_cycles(config)] == [1]
+
+
+def nodal_star(k: int, between: bool = False, centre_last: bool = False) -> CurveConfig:
+    """A smooth centre of square -(k+2) meeting k nodal (-3)-curves, each
+    directly or, with ``between``, through a (-3)-curve of its own: definite,
+    refused by find_cycles (a tree on k cycles), and a dense block of size k
+    when the centre is eliminated before its neighbours."""
+    centre = Curve(0, SMOOTH_RATIONAL, -(k + 2))
+    curves = [Curve(i, NODAL_RATIONAL, -3) for i in range(1, k + 1)]
+    if between:
+        curves += [Curve(k + i, SMOOTH_RATIONAL, -3) for i in range(1, k + 1)]
+        pairs = [(0, k + i, 1) for i in range(1, k + 1)] + [(i, k + i, 1) for i in range(1, k + 1)]
+    else:
+        pairs = [(0, i, 1) for i in range(1, k + 1)]
+    curves = curves + [centre] if centre_last else [centre] + curves
+    return CurveConfig(len(curves), tuple(curves), tuple(pairs))
+
+
+NODAL_STARS = [(between, last) for between in (False, True) for last in (False, True)]
+
+
+@pytest.mark.parametrize("between, centre_last", NODAL_STARS)
+def test_nodal_stars_match_the_referees(between, centre_last):
+    config = nodal_star(40, between, centre_last)
+    assert config.elimination[0] == DEFINITE
+    assert isinstance(decomposition(find_cycles, config), str)
+    for copy in relistings(config, 4):
+        assert_matches_referees(copy)
+
+
+@contextlib.contextmanager
+def bareiss_rows():
+    """The number of rows of each matrix handed to the Bareiss core, while open."""
+    sizes, bareiss = [], curves._bareiss
+
+    def counting(rows, column):
+        sizes.append(len(rows))
+        return bareiss(rows, column)
+
+    curves._bareiss = counting
+    try:
+        yield sizes
+    finally:
+        curves._bareiss = bareiss
+
+
+def test_the_bareiss_core_sees_no_forest_and_every_ring():
+    # a nodal curve is a leaf, and so is each of two curves meeting twice:
+    # one off-diagonal entry each
+    forests = [singrat_config(n, p) for n in range(1, 21) for p in range(n)]
+    forests += [enoki_cycle_config(n, elliptic) for n in (1, 2) for elliptic in (False, True)]
+    forests += [centre_first_star(40)] + [nodal_star(40, *shape) for shape in NODAL_STARS]
+    for config in forests:
+        for copy in relistings(config, 5):
+            with bareiss_rows() as sizes:
+                assert copy.elimination[0] != NEITHER
+            assert sizes == [0]
+    for n in range(3, 31):
+        for elliptic in (False, True):
+            with bareiss_rows() as sizes:
+                assert enoki_cycle_config(n, elliptic).elimination == (SEMIDEFINITE, None)
+            assert sizes == [n]
+
+
+@pytest.mark.parametrize("between", [False, True])
+def test_a_large_nodal_star_is_solved(between):
+    config = nodal_star(2000, between)
+    verdict, (y, det) = config.elimination
+    assert verdict == DEFINITE and det > 0 and len(y) == len(config.curves)
+    # -M y = det * K.D, row by row
+    position = {c.id: a for a, c in enumerate(config.curves)}
+    image = [-c.self_int * v for c, v in zip(config.curves, y)]
+    for i, j, m in config.intersections:
+        image[position[i]] -= m * y[position[j]]
+        image[position[j]] -= m * y[position[i]]
+    assert image == [det * adjunction_degree(c) for c in config.curves]
+
+
+def sparsified(rng: random.Random, size: int) -> list[list[int]]:
+    """selftest's random symmetric matrix with each off-diagonal pair kept
+    with a drawn probability, so that most of them have leaves."""
+    m = _random_symmetric(rng, size)
+    keep = rng.random()
+    for i in range(size):
+        for j in range(i):
+            if rng.random() > keep:
+                m[i][j] = m[j][i] = 0
+    return m
+
+
+def test_random_symmetric_matrices_match_the_listing_referee():
+    rng = random.Random(29)
+    verdicts = set()
+    for _ in range(6000):
+        m = sparsified(rng, rng.randint(0, 8))
+        rows, column = _upper_rows(m), [rng.randint(-4, 4) for _ in m]
+        expected = listing_bareiss(rows, column)
+        assert _symmetric_elimination(rows, column) == expected, (m, column)
+        verdicts.add(expected[0])
+    assert verdicts == {DEFINITE, SEMIDEFINITE, NEITHER}
+
+
+@st.composite
+def trees_on_cycles(draw):
+    """(M, column, ring rows): up to two rings of 3 to 5 rows, and rows that
+    each meet one earlier row or none, so a forest with its trees hung on
+    the rings; off-diagonal entries of M in +-2 .. +-4, each diagonal entry
+    the negated sum of its row's magnitudes, less a shift of at most 2 and at
+    least a drawn bound in -2 .. 0 (so every verdict occurs), rows listed in
+    a drawn order."""
+    size = draw(st.integers(1, 16))
+    edges, start = [], 0
+    for r in draw(st.lists(st.integers(3, 5), max_size=2)):
+        if start + r <= size:
+            edges += [(start + k, start + (k + 1) % r) for k in range(r)]
+            start += r
+    for v in range(max(start, 1), size):
+        if draw(st.integers(0, 4)):
+            edges.append((draw(st.integers(0, v - 1)), v))
+    at = draw(st.permutations(range(size)))
+    m = [[0] * size for _ in range(size)]
+    for i, j in edges:
+        m[at[i]][at[j]] = m[at[j]][at[i]] = draw(st.sampled_from([-4, -3, -2, 2, 3, 4]))
+    low = draw(st.integers(-2, 0))
+    for i, row in enumerate(m):
+        row[i] = -sum(map(abs, row)) - draw(st.integers(low, 2))
+    column = draw(st.lists(st.integers(-5, 5), min_size=size, max_size=size))
+    return m, column, start
+
+
+@given(trees_on_cycles())
+def test_trees_on_cycles_match_the_listing_referee(case):
+    m, column, ring_rows = case
+    rows = _upper_rows(m)
+    with bareiss_rows() as sizes:
+        answer = _symmetric_elimination(rows, column)
+    assert answer == listing_bareiss(rows, column)
+    # every row off the rings is a leaf in turn, unless a leaf's pivot fails first
+    assert sizes == [ring_rows] or (sizes == [] and answer[0] == NEITHER)
+
+
+def test_index_and_nac_never_peel():
+    configs = [singrat_config(6, 5), singrat_config(6, 2), enoki_cycle_config(4, True)]
+    configs += [gss_config(word) for word in ("aab", "gaab", "aaaa", "abab")]
+    configs += [nodal_star(5), centre_first_star(5)]
+    for config in configs:
+        index_of(config)
+        assert "_peel" not in vars(config)
+        solve_nac(config, 2)
+        assert "_peel" not in vars(config)
 
 
 # --- metamorphic: no relabelling changes an answer ----------------------------
