@@ -54,7 +54,7 @@ from .germs import (
     validate_strong,
 )
 from .homology import enumerate_representations, verify_representation
-from .lattice import LatticeClass, TypeA, classify_normal_form
+from .lattice import LatticeClass, _type_a
 from .nac import NacSolution, NoSolution, nac_structure_report, solve_nac, star_rows
 
 EXIT_OK = 0
@@ -519,10 +519,10 @@ def _cmd_enumerate(args) -> int:
 
 
 def _render_class(klass: LatticeClass) -> str:
-    form = classify_normal_form(klass)
-    if isinstance(form, TypeA):
-        tail = " - ".join(f"L{i}" for i in sorted(form.blowups))
-        text = f"L{form.base}" + (f" - {tail}" if tail else "")
+    coeffs = klass.coeffs
+    if (form := _type_a(coeffs)) is not None:
+        base, blowups = form
+        text = f"L{base}" + "".join([f" - L{i}" for i in range(len(coeffs)) if blowups >> i & 1])
     else:
         # verify_representation passed every class shown, so one that is not
         # TypeA is a 0/-1 cycle-sum class: minus the sum over its support

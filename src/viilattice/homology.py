@@ -25,12 +25,15 @@ branches outward, then the rest), pruning on (a) and (b) as it goes.  Its
 state is integers.  A class is a pair of bitmasks over the basis indices,
 ``plus`` for its +1 entry and ``minus`` for its -1 entries, so a pairwise
 product is four ``int.bit_count`` calls checked against the intersection
-matrix.  The candidates of one (kind, self-intersection) are built once per
-search, grouped by base, and a used base skips its whole group.  The
-blowup sets of the placed smooth curves are kept with two masks, the
-indices in exactly one set (``load1``) and in two (``load2``), so "no index
-in three blowup sets" reads ``minus & load2 == 0``.  Tuple vectors are built
-only at a leaf.
+matrix.  The products refute the most candidates, so they are checked
+before (b) and the interchangeability rule, first against the placed
+classes the curve meets.  The candidates of one (kind, self-intersection)
+are built once per search into one dict, as sums of
+``itertools.combinations`` of the basis bits, grouped by base, and a used
+base skips its whole group.  The blowup sets of the placed smooth curves
+are kept with two masks, the indices in exactly one set (``load1``) and in
+two (``load2``), so "no index in three blowup sets" reads
+``minus & load2 == 0``.  Tuple vectors are built only at a leaf.
 
 Two laws are checked at the root, before any candidate is built.  The
 counting bound restates (b): each index lies in at most two blowup sets, so
@@ -49,13 +52,16 @@ two cases share the candidates and every pruning rule, so the tree is
 walked once.  Neither law removes a solution.
 
 Past the root a complete assignment needs no test of (c) or (e), only of
-(d).  With K the all-ones class, each candidate has K.D = 2g - 2 - D^2 by
-construction, so K.S = -C^2: an r-cycle of smooth curves has C^2 = sum D^2
-+ 2r, a nodal or elliptic curve g = 1.  At a leaf (a) gives S^2 = C^2, so
-sum_t s_t (s_t + 1) = -(K.S + S^2) = 0, a sum of terms >= 0: every entry
-of S is 0 or -1.  It has -C^2 entries -1, so the root law fixes its zeros
-to #C (0 when twisted) and is (e) itself.  ``curves.find_cycles`` refuses
-cycles that meet, so S_1.S_2 = 0 by (a) and the supports are disjoint.
+(d), and (d) reads the definiteness verdict only at a leaf whose classes
+miss a basis index: a search whose leaves all cover the basis, or that
+reaches none, never eliminates.  With K the all-ones class, each candidate
+has K.D = 2g - 2 - D^2 by construction, so K.S = -C^2: an r-cycle of
+smooth curves has C^2 = sum D^2 + 2r, a nodal or elliptic curve g = 1.  At
+a leaf (a) gives S^2 = C^2, so sum_t s_t (s_t + 1) = -(K.S + S^2) = 0, a
+sum of terms >= 0: every entry of S is 0 or -1.  It has -C^2 entries -1, so
+the root law fixes its zeros to #C (0 when twisted) and is (e) itself.
+``curves.find_cycles`` refuses cycles that meet, so S_1.S_2 = 0 by (a) and
+the supports are disjoint.
 
 Every constraint above is invariant under renumbering the basis, so the
 search walks orbits of that symmetry rather than labellings:
@@ -87,7 +93,6 @@ by curve, is a lexicographic sort on their entries (see ``_canonicalize``).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from typing import NamedTuple
@@ -104,7 +109,7 @@ from .curves import (
     require_valid,
 )
 from .errors import DimensionMismatch, DomainError, EnumerationCapError
-from .lattice import LatticeClass, TypeA, classify_normal_form
+from .lattice import LatticeClass, _type_a
 
 DEFAULT_CAP = 8
 
@@ -179,11 +184,11 @@ def _candidate_masks(n: int, smooth: bool, self_int: int) -> list[tuple[int, lis
     """The curve's candidate classes as (plus mask, minus masks) groups, one
     group per base for a smooth curve, a single group with plus 0 otherwise.
     Bit t stands for basis index t; minus masks run in lexicographic order."""
-    size = -self_int - 1 if smooth else -self_int
-    subsets = [sum(1 << t for t in s) for s in itertools.combinations(range(n), size)]
+    bits = [1 << t for t in range(n)]
+    subsets = list(map(sum, itertools.combinations(bits, -self_int - 1 if smooth else -self_int)))
     if not smooth:
         return [(0, subsets)]
-    return [(1 << base, [m for m in subsets if not m >> base & 1]) for base in range(n)]
+    return [(bit, [m for m in subsets if not m & bit]) for bit in bits]
 
 
 def _search(config, cycles):
@@ -201,9 +206,9 @@ def _search(config, cycles):
         return
     order = _search_order(config, cycles)
     smooth = [curves[p].kind == SMOOTH_RATIONAL for p in order]
-    covering = config.elimination[0] == DEFINITE
-    masks = functools.cache(_candidate_masks)  # once per (kind, self-intersection)
-    pools = [masks(n, s, curves[p].self_int) for p, s in zip(order, smooth)]
+    keys = [(s, curves[p].self_int) for p, s in zip(order, smooth)]
+    pool = {key: _candidate_masks(n, *key) for key in set(keys)}
+    pools = [pool[key] for key in keys]
     mult = intersection_matrix(config)
     full = (1 << n) - 1
     placed: list[tuple[int, int, int]] = []  # (position, plus, minus) by depth
@@ -212,8 +217,10 @@ def _search(config, cycles):
     def fits(depth, cells, used, load1, load2):
         """(plus, minus) of each candidate for the curve at ``depth`` that
         passes (a), (b) and the interchangeability rule."""
-        p = order[depth]
-        checks = [(P, M, mult[p][q]) for q, P, M in placed]
+        row = mult[order[depth]]
+        # the placed classes the curve meets first: they refute the most
+        checks = [(P, M, row[q]) for q, P, M in placed if row[q]]
+        checks += [(P, M, 0) for q, P, M in placed if not row[q]]
         sets, load1, load2 = (blow_sets, load1, load2) if smooth[depth] else ((), 0, 0)
         # a base must be unused and the least index of its equal-column set:
         # barred holds every index that is neither (plus is 0 unless smooth)
@@ -224,27 +231,29 @@ def _search(config, cycles):
             if plus & barred:
                 continue
             for minus in group:
-                # the set indices minus can meet lie in load1, as it misses load2
-                m1 = minus & load1
-                if minus & load2 or m1 & (m1 - 1) and any((d := minus & b) & (d - 1) for b in sets):
-                    continue
-                bits = plus | minus
-                for c in cells:
-                    # on each equal-column set the entries run +1, -1, 0 in
-                    # index order: the indices the class misses lie above
-                    # those it meets
-                    rest = c & ~bits
-                    if rest and (rest & -rest) < (c & bits):
+                for P, M, want in checks:
+                    if (
+                        (plus & P).bit_count()
+                        - (plus & M).bit_count()
+                        - (minus & P).bit_count()
+                        + (minus & M).bit_count()
+                        + want
+                    ):
                         break
                 else:
-                    for P, M, want in checks:
-                        if (
-                            (plus & P).bit_count()
-                            - (plus & M).bit_count()
-                            - (minus & P).bit_count()
-                            + (minus & M).bit_count()
-                            + want
-                        ):
+                    # the set indices minus can meet lie in load1, as it misses load2
+                    m1 = minus & load1
+                    if minus & load2 or m1 & (m1 - 1) and any(
+                        (d := minus & b) & (d - 1) for b in sets
+                    ):
+                        continue
+                    bits = plus | minus
+                    for c in cells:
+                        # on each equal-column set the entries run +1, -1, 0 in
+                        # index order: the indices the class misses lie above
+                        # those it meets
+                        rest = c & ~bits
+                        if rest and (rest & -rest) < (c & bits):
                             break
                     else:
                         yield plus, minus
@@ -256,7 +265,8 @@ def _search(config, cycles):
             touched = 0
             for _, plus, minus in placed:
                 touched |= plus | minus
-            if covering and touched != full:
+            # (d) reads the definiteness only for a leaf that misses an index
+            if touched != full and config.elimination[0] == DEFINITE:
                 return
             vectors = [None] * len(curves)
             for p, plus, minus in placed:
@@ -332,18 +342,15 @@ def _canonicalize(config, cycles, vectors, torsion):
         flags.append(map((-1).__ne__, vec))
     inverse = sorted(range(n), key=list(zip(*flags)).__getitem__)
     moved = [tuple(map(vec.__getitem__, inverse)) for vec in vectors]
-    key = (torsion, tuple(_class_key(c, v) for c, v in zip(config.curves, moved)))
+    key = (torsion, tuple([_class_key(c, v) for c, v in zip(config.curves, moved)]))
     twisted = {rec.member_ids[0] for rec in cycles if torsion and len(rec.member_ids) == 1}
-    classes = tuple(
-        LatticeClass(v, torsion2=c.id in twisted) for c, v in zip(config.curves, moved)
-    )
+    classes = tuple([LatticeClass(v, c.id in twisted) for c, v in zip(config.curves, moved)])
     return key, Representation(classes, odd_ih=torsion)
 
 
 def _class_key(curve, vec: tuple[int, ...]):
-    if curve.kind == SMOOTH_RATIONAL:
-        return ("A", vec.index(1), tuple(t for t, x in enumerate(vec) if x == -1))
-    return ("S", tuple(t for t, x in enumerate(vec) if x == -1))
+    minus = tuple([t for t, x in enumerate(vec) if x == -1])
+    return ("A", vec.index(1), minus) if curve.kind == SMOOTH_RATIONAL else ("S", minus)
 
 
 def canonical_form(config: CurveConfig, rep: Representation) -> Representation:
@@ -398,41 +405,38 @@ def verify_representation(config: CurveConfig, rep: Representation) -> Verificat
                 mismatches.append(f"product {a.id}.{b.id} = {got}")
     results.append(_outcome("pairwise-products", mismatches, "all squares and products match"))
 
-    problems, bases, blow_sets = [], [], []
-    for curve, klass in zip(curves, rep.classes):
+    # bases, and the indices in one and in two blowup sets so far, as masks
+    problems, bases, once, twice, blow_sets = [], 0, 0, 0, []
+    for curve, vec in zip(curves, vectors):
         if curve.kind != SMOOTH_RATIONAL:
             continue
-        form = classify_normal_form(klass)
-        if not isinstance(form, TypeA):
+        if (form := _type_a(vec)) is None:
             problems.append(f"curve {curve.id} does not carry an exceptional-curve pattern")
             continue
-        bases.append(form.base)
-        blow_sets.append(form.blowups)
-    if len(set(bases)) != len(bases):
-        problems.append("two smooth curves share a +1 position")
-    for s, t in itertools.combinations(blow_sets, 2):
-        if len(s & t) > 1:
+        base, blowups = form
+        if bases >> base & 1:
+            problems.append("two smooth curves share a +1 position")
+        if any((d := blowups & s) & (d - 1) for s in blow_sets):
             problems.append("two blowup sets share more than one index")
-    once, twice = frozenset(), frozenset()  # the indices in one, in two sets so far
-    for s in blow_sets:
-        if s & twice:
+        if blowups & twice:
             problems.append("a basis index appears in three blowup sets")
-        once, twice = once | s, twice | (once & s)
+        bases, once, twice = bases | 1 << base, once | blowups, twice | (once & blowups)
+        blow_sets.append(blowups)
     results.append(_outcome("exceptional-multiplicities", sorted(set(problems))))
 
-    cycles = find_cycles(config)
-    sum_issues, law_issues, supports = [], [], []
+    cycles, position = find_cycles(config), config._position
+    sum_issues, law_issues, supports = [], [], []  # supports as masks
     for rec in cycles:
-        total = list(map(sum, zip(*(vectors[config._position[cid]] for cid in rec.member_ids))))
+        total = list(map(sum, zip(*[vectors[position[cid]] for cid in rec.member_ids])))
         zeros = total.count(0)
-        if any(x not in (0, -1) for x in total):
+        if zeros + total.count(-1) != n:
             sum_issues.append(f"cycle {rec.member_ids}: sum has entries outside 0/-1")
         elif zeros != (0 if rep.odd_ih else rec.length):
             sum_issues.append(
                 f"cycle {rec.member_ids}: {zeros} zero entries, expected "
                 f"{0 if rep.odd_ih else rec.length}"
             )
-        supports.append(frozenset(t for t, x in enumerate(total) if x == -1))
+        supports.append(sum([1 << t for t, x in enumerate(total) if x == -1]))
         square = -sum(map(operator.mul, total, total))
         want = (2 if rep.odd_ih else 1) * n
         if rec.length - square != want:

@@ -42,7 +42,7 @@ class LatticeClass(_Frozen):
 
     def __init__(self, coeffs: tuple[int, ...], torsion2: bool = False):
         # a tuple of exact ints is kept as it is (a bool is not an exact int)
-        if type(coeffs) is not tuple or not all(type(x) is int for x in coeffs):
+        if type(coeffs) is not tuple or not _INT.issuperset(map(type, coeffs)):
             coeffs = tuple(_ints(coeffs, "lattice coefficients"))
         if not coeffs:
             raise DomainError("lattice rank must be at least 1")
@@ -122,6 +122,7 @@ class Other(_Frozen):
 
 
 NormalForm = Union[TypeA, TypeB, FullCycle, Other]
+_INT = frozenset({int})
 _set_coeffs, _set_torsion2 = LatticeClass.coeffs.__set__, LatticeClass.torsion2.__set__
 
 
@@ -149,26 +150,24 @@ def classify_normal_form(c: LatticeClass) -> NormalForm:
     -1 entry is therefore FullCycle(n-1) when it sits at the last position
     and Other anywhere else, never TypeA.  The zero class is FullCycle(n).
     """
-    n = c.rank
-    plus, minus1, minus2 = [], [], []
-    for j, x in enumerate(c.coeffs):
-        if x == -1:
-            minus1.append(j)
-        elif x == 1:
-            plus.append(j)
-        elif x == -2:
-            minus2.append(j)
-        elif x:
-            return Other()
-    if len(plus) == 1 and not minus2:
-        return TypeA(plus[0], frozenset(minus1))
-    if len(minus2) == 1 and not plus:
-        return TypeB(minus2[0], frozenset(minus1))
-    if not plus and not minus2:
-        start = n - len(minus1)
-        if minus1 == list(range(start, n)):
-            return FullCycle(start)
+    n, coeffs = c.rank, c.coeffs
+    minus1 = [j for j, x in enumerate(coeffs) if x == -1]
+    if (form := _type_a(coeffs)) is not None:
+        return TypeA(form[0], frozenset(minus1))
+    rest = [x for x in coeffs if x and x != -1]  # the entries other than 0 and -1
+    if rest == [-2]:
+        return TypeB(coeffs.index(-2), frozenset(minus1))
+    if not rest and minus1 == list(range(n - len(minus1), n)):
+        return FullCycle(n - len(minus1))
     return Other()
+
+
+def _type_a(coeffs: tuple[int, ...]) -> tuple[int, int] | None:
+    """(base, blowups) when coeffs is a TypeA class, with bit j of the
+    blowups mask for L_j; None for every other pattern."""
+    if coeffs.count(1) != 1 or coeffs.count(0) + coeffs.count(-1) != len(coeffs) - 1:
+        return None
+    return coeffs.index(1), sum([1 << j for j, x in enumerate(coeffs) if x == -1])
 
 
 def _check_rank(n: int) -> None:

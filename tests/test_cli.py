@@ -32,6 +32,7 @@ from viilattice import (
     config_to_text,
     enoki_cycle_config,
     enumerate_representations,
+    gss_config,
     intersection_matrix,
     nac_structure_report,
     singrat_config,
@@ -42,6 +43,7 @@ from viilattice import cli, curves, linalg, selftest
 from viilattice.cli import main
 
 from test_curves import meeting_configs
+from test_gss import corpus
 
 
 @pytest.fixture
@@ -1229,6 +1231,16 @@ CORPUS = {
     ),
     # documents each parse or constructor refusal stops, as JSON text
     "malformed": ([json.dumps(doc) for doc in MALFORMED_DOCS], (["classify"], ["enumerate"])),
+    # every blow-up word with b2 <= 7, listed as built and with its curves reversed
+    "words": (
+        [
+            CurveConfig(config.b2, config.curves[::step], config.intersections)
+            for n in range(1, 8)
+            for config in map(gss_config, corpus(n))
+            for step in (1, -1)
+        ],
+        (["enumerate"],),
+    ),
 }
 GERM_COMMANDS = [
     ["hopf-strong", "alpha=0.6", "a=0.4", "s=0", "m=1"],
@@ -1317,7 +1329,9 @@ def _corpus_digest(group: str, directory) -> str:
 # before the two Hopf kinds of `germ` shared one code path; hundreds before
 # the writer rendered leaves through one type table; invalid before validation
 # moved into the configuration's constructor; malformed before the parser and
-# the constructor checked each document field once
+# the constructor checked each document field once; words before the search
+# built its candidates from integer masks and the verifier and the renderer
+# stopped building normal-form objects
 PINNED_SHA256 = {
     "enoki": "a08875057fdc65d11b538dbf4366a7bc5c9a2a519da3b2b4e6528c6ba176fa49",
     "enumerate": "fca8a4c6522667416b5023ec4e311bd16f90fac5f8ce678765a20e90ae6aef99",
@@ -1328,6 +1342,7 @@ PINNED_SHA256 = {
     "malformed": "823c331234d38eaaef8f71019bc72098173572925e844667644f13b8c834a74f",
     "rings": "3adffa8303de18223f1c518fa66462091f125fcee3c0589aaaefc77a92f064cf",
     "singrat": "3255b0cd3995e4c9626802300de8fb50d78992cc6ae48299a51abb81c612dd25",
+    "words": "f5031a2e9c45a5c27e81a23c547c59eef7dd5f958c697cff13de597208c6aba0",
 }
 
 

@@ -25,6 +25,7 @@ from viilattice import (
     classify_normal_form,
     enoki_cycle_config,
     enumerate_representations,
+    gss_config,
     index_of,
     sigma_classify,
     singrat_closed_form,
@@ -36,6 +37,7 @@ from viilattice import curves as curves_module
 from viilattice import homology
 from viilattice.curves import DEFINITE, find_cycles
 from viilattice.homology import _class_key
+from test_gss import corpus
 from viilattice.selftest import (
     _naive_candidates,
     brute_force_representations,
@@ -954,6 +956,56 @@ def test_cycle_law_refuses_before_any_candidate_or_elimination(monkeypatch):
             enumerate_representations(config)
 
 
+def _combinations_candidate_masks(n, smooth, self_int):
+    """_candidate_masks as it read with one generator sum per subset from
+    itertools.combinations, the referee of the integer construction."""
+    size = -self_int - 1 if smooth else -self_int
+    subsets = [sum(1 << t for t in s) for s in itertools.combinations(range(n), size)]
+    if not smooth:
+        return [(0, subsets)]
+    return [(1 << base, [m for m in subsets if not m >> base & 1]) for base in range(n)]
+
+
+def test_candidate_masks_match_the_combinations_referee():
+    for n in range(1, 13):
+        for size in range(n + 2):
+            for smooth in (True, False):
+                self_int = -size - 1 if smooth else -size
+                want = _combinations_candidate_masks(n, smooth, self_int)
+                assert homology._candidate_masks(n, smooth, self_int) == want, (n, size, smooth)
+
+
+def test_enumerate_reads_definiteness_only_at_a_leaf_that_misses_an_index():
+    # the empty searches of the (-3)-ring of 6 and the branched cycle, and the
+    # Enoki rings, whose every leaf meets each index, never ask for it
+    branched = CurveConfig(
+        6,
+        tuple(Curve(i, SMOOTH_RATIONAL, -3 if i == 0 else -2) for i in range(6)),
+        tuple((i, (i + 1) % 5, 1) for i in range(5)) + ((2, 5, 1),),
+    )
+    for config in [_ring(6, -3), branched]:
+        assert enumerate_representations(config) == []
+        assert "elimination" not in vars(config)
+    for n in range(2, 9):
+        config = enoki_cycle_config(n)
+        assert enumerate_representations(config)
+        assert "elimination" not in vars(config)
+    # a nodal (-1)-curve at b2 = 2 is definite; its one leaf leaves index 1
+    # untouched, so (d) reads the verdict there and refuses it
+    config = _cycle_with_trees(random.Random(225))
+    assert config == CurveConfig(2, (Curve(0, NODAL_RATIONAL, -1),))
+    cycles = find_cycles(config)
+    orbits = _orbit_set(homology._search(config, cycles))
+    assert "elimination" in vars(config) and config.elimination[0] == DEFINITE
+    order = homology._search_order(config, cycles)
+
+    def reference(covering):
+        found = _reference_search(config, cycles, order, covering, False)
+        return _orbit_set((False, v) for v in found)
+
+    assert orbits == reference(True) == set() != reference(False)
+
+
 def test_search_matches_reference_search_on_a_fixed_corpus():
     rng = random.Random(17)
     configs = [_cycle_with_trees(rng) for _ in range(300)] + _SEARCH_FAMILIES
@@ -1353,7 +1405,8 @@ def test_verification_matches_the_reference_verifier():
         for config, classes in ((three_blowup_config(), three), (shared_pair_config(), pair))
     ]
     enumerated = 0
-    for config in _referee_corpus(rng, copies=1):
+    words = [gss_config(word) for n in range(1, 8) for word in corpus(n)]
+    for config in [*_referee_corpus(rng, copies=1), *words]:
         for rep in enumerate_representations(config):
             enumerated += 1
             pairs += [(config, rep)] + [(config, _perturbed(rep, rng)) for _ in range(3)]

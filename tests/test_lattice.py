@@ -21,6 +21,7 @@ from viilattice import (
     type_a_class,
     type_b_class,
 )
+from viilattice.lattice import _type_a
 
 
 def _basis(n: int, i: int) -> LatticeClass:
@@ -254,6 +255,54 @@ def test_one_pass_normal_form_matches_the_four_pass_referee():
             assert form == _four_pass_normal_form(klass), coeffs
             seen.add(type(form))
     assert seen == {TypeA, TypeB, FullCycle, Other}
+
+
+def _loop_normal_form(c: LatticeClass):
+    """classify_normal_form as it read with one loop sorting the entries,
+    the referee of the shared TypeA test."""
+    n = c.rank
+    plus, minus1, minus2 = [], [], []
+    for j, x in enumerate(c.coeffs):
+        if x == -1:
+            minus1.append(j)
+        elif x == 1:
+            plus.append(j)
+        elif x == -2:
+            minus2.append(j)
+        elif x:
+            return Other()
+    if len(plus) == 1 and not minus2:
+        return TypeA(plus[0], frozenset(minus1))
+    if len(minus2) == 1 and not plus:
+        return TypeB(minus2[0], frozenset(minus1))
+    if not plus and not minus2:
+        start = n - len(minus1)
+        if minus1 == list(range(start, n)):
+            return FullCycle(start)
+    return Other()
+
+
+def _assert_matches_the_loop(coeffs) -> type:
+    form = classify_normal_form(LatticeClass(coeffs))
+    assert form == _loop_normal_form(LatticeClass(coeffs)), coeffs
+    want = (form.base, sum(1 << j for j in form.blowups)) if type(form) is TypeA else None
+    assert _type_a(coeffs) == want, coeffs
+    return type(form)
+
+
+def test_normal_forms_match_the_loop_referee_up_to_rank_6():
+    seen = {
+        _assert_matches_the_loop(coeffs)
+        for n in range(1, 7)
+        for coeffs in itertools.product(range(-3, 3), repeat=n)
+    }
+    assert seen == {TypeA, TypeB, FullCycle, Other}
+
+
+# mostly 0 and -1 entries, so TypeA and FullCycle classes are drawn often
+@given(st.lists(st.sampled_from((-1, -1, 0, 0, 0, 1)) | st.integers(), min_size=1, max_size=12))
+def test_normal_forms_match_the_loop_referee_up_to_rank_12(coeffs):
+    _assert_matches_the_loop(tuple(coeffs))
 
 
 def test_patterns_are_mutually_exclusive():
