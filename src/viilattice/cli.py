@@ -310,8 +310,8 @@ def _checked(config: CurveConfig, sol):
     if isinstance(sol, NoSolution):
         return sol
     m, scaled, unit, position = sol.m, sol.scaled, sol.index, config._position
-    square = sum(c.self_int * v * v for c, v in zip(config.curves, scaled)) + 2 * sum(
-        v * scaled[position[i]] * scaled[position[j]] for i, j, v in config.intersections
+    square = sum([c.self_int * v * v for c, v in zip(config.curves, scaled)]) + 2 * sum(
+        [v * scaled[position[i]] * scaled[position[j]] for i, j, v in config.intersections]
     )
     if square != -config.b2 * unit * unit or sol.square != -config.b2:
         raise _InternalError(
@@ -326,10 +326,15 @@ def _nac_section(sol: NacSolution | NoSolution, m: int) -> dict:
     if isinstance(sol, NoSolution):
         return {"m": m, "status": "no_solution", "reason": sol.reason}
     unit = sol.index
+    if m % unit:
+        coeffs = [_ratio(m * v, unit) for v in sol.scaled]
+    else:  # integers at a level the index divides
+        step = m // unit
+        coeffs = [str(step * v) for v in sol.scaled]
     return {
         "m": m,
         "status": "solved",
-        "coeffs": [_ratio(m * v, unit) for v in sol.scaled],
+        "coeffs": coeffs,
         "index": sol.index,
         "effective": sol.effective,
         "self_int_check": m * m * sol.square,
@@ -341,7 +346,15 @@ def _structure_sections(config: CurveConfig, sol: NacSolution) -> dict:
     """The structure and star-recurrence sections of sol: nac_structure_report,
     and verify_star_recurrence's checks from star_rows' integer rows."""
     report = nac_structure_report(config, sol)
-    stars, unit = star_rows(config, sol), sol.index
+    unit, checks, ok = sol.index, [], True
+    for cid, lhs, rhs in star_rows(config, sol):
+        # lhs == rhs on every row of an exact solution, and one ratio serves both
+        ratio = _ratio(lhs, unit)
+        if lhs == rhs:
+            checks.append((cid, ratio, ratio, True))
+        else:
+            checks.append((cid, ratio, _ratio(rhs, unit), False))
+            ok = False
     return {
         "structure": {
             "ok": report.ok,
@@ -358,13 +371,7 @@ def _structure_sections(config: CurveConfig, sol: NacSolution) -> dict:
                 for c in report.cycles
             ],
         },
-        "star_recurrence": {
-            "ok": all(lhs == rhs for _, lhs, rhs in stars),
-            "checks": _Records(
-                ("curve", "lhs", "rhs", "ok"),
-                [(cid, _ratio(lhs, unit), _ratio(rhs, unit), lhs == rhs) for cid, lhs, rhs in stars],
-            ),
-        },
+        "star_recurrence": {"ok": ok, "checks": _Records(("curve", "lhs", "rhs", "ok"), checks)},
     }
 
 

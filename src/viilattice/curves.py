@@ -199,7 +199,12 @@ class CurveConfig(_Frozen):
             if a > b:
                 a, b = b, a
             rows[a][b] = -v
-        return _symmetric_elimination(rows, [adjunction_degree(c) for c in self.curves])
+        return _symmetric_elimination(rows, self._kd_column)
+
+    @functools.cached_property
+    def _kd_column(self) -> tuple[int, ...]:
+        """K.D_i of each curve by adjunction, in listing order."""
+        return tuple([adjunction_degree(c) for c in self.curves])
 
     @functools.cached_property
     def _peel(self) -> tuple[dict[int, int | None], dict[int, int]]:

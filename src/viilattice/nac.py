@@ -38,7 +38,6 @@ from .curves import (
     _Frozen,
     _is_int,
     _ints,
-    adjunction_degree,
     find_cycles,
     require_valid,
 )
@@ -104,7 +103,7 @@ def solve_nac(config: CurveConfig, m: int) -> NacSolution | NoSolution:
         for i, j, v in config.intersections:
             row_sums[i] += v
             row_sums[j] += v
-        if any(row_sums[c.id] != -adjunction_degree(c) for c in config.curves):
+        if any(row_sums[c.id] != -d for c, d in zip(config.curves, config._kd_column)):
             return NoSolution(
                 "degenerate form: the parabolic coefficient vector does not solve "
                 "the pairing system"
@@ -114,7 +113,7 @@ def solve_nac(config: CurveConfig, m: int) -> NacSolution | NoSolution:
         return NoSolution("intersection form is not negative (semi)definite")
     # k^T M k = k^T rhs once M k = rhs, with rhs = -m K.D; (m K)^2 = -m^2 b2
     # therefore asks for y . (K.D) = b2 * det
-    pairing = sum(v * adjunction_degree(c) for v, c in zip(y, config.curves))
+    pairing = sum([v * d for v, d in zip(y, config._kd_column)])
     expected = -m * m * config.b2
     if pairing != config.b2 * det:
         return NoSolution(
@@ -245,13 +244,19 @@ def star_rows(config: CurveConfig, sol: NacSolution) -> list[tuple]:
     scaled, unit = sol.scaled, sol.index
     position, adj = config._position, config._adj
     rows = []
-    for c in config.curves:
-        if c.kind != SMOOTH_RATIONAL or sum(mult for _, mult in adj[c.id]) != 2:
+    for k, c in zip(scaled, config.curves):
+        if c.kind != SMOOTH_RATIONAL:
             continue
-        # a neighbor met twice stands on both sides
-        lhs = sum(scaled[position[u]] * mult for u, mult in adj[c.id]) - 2 * unit
-        rhs = (scaled[position[c.id]] - unit) * (-c.self_int)
-        rows.append((c.id, lhs, rhs))
+        # multiplicities are positive, so they total 2 on one neighbor met
+        # twice, which stands on both sides, or on two neighbors met once
+        met = adj[c.id]
+        if len(met) == 1 and met[0][1] == 2:
+            lhs = 2 * scaled[position[met[0][0]]]
+        elif len(met) == 2 and met[0][1] == met[1][1] == 1:
+            lhs = scaled[position[met[0][0]]] + scaled[position[met[1][0]]]
+        else:
+            continue
+        rows.append((c.id, lhs - 2 * unit, (k - unit) * -c.self_int))
     return rows
 
 

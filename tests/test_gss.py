@@ -1,4 +1,4 @@
-"""The blow-up-word corpus: every word up to rotation with b2 <= 8 through
+"""The blow-up-word corpus: every word up to rotation with b2 <= 9 through
 ``gss_config``, checked against a second derivation of the curve classes.
 
 ``gss_config`` tracks the crossings of the tower on the universal cover.
@@ -8,10 +8,10 @@ basis e_0 .. e_{n-1} with e_i . e_j = -delta_ij.  Curve a is blown up at O_a,
 again at O_{a+1} when letter a+1 is "a", and then once for each "b" that
 follows directly.
 
-``sample`` runs the same checks on a seeded sample of words beyond the
-default enumeration cap, as CI does at b2 = 9..12:
+``sample`` runs the same checks beyond the default enumeration cap, as CI
+does on every word with b2 = 9..11 and a seeded sample at b2 = 12:
 
-    VII_ENUM_CAP=12 PYTHONPATH=src:tests python -c "import test_gss; test_gss.sample(9, 12)"
+    VII_ENUM_CAP=12 PYTHONPATH=src:tests python -c "import test_gss; test_gss.sample(9, 12, whole=11)"
 """
 
 import itertools
@@ -133,13 +133,23 @@ def test_every_word_up_to_b2_8(n):
     assert {word for word in words if not check_word(word)} == empty_words(n)
 
 
-def sample(low: int, high: int, per_rank: int = 40, seed: int = 0) -> None:
+def test_every_word_at_b2_9():
+    words = corpus(9)
+    assert len(words) == 647
+    assert {word for word in words if not check_word(word, 9)} == empty_words(9)
+
+
+def sample(low: int, high: int, per_rank: int = 40, seed: int = 0, whole: int = 0) -> None:
     """check_word on a seeded sample of words of each rank from low to high,
-    enumerating up to the cap VII_ENUM_CAP; the empty words are pinned too."""
+    and on every word of each rank up to whole, enumerating up to the cap
+    VII_ENUM_CAP; the empty words are pinned too.  Each rank draws its
+    sample either way, so a rank's sample does not depend on whole."""
     cap = int(os.environ["VII_ENUM_CAP"])
     rng = random.Random(seed)
     for n in range(low, high + 1):
-        for word in rng.sample(corpus(n), per_rank):
+        words = corpus(n)
+        drawn = rng.sample(words, per_rank)
+        for word in words if n <= whole else drawn:
             assert check_word(word, cap) == (word not in empty_words(n)), word
 
 

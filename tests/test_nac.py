@@ -15,6 +15,7 @@ from viilattice import (
     NacSolution,
     NoSolution,
     SMOOTH_RATIONAL,
+    StructureError,
     adjunction_degree,
     determinant,
     enoki_cycle_config,
@@ -28,7 +29,11 @@ from viilattice import (
     solve_nac,
     verify_star_recurrence,
 )
-from viilattice.selftest import definiteness_oracle
+from viilattice import cli
+from viilattice.nac import star_rows
+from viilattice.selftest import definiteness_oracle, random_definite_config
+
+from test_peel import caterpillars, random_config, relabelled, word_configs
 
 
 # --- exact linear algebra ---------------------------------------------------
@@ -591,3 +596,81 @@ def test_structure_skips_elliptic_zero_cycles():
     assert len(report.cycles) == 1
     assert report.cycles[0].member_ids == (0, 1)
     assert report.cycles[0].unit_cycle
+
+
+# --- the report's per-curve steps against the code they replaced -------------
+#
+# star_rows reads each smooth curve's one or two meetings once, _nac_section
+# writes integers at a level the index divides, _structure_sections renders
+# one ratio for a balanced row, and the K.D column is cached on the
+# configuration.  The referees are the code each step replaced.  The corpus:
+# singrat n <= 60 for every p, Enoki n <= 30 with and without the elliptic
+# curve, test_peel's random configurations and caterpillars and every
+# blow-up word with b2 <= 8, each also relabelled.  Each is checked at its own
+# solution and at a drawn one, whose rows are mostly unbalanced.
+
+
+def summed_star_rows(config: CurveConfig, sol: NacSolution) -> list[tuple]:
+    """star_rows as it stood: two sums over each smooth curve's meetings."""
+    scaled, unit = sol.scaled, sol.index
+    position, adj = config._position, config._adj
+    rows = []
+    for c in config.curves:
+        if c.kind != SMOOTH_RATIONAL or sum(mult for _, mult in adj[c.id]) != 2:
+            continue
+        lhs = sum(scaled[position[u]] * mult for u, mult in adj[c.id]) - 2 * unit
+        rhs = (scaled[position[c.id]] - unit) * (-c.self_int)
+        rows.append((c.id, lhs, rhs))
+    return rows
+
+
+def assert_fast_paths_match_the_referees(config: CurveConfig, rng: random.Random) -> None:
+    for copy in (config, relabelled(config, rng)[0]):
+        assert copy._kd_column == tuple(adjunction_degree(c) for c in copy.curves)
+        sol = solve_nac(copy, 1)
+        drawn = NacSolution(
+            1, tuple(rng.randint(-9, 9) for _ in copy.curves), rng.randint(1, 5), False, -copy.b2
+        )
+        for candidate in ([] if isinstance(sol, NoSolution) else [sol]) + [drawn]:
+            rows, unit = star_rows(copy, candidate), candidate.index
+            assert rows == summed_star_rows(copy, candidate)
+            for m in (1, 2, 3, unit, 2 * unit, 3 * unit):
+                assert cli._nac_section(candidate, m)["coeffs"] == [
+                    cli._ratio(m * v, unit) for v in candidate.scaled
+                ]
+            try:
+                section = cli._structure_sections(copy, candidate)["star_recurrence"]
+            except StructureError:
+                continue
+            assert section["checks"].rows == [
+                (cid, cli._ratio(lhs, unit), cli._ratio(rhs, unit), lhs == rhs) for cid, lhs, rhs in rows
+            ]
+            assert section["ok"] == all(lhs == rhs for _, lhs, rhs in rows)
+
+
+def test_fast_paths_match_the_referees_on_the_families():
+    rng = random.Random(31)
+    for n in range(1, 61):
+        for p in range(n):
+            assert_fast_paths_match_the_referees(singrat_config(n, p), rng)
+    for n in range(1, 31):
+        for with_elliptic in (False, True):
+            assert_fast_paths_match_the_referees(enoki_cycle_config(n, with_elliptic), rng)
+
+
+def test_fast_paths_match_the_referees_on_every_word_up_to_b2_8():
+    rng = random.Random(32)
+    for config in word_configs():
+        assert_fast_paths_match_the_referees(config, rng)
+
+
+def test_fast_paths_match_the_referees_on_random_configurations():
+    rng = random.Random(33)
+    for _ in range(300):
+        assert_fast_paths_match_the_referees(random_config(rng), rng)
+        assert_fast_paths_match_the_referees(random_definite_config(rng), rng)
+
+
+@given(caterpillars(), st.randoms(use_true_random=False))
+def test_fast_paths_match_the_referees_on_caterpillars(config, rng):
+    assert_fast_paths_match_the_referees(config, rng)

@@ -38,6 +38,7 @@ from viilattice import (
     find_cycles,
     gss_config,
     index_of,
+    nac_structure_report,
     require_valid,
     sigma_classify,
     singrat_config,
@@ -54,6 +55,7 @@ from viilattice.curves import (
     _symmetric_elimination,
     _upper_rows,
 )
+from viilattice.nac import star_rows
 from viilattice.selftest import _random_symmetric, random_definite_config
 
 from test_gss import corpus
@@ -613,13 +615,32 @@ def cycle_shape(config: CurveConfig, name=lambda cid: cid):
     return sorted(shape)
 
 
+def structure_shape(config: CurveConfig, sol, name=lambda cid: cid):
+    """nac_structure_report's cycles with every id renamed, each cycle's
+    members as a sorted list, all sorted; or the exception type."""
+    try:
+        cycles = nac_structure_report(config, sol).cycles
+    except StructureError:
+        return StructureError
+    return sorted(
+        (sorted(map(name, c.member_ids)), c.min_coeff, c.max_coeff, c.unit_cycle,
+         c.max_at_branch_root, c.violations)
+        for c in cycles
+    )
+
+
 def answers(config: CurveConfig, name=lambda cid: cid):
     """Everything no relabelling may change, keyed by the renamed ids."""
     sol = solve_nac(config, 1)
     if isinstance(sol, NoSolution):
         nac = sol.reason
     else:
-        nac = (sol.index, {name(c.id): k for c, k in zip(config.curves, sol.coeffs)})
+        nac = (
+            sol.index,
+            {name(c.id): k for c, k in zip(config.curves, sol.coeffs)},
+            {name(cid): (lhs, rhs) for cid, lhs, rhs in star_rows(config, sol)},
+            structure_shape(config, sol, name),
+        )
     try:
         sigma = sigma_classify(config)
     except (DomainError, StructureError) as exc:
