@@ -277,25 +277,40 @@ class _Matrix:
 
 # not a tuple: _write tests for a list or tuple before it tests for _Records
 class _Records(_Frozen):
-    """A list of records with the same keys, for _write, which writes the
-    whole list from one %-format string filled with the JSON text of the
-    values; rows holds one tuple of values per record, in the order of keys."""
+    """A table for _write, which writes the whole list of records from one
+    %-format string filled with the JSON text of the values.  rows holds one
+    tuple of values per record, in the order of keys: a library record whose
+    fields, in order, the keys name is such a tuple."""
 
     __slots__ = _fields = ("keys", "rows")
 
-    def __init__(self, keys: tuple[str, ...], rows: list[tuple]):
-        self._set(keys, rows)
+    # a one-record table costs no more than a dict: slots set like Curve's
+    def __init__(self, keys: tuple[str, ...], rows):
+        _set_keys(self, keys)
+        _set_rows(self, rows)
 
     def text(self, newline: str) -> str:
         if not self.rows:
             return "[]"
-        inner, cell = newline + "  ", newline + "    "
-        fields = ("," + cell).join(_quote(key).replace("%", "%%") + ": %s" for key in self.keys)
-        record = "{" + cell + fields + inner + "}" if self.keys else "{}"
+        first, more = _record_format(self.keys, newline)
+        cell = newline + "    "
         items = [item for row in self.rows for item in row]
         texts = [leaf(v) if (leaf := _LEAVES.get(type(v))) else _write(v, cell) for v in items]
-        rows = ("," + inner).join([record] * len(self.rows))
-        return ("[" + inner + rows + newline + "]") % tuple(texts)
+        return (first + more * (len(self.rows) - 1) + newline + "]") % tuple(texts)
+
+
+_set_keys, _set_rows = (getattr(_Records, name).__set__ for name in _Records._fields)
+
+
+@functools.cache
+def _record_format(keys: tuple[str, ...], newline: str) -> tuple[str, str]:
+    """The %-format of a table's opening bracket and first record, and of
+    each further record.  cli writes a fixed set of tables at a fixed set of
+    depths, so the cache stays small."""
+    inner, cell = newline + "  ", newline + "    "
+    fields = ("," + cell).join(_quote(key).replace("%", "%%") + ": %s" for key in keys)
+    record = "{" + cell + fields + inner + "}" if keys else "{}"
+    return "[" + inner + record, "," + inner + record
 
 
 # --- shared report sections ---------------------------------------------------
@@ -359,17 +374,10 @@ def _structure_sections(config: CurveConfig, sol: NacSolution) -> dict:
         "structure": {
             "ok": report.ok,
             "inoue_ih_signature": report.inoue_ih_signature,
-            "cycles": [
-                {
-                    "members": list(c.member_ids),
-                    "min_coeff": c.min_coeff,
-                    "max_coeff": c.max_coeff,
-                    "unit_cycle": c.unit_cycle,
-                    "max_at_branch_root": c.max_at_branch_root,
-                    "violations": list(c.violations),
-                }
-                for c in report.cycles
-            ],
+            "cycles": _Records(
+                ("members", "min_coeff", "max_coeff", "unit_cycle", "max_at_branch_root", "violations"),
+                report.cycles,
+            ),
         },
         "star_recurrence": {"ok": ok, "checks": _Records(("curve", "lhs", "rhs", "ok"), checks)},
     }
@@ -386,17 +394,10 @@ def _cycles_section(config: CurveConfig):
         cycles = find_cycles(config)
     except StructureError as exc:
         return {"error": str(exc)}
-    return [
-        {
-            "members": list(rec.member_ids),
-            "length": rec.length,
-            "branches": [
-                {"root": br.root_id, "members": list(br.member_ids)}
-                for br in rec.branches
-            ],
-        }
-        for rec in cycles
-    ]
+    return _Records(
+        ("members", "length", "branches"),
+        [(r.member_ids, r.length, _Records(("root", "members"), r.branches)) for r in cycles],
+    )
 
 
 def _sigma_section(config: CurveConfig):
@@ -404,13 +405,7 @@ def _sigma_section(config: CurveConfig):
         cls = sigma_classify(config)
     except (DomainError, StructureError) as exc:
         return {"error": str(exc)}
-    return {
-        "sigma": cls.sigma,
-        "verdict": cls.verdict,
-        "ih_parity": cls.ih_parity,
-        "torsion_crosscheck": cls.torsion_crosscheck,
-        "notes": list(cls.notes),
-    }
+    return cls._asdict()
 
 
 class _InternalError(RuntimeError):
@@ -425,13 +420,7 @@ def _cmd_classify(args) -> int:
     report = validate(config)
     doc: dict = {
         "command": "classify",
-        "validation": {
-            "valid": report.valid,
-            "issues": [
-                {"message": issue.message, "curve": issue.curve_id}
-                for issue in report.issues
-            ],
-        },
+        "validation": {"valid": report.valid, "issues": _Records(("message", "curve"), report.issues)},
     }
     if not report.valid:
         _emit(doc)
@@ -498,28 +487,16 @@ def _cmd_enumerate(args) -> int:
         verification = verify_representation(config, rep)
         if not verification.ok:
             raise _InternalError("enumerated representation failed re-verification")
-        entries.append(
-            {
-                "odd_ih": rep.odd_ih,
-                "classes": _Records(
-                    ("curve", "coeffs", "torsion2", "pattern"),
-                    [
-                        (curve.id, list(klass.coeffs), klass.torsion2, _render_class(klass))
-                        for curve, klass in zip(config.curves, rep.classes)
-                    ],
-                ),
-                "verification": _Records(
-                    ("name", "ok", "detail"),
-                    [(r.name, r.ok, r.detail) for r in verification.results],
-                ),
-            }
-        )
+        pairs = zip(config.curves, rep.classes)
+        rows = [(c.id, k.coeffs, k.torsion2, _render_class(k)) for c, k in pairs]
+        classes = _Records(("curve", "coeffs", "torsion2", "pattern"), rows)
+        entries.append((rep.odd_ih, classes, _Records(("name", "ok", "detail"), verification.results)))
     _emit(
         {
             "command": "enumerate",
             "count": len(reps),
             "truncated": truncated,
-            "representations": entries,
+            "representations": _Records(("odd_ih", "classes", "verification"), entries),
         }
     )
     return EXIT_OK
@@ -566,10 +543,7 @@ def _cmd_germ(args) -> int:
         doc.update(
             exact=True,
             valid=verdict.valid,
-            conditions=[
-                {"name": c.name, "ok": c.ok, "detail": c.detail, "gating": c.gating}
-                for c in verdict.conditions
-            ],
+            conditions=_Records(("name", "ok", "detail", "gating"), verdict.conditions),
             invariants=dict(verdict.invariants),
         )
         _emit(doc)

@@ -42,15 +42,6 @@ class ExactComplex(_Frozen):
         _set_re(self, re if isinstance(re, Fraction) else Fraction(re))
         _set_im(self, im if isinstance(im, Fraction) else Fraction(im))
 
-    # the base's __eq__ and __hash__ with the fields read inline, as fast as a dataclass's
-    def __eq__(self, other):
-        if other.__class__ is not ExactComplex:
-            return NotImplemented
-        return (self.re, self.im) == (other.re, other.im)
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
     def __add__(self, other: "ExactComplex") -> "ExactComplex":
         return ExactComplex(self.re + other.re, self.im + other.im)
 

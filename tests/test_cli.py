@@ -16,15 +16,21 @@ from viilattice import (
     ELLIPTIC,
     NODAL_RATIONAL,
     SMOOTH_RATIONAL,
+    Branch,
+    Condition,
     ConfigParseError,
     ConstraintResult,
     Curve,
     CurveConfig,
+    CycleRecord,
+    CycleStructure,
     DomainError,
     NacSolution,
     NoSolution,
+    SigmaClassification,
     StructureError,
     TypeA,
+    ValidationIssue,
     VerificationReport,
     classify_normal_form,
     config_from_text,
@@ -32,11 +38,16 @@ from viilattice import (
     config_to_text,
     enoki_cycle_config,
     enumerate_representations,
+    find_cycles,
     gss_config,
     intersection_matrix,
+    load_config,
     nac_structure_report,
+    sigma_classify,
     singrat_config,
     solve_nac,
+    validate,
+    verify_representation,
     verify_star_recurrence,
 )
 from viilattice import cli, curves, linalg, selftest
@@ -779,10 +790,8 @@ def _containers(value) -> int:
 
 
 def test_writer_recurses_only_into_containers(capsys, tmp_path, monkeypatch):
-    # every leaf is rendered in place, the matrix and the star checks in one
-    # call each
-    path = tmp_path / "singrat60.json"
-    path.write_text(config_to_text(singrat_config(60, 59)))
+    # every leaf is rendered in place, the matrix and each table in one call
+    # each, so the number of calls does not grow with b2
     calls = []
     original = cli._write
 
@@ -791,14 +800,30 @@ def test_writer_recurses_only_into_containers(capsys, tmp_path, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(cli, "_write", counting)
-    code, doc, _ = run(capsys, ["classify", str(path)])
-    assert code == 0 and len(doc["matrix"]) == 60
-    assert calls.count("_Matrix") == calls.count("_Records") == 1
-    # neither the 60 matrix rows nor the 58 star checks cost a call, so the
-    # count does not grow with b2
-    checks = doc["star_recurrence"]["checks"]
-    assert len(checks) == 58
-    assert len(calls) == _containers(doc) - 60 - len(checks) < 30
+    totals = []
+    for n in (20, 60):
+        path = tmp_path / f"singrat{n}.json"
+        path.write_text(config_to_text(singrat_config(n, n - 1)))
+        calls.clear()
+        code, doc, _ = run(capsys, ["classify", str(path)])
+        assert code == 0 and len(doc["matrix"]) == n
+        checks = doc["star_recurrence"]["checks"]
+        assert len(checks) == n - 2
+        # validation.issues, cycles, each cycle's branches, structure.cycles
+        # and the star checks
+        tables = [
+            doc["validation"]["issues"],
+            doc["cycles"],
+            *[cycle["branches"] for cycle in doc["cycles"]],
+            doc["structure"]["cycles"],
+            checks,
+        ]
+        assert calls.count("_Matrix") == 1 and calls.count("_Records") == len(tables)
+        # a call for each container but the n matrix rows and the records of
+        # each table; a container value inside a record costs its own call
+        assert len(calls) == _containers(doc) - n - sum(map(len, tables))
+        totals.append(len(calls))
+    assert totals[0] == totals[1] < 30
 
 
 def _emitted(doc) -> str:
@@ -1297,19 +1322,24 @@ GERM_ERROR_COMMANDS = [
 GERM_GROUPS = {"germ": GERM_COMMANDS, "germ-errors": GERM_ERROR_COMMANDS}
 
 
+def corpus_calls(group: str, directory) -> list[list[str]]:
+    """The command lines of one group of the pinned corpus, with the
+    configuration files they read written into directory."""
+    if group in GERM_GROUPS:
+        return [["germ", *params] for params in GERM_GROUPS[group]]
+    configs, commands = CORPUS[group]
+    calls = []
+    for k, config in enumerate(configs):
+        path = directory / f"{group}{k}.json"
+        path.write_text(config if isinstance(config, str) else config_to_text(config))
+        calls += [[command[0], str(path), *command[1:]] for command in commands]
+    return calls
+
+
 def _corpus_runs(group: str, directory) -> list[tuple[int, str, str]]:
     """(exit, stdout, stderr) of each call in one group of the pinned corpus."""
-    if group in GERM_GROUPS:
-        calls = [["germ", *params] for params in GERM_GROUPS[group]]
-    else:
-        configs, commands = CORPUS[group]
-        calls = []
-        for k, config in enumerate(configs):
-            path = directory / f"{group}{k}.json"
-            path.write_text(config if isinstance(config, str) else config_to_text(config))
-            calls += [[command[0], str(path), *command[1:]] for command in commands]
     runs = []
-    for argv in calls:
+    for argv in corpus_calls(group, directory):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -1353,6 +1383,197 @@ def test_reports_match_the_pinned_digests(tmp_path, group):
 
 def test_every_invalid_configuration_exits_invalid(tmp_path):
     assert {code for code, _, _ in _corpus_runs("invalid", tmp_path)} == {1}
+
+
+# --- report tables against the dict-per-record referee ---------------------------
+
+
+def _referee_cycles(config: CurveConfig):
+    try:
+        cycles = find_cycles(config)
+    except StructureError as exc:
+        return {"error": str(exc)}
+    return [
+        {
+            "members": list(rec.member_ids),
+            "length": rec.length,
+            "branches": [{"root": br.root_id, "members": list(br.member_ids)} for br in rec.branches],
+        }
+        for rec in cycles
+    ]
+
+
+def _referee_sigma(config: CurveConfig):
+    try:
+        cls = sigma_classify(config)
+    except (DomainError, StructureError) as exc:
+        return {"error": str(exc)}
+    return {
+        "sigma": cls.sigma,
+        "verdict": cls.verdict,
+        "ih_parity": cls.ih_parity,
+        "torsion_crosscheck": cls.torsion_crosscheck,
+        "notes": list(cls.notes),
+    }
+
+
+def _referee_entries(config: CurveConfig, limit: int | None) -> list[dict]:
+    reps = enumerate_representations(config)
+    return [
+        {
+            "odd_ih": rep.odd_ih,
+            "classes": [
+                {
+                    "curve": curve.id,
+                    "coeffs": list(klass.coeffs),
+                    "torsion2": klass.torsion2,
+                    "pattern": cli._render_class(klass),
+                }
+                for curve, klass in zip(config.curves, rep.classes)
+            ],
+            "verification": [
+                {"name": r.name, "ok": r.ok, "detail": r.detail}
+                for r in verify_representation(config, rep).results
+            ],
+        }
+        for rep in reps[:limit]
+    ]
+
+
+def _referee_doc(argv: list[str], doc: dict) -> dict:
+    """doc, the report main(argv) printed, with every table of library records
+    rebuilt one dict per record, as the CLI built them before it wrote each
+    table straight from its records."""
+    command = argv[0]
+    if command == "germ":
+        germ_type, check = cli.HOPF_KINDS[argv[1]]
+        params = cli._parse_params(argv[2:])
+        germ = germ_type(**{k: cli._need_int(params, k) if k == "m" else params[k] for k in params})
+        doc["conditions"] = [
+            {"name": c.name, "ok": c.ok, "detail": c.detail, "gating": c.gating}
+            for c in check(germ).conditions
+        ]
+        return doc
+    config = load_config(argv[1])
+    if command == "classify":
+        report = validate(config)
+        doc["validation"]["issues"] = [
+            {"message": issue.message, "curve": issue.curve_id} for issue in report.issues
+        ]
+        if not report.valid:
+            return doc
+        doc["cycles"] = _referee_cycles(config)
+        doc["sigma_classification"] = _referee_sigma(config)
+    if "structure" in doc:
+        sol = solve_nac(config, 1 if command == "classify" else int(argv[3]))
+        doc["structure"] = _structure_oracle(config, sol)["structure"]
+    if command == "enumerate":
+        limit = int(argv[3]) if len(argv) > 2 else None
+        doc["representations"] = _referee_entries(config, limit)
+    return doc
+
+
+def hopf_grid() -> list[list[str]]:
+    """Hopf germ command lines with s = 0 and s != 0, whose conditions hold
+    and fail, gating and not."""
+    strong = [
+        ["hopf-strong", f"alpha={alpha}", f"a={a}", f"s={s}", f"m={m}"]
+        for alpha in ("1/2", "1/4", "3/5", "1/4+1/4j")
+        for a in ("1/8", "1/4", "2/5j", "-1/3")
+        for s, m in (("0", "1"), ("1", "1"), ("1", "3"), ("1/2", "2"))
+    ]
+    primary = [
+        ["hopf-primary", f"alpha1={a1}", f"alpha2={a2}", f"s={s}", f"m={m}"]
+        for a1, a2 in (("1/4", "1/2"), ("0.3", "0.6"), ("1/8", "1/3+1/5j"), ("-1/4", "1/2j"))
+        for s, m in (("0", "1"), ("1", "2"), ("1", "3"))
+    ]
+    return [["germ", *words] for words in strong + primary]
+
+
+def _invalid_configs(count: int, seed: int) -> list[CurveConfig]:
+    """Seeded configurations that validation refuses, with and without a
+    curve to blame."""
+    rng, found = random.Random(seed), []
+    while len(found) < count:
+        b2 = rng.randint(0, 3)
+        kinds = [rng.choice((SMOOTH_RATIONAL, NODAL_RATIONAL, ELLIPTIC)) for _ in range(rng.randint(1, 4))]
+        config = CurveConfig(b2, tuple(Curve(i, k, rng.randint(-3, 2)) for i, k in enumerate(kinds)))
+        if not validate(config).valid:
+            found.append(config)
+    return found
+
+
+def _table_corpus() -> list[tuple[CurveConfig, list[list[str]]]]:
+    """(configuration, command lines without the file) of the table corpus."""
+    listed = [
+        CurveConfig(config.b2, config.curves[::step], config.intersections)
+        for n in range(1, 8)
+        for config in map(gss_config, corpus(n))
+        for step in (1, -1)
+    ]
+    listed += [singrat_config(n, p) for n in range(1, 13) for p in range(n)]
+    listed += [enoki_cycle_config(n, elliptic) for n in range(1, 9) for elliptic in (False, True)]
+    commands = [["classify"], ["nac", "--m", "1"], ["nac", "--m", "2"], ["enumerate"]]
+    commands += [["enumerate", "--max-solutions", "0"], ["enumerate", "--max-solutions", "1"]]
+    cases = [(config, commands if config.b2 <= 6 else commands[:3]) for config in listed]
+    return cases + [(config, [["classify"]]) for config in _invalid_configs(40, 0)]
+
+
+# each table of library records, at its path in the report, and its record:
+# each key is the name of the record's field in that place, less any "_id"
+RECORD_TABLES = {
+    ("validation", "issues"): ValidationIssue,
+    ("cycles",): CycleRecord,
+    ("cycles", "branches"): Branch,
+    ("sigma_classification",): SigmaClassification,
+    ("structure", "cycles"): CycleStructure,
+    ("conditions",): Condition,
+    ("representations", "verification"): ConstraintResult,
+}
+
+
+def _table_keys(doc, path: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """The key tuple of each record at path in doc; a list on the way is
+    read item by item."""
+    values = [doc]
+    for key in path:
+        values = [v.get(key) for v in values if isinstance(v, dict)]
+        values = [w for v in values for w in (v if isinstance(v, list) else [v])]
+    return [tuple(v) for v in values if isinstance(v, dict) and "error" not in v]
+
+
+def test_tables_match_the_dict_per_record_referee(tmp_path):
+    runs = hopf_grid()
+    for k, (config, commands) in enumerate(_table_corpus()):
+        path = tmp_path / f"table{k}.json"
+        path.write_text(config_to_text(config))
+        runs += [[command[0], str(path), *command[1:]] for command in commands]
+    keys = {path: set() for path in RECORD_TABLES}
+    seen = set()
+    for argv in runs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        text = out.getvalue()
+        if not text:
+            assert code == 1, argv
+            continue
+        doc = json.loads(text)
+        assert text == json.dumps(_referee_doc(argv, json.loads(text)), indent=2) + "\n", argv
+        for path in RECORD_TABLES:
+            keys[path].update(_table_keys(doc, path))
+        issues = doc.get("validation", {}).get("issues", ())
+        seen.update(("blamed", issue["curve"] is not None) for issue in issues)
+        seen.update(("gating", c["gating"], c["ok"]) for c in doc.get("conditions", ()))
+        if argv[0] == "enumerate":
+            seen.add(("shown", len(doc["representations"])))
+    for path, record in RECORD_TABLES.items():
+        assert keys[path] == {tuple(field.replace("_id", "") for field in record._fields)}, path
+    # issues with and without a curve, gating and other conditions both held
+    # and failed, and enumerate reports of none, one and several
+    assert {("blamed", True), ("blamed", False)} <= seen
+    assert {("gating", g, ok) for g in (True, False) for ok in (True, False)} <= seen
+    assert {("shown", 0), ("shown", 1), ("shown", 2)} <= seen
 
 
 # --- the interpreter's int/str digit limit ---------------------------------------
