@@ -51,7 +51,6 @@ from .errors import (
     InvalidConfigError,
     StructureError,
 )
-from .families import enoki_cycle_config, gss_config, singrat_config
 from .germs import (
     Condition,
     EnokiGerm,
@@ -108,14 +107,22 @@ from .nac import (
 
 __version__ = "0.1.0"
 
-# selftest and these names of it load on first use (PEP 562): only its command needs them
-_SELFTEST_NAMES = ("SuiteResult", "run_all", "run_suite")
-__all__ = sorted([*(n for n in dir() if not n.startswith("_")), "selftest", *_SELFTEST_NAMES])
+# these modules and these names of them load on first use (PEP 562): only
+# the selftest command, germ enoki and library callers need them
+_LAZY = {
+    "families": ("enoki_cycle_config", "gss_config", "singrat_config"),
+    "selftest": ("SuiteResult", "run_all", "run_suite"),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
+__all__ = sorted([*(n for n in dir() if not n.startswith("_")), *_LAZY, *_LAZY_NAMES])
 
 
 def __getattr__(name: str):
-    if name != "selftest" and name not in _SELFTEST_NAMES:
+    module_name = name if name in _LAZY else _LAZY_NAMES.get(name)
+    if module_name is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     import importlib  # not "from . import selftest", whose fromlist probe calls back here
-    selftest = importlib.import_module(".selftest", __name__)
-    return selftest if name == "selftest" else getattr(selftest, name)
+    module = importlib.import_module("." + module_name, __name__)
+    # bound here, so that later lookups cost what an eager import's do
+    value = globals()[name] = module if name == module_name else getattr(module, name)
+    return value

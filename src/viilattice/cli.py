@@ -19,12 +19,12 @@ environment variable VII_ENUM_CAP overrides the enumeration cap.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
 import os
 import sys
+import types
 from fractions import Fraction
 
 from .configio import config_to_doc, load_config
@@ -81,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _plain_args(argv)
     if args is None:
         try:
-            args = _build_parser()[0].parse_args(argv)
+            args = _build_parser().parse_args(argv)
         except SystemExit as exc:
             # argparse exits with its own status 2 on usage errors; fold that
             # into the invalid-input code and keep 2 for real inconsistencies
@@ -116,46 +116,53 @@ def main(argv: list[str] | None = None) -> int:
 
 
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser, and for each command the grammar _plain_args reads, built
-    from the actions that add_argument returns (None for a command that has
-    an argument of another kind than one token stored under its dest)."""
+def _build_parser():
+    """The argparse parser of the command table, for the command lines
+    _plain_args leaves to it: help, usage errors and the rest."""
+    import argparse  # here: a plain command line neither imports nor builds it
+
     parser = argparse.ArgumentParser(
         prog="viilattice",
         description="Exact lattice invariants of curve configurations on "
         "minimal class-VII surfaces with positive second Betti number.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
     for command, (run, help_line, arguments) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_line)
         p.set_defaults(run=run)
-        actions = [p.add_argument(name, **keywords) for name, keywords in arguments]
-        commands[command] = _grammar(command, p, *actions)
-    return parser, commands
+        for name, keywords in arguments:
+            p.add_argument(name, **keywords)
+    return parser
 
 
-def _grammar(command: str, parser: argparse.ArgumentParser, *actions: argparse.Action):
-    """(namespace defaults, positional actions, {option string: action}) of
-    one command, or None unless each action reads exactly one token, or is a
-    last positional with nargs="*" and no default on a command without
-    options.  The parser adds no append, count or custom action, so such an
-    action stores its token, converted by its type and checked against its
-    choices, under its dest; the "*" positional stores the list of the rest."""
-    positionals = [action for action in actions if not action.option_strings]
-    options = {option: action for action in actions for option in action.option_strings}
-    star = not options and (actions[-1].nargs, actions[-1].default) == ("*", None)
-    if any(action.nargs is not None for action in actions[: -1 if star else None]):
+def _grammar(command: str, run, arguments: list):
+    """(namespace defaults, positional slots, {option string: slot}) of one
+    command of the table, where the slot of an argument is its (dest, nargs,
+    type, choices); or None unless each argument reads exactly one token, or
+    is a last positional with nargs="*" and no default on a command without
+    options.  The table names no action, so such an argument stores its
+    token, converted by its type and checked against its choices, under its
+    dest; the "*" positional stores the list of the rest."""
+    defaults, positionals, options = {"command": command}, [], {}
+    for name, keywords in arguments:
+        option = name.startswith("-")
+        # argparse's dest of a positional, or of an option's one long string
+        dest = name.lstrip("-").replace("-", "_") if option else name
+        defaults[dest] = keywords.get("default")
+        slot = (dest, keywords.get("nargs"), keywords.get("type"), keywords.get("choices"))
+        if option:
+            options[name] = slot
+        else:
+            positionals.append(slot)
+    defaults["run"] = run
+    last = positionals[-1] if positionals else (None, None)
+    star = not options and (last[1], defaults.get(last[0])) == ("*", None)
+    if any(slot[1] is not None for slot in [*positionals[: -1 if star else None], *options.values()]):
         return None
-    defaults = {
-        "command": command,
-        **{action.dest: action.default for action in actions},
-        "run": parser.get_default("run"),
-    }
     return defaults, positionals, options
 
 
-def _plain_args(argv: list) -> argparse.Namespace | None:
+def _plain_args(argv: list) -> types.SimpleNamespace | None:
     """The namespace parse_args(argv) returns, for an argv of a command name
     followed by each of its positionals and any of its exact option strings
     with a value; None for every other argv, which parse_args reads.  So
@@ -164,7 +171,7 @@ def _plain_args(argv: list) -> argparse.Namespace | None:
     argparse."""
     if not argv or any(type(token) is not str for token in argv):
         return None
-    grammar = _build_parser()[1].get(argv[0])
+    grammar = _GRAMMARS.get(argv[0])
     if grammar is None:
         return None
     defaults, positionals, options = grammar
@@ -173,32 +180,34 @@ def _plain_args(argv: list) -> argparse.Namespace | None:
     tokens = iter(argv[1:])
     try:
         for token in tokens:
-            action = options.get(token)
-            if action is None:
-                action = next(positionals)
+            slot = options.get(token)
+            if slot is None:
+                slot = next(positionals)
             else:
                 token = next(tokens)
-            if action.nargs is None:
-                values[action.dest] = _token_value(action, token)
+            dest, nargs, _, _ = slot
+            if nargs is None:
+                values[dest] = _token_value(slot, token)
             else:
-                values[action.dest] = [_token_value(action, t) for t in (token, *tokens)]
-        for action in positionals:
-            if action.nargs is None:
+                values[dest] = [_token_value(slot, t) for t in (token, *tokens)]
+        for dest, nargs, _, _ in positionals:
+            if nargs is None:
                 return None
-            values[action.dest] = []
+            values[dest] = []
     except (StopIteration, TypeError, ValueError):
         return None
-    return argparse.Namespace(**values)
+    return types.SimpleNamespace(**values)
 
 
-def _token_value(action: argparse.Action, token: str):
-    """token as parse_args stores it for action; ValueError (or the
-    TypeError or ValueError of its type) for a token it reads otherwise or
-    refuses."""
+def _token_value(slot: tuple, token: str):
+    """token as parse_args stores it for the argument of slot; ValueError (or
+    the TypeError or ValueError of its type) for a token it reads otherwise
+    or refuses."""
     if token.startswith("-"):
         raise ValueError(token)
-    value = token if action.type is None else action.type(token)
-    if action.choices is not None and value not in action.choices:
+    _, _, convert, choices = slot
+    value = token if convert is None else convert(token)
+    if choices is not None and value not in choices:
         raise ValueError(token)
     return value
 
@@ -684,6 +693,9 @@ _COMMANDS = {
         "run the built-in verification suites",
         [("--seed", dict(type=int, default=0, help="seed for randomized suites"))],
     ),
+}
+_GRAMMARS = {
+    command: _grammar(command, run, arguments) for command, (run, _, arguments) in _COMMANDS.items()
 }
 
 

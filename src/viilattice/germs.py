@@ -21,7 +21,6 @@ from typing import NamedTuple, Union
 
 from .curves import CurveConfig, _Frozen, _is_int
 from .errors import DomainError
-from .families import enoki_cycle_config
 
 
 class ExactComplex(_Frozen):
@@ -307,6 +306,8 @@ def realize_enoki(germ: EnokiGerm) -> EnokiRealization:
     t2 = _lift(germ.t).abs2()
     if not (0 < t2 < 1):
         raise DomainError(f"not a contraction: |t|^2 = {t2} is outside (0, 1)")
+    from .families import enoki_cycle_config  # here, so that importing germs does not load it
+
     parabolic = is_parabolic(germ)
     config = enoki_cycle_config(germ.n, with_elliptic=parabolic)
     return EnokiRealization(config, parabolic, has_nac=parabolic, trace_modulus_squared=t2)

@@ -49,6 +49,7 @@ def build(directory: Path) -> list[tuple[str, list[str]]]:
         gss_config,
         singrat_config,
     )
+    from viilattice.selftest import random_definite_config
 
     calls = [
         (group, argv)
@@ -92,7 +93,30 @@ def build(directory: Path) -> list[tuple[str, list[str]]]:
             CurveConfig(d + 1, nodal, tuple((0, i, 1) for i in range(1, d + 1))),
         ],
     )
+    add(
+        "relabelled-words-8",
+        [test_peel.relabelled(gss_config(word), rng)[0] for n in range(1, 9) for word in corpus(n)],
+    )
+    add("definite-300", [random_definite_config(rng) for _ in range(300)])
     calls += [("germ-grid", argv) for argv in test_cli.hopf_grid()]
+    # every form the plain reader takes, and every form it leaves to argparse
+    singrat3 = directory / "singrat3.json"
+    singrat3.write_text(config_to_text(singrat_config(3, 2)))
+    forms = [
+        *test_cli.PLAIN_ARGV,
+        *test_cli.DEFERRED_ARGV.values(),
+        *([command, "-h"] for command in test_cli.COMMAND_NAMES),
+        ["nac", "--m", "2", "FILE"],
+        ["nac", "--m", "2", "FILE", "--m", "3"],
+        ["enumerate", "--max-solutions", "0", "FILE"],
+        ["germ", "hopf-strong", "s=1", "m=1", "a=1/8", "alpha=1/2"],
+        ["germ", "enoki", "a=1/3,0", "n=3", "t=1/2"],
+        ["nac", "--m=2", "FILE"],
+        ["enumerate", "FILE", "--max", "1"],
+        ["nac", "--", "FILE"],
+        ["germ", "parabolic", "t=1/2", "n=2"],
+    ]
+    calls += [("argv", [str(singrat3) if token == "FILE" else token for token in argv]) for argv in forms]
     return calls
 
 
@@ -148,7 +172,7 @@ def compare(old: str, new: str) -> int:
                 return 1
     print(f"{len(calls)} command lines, no difference")
     for group, digest in after["groups"].items():
-        print(f"{group:12} {digest}")
+        print(f"{group:18} {digest}")
     return 0
 
 

@@ -3,10 +3,13 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -1696,6 +1699,25 @@ def test_parser_is_built_once_and_reused(capsys, tmp_path):
     assert cli._build_parser.cache_info().misses == 1
 
 
+def _action_grammar(command: str, parser: argparse.ArgumentParser, *actions: argparse.Action):
+    """(namespace defaults, positional actions, {option string: action}) of
+    one command, read back from the actions that add_argument returns, or
+    None unless each action reads exactly one token, or is a last positional
+    with nargs="*" and no default on a command without options: the grammar
+    cli._grammar reads from the command table, as cli read it before."""
+    positionals = [action for action in actions if not action.option_strings]
+    options = {option: action for action in actions for option in action.option_strings}
+    star = not options and (actions[-1].nargs, actions[-1].default) == ("*", None)
+    if any(action.nargs is not None for action in actions[: -1 if star else None]):
+        return None
+    defaults = {
+        "command": command,
+        **{action.dest: action.default for action in actions},
+        "run": parser.get_default("run"),
+    }
+    return defaults, positionals, options
+
+
 def _referee_parser():
     """The parser as one add_parser block per command, the way it was built
     before the command table: the table's referee."""
@@ -1709,11 +1731,11 @@ def _referee_parser():
 
     p = sub.add_parser("classify", help="full pipeline report for a configuration file")
     p.set_defaults(run=cli._cmd_classify)
-    commands["classify"] = cli._grammar("classify", p, p.add_argument("file"))
+    commands["classify"] = _action_grammar("classify", p, p.add_argument("file"))
 
     p = sub.add_parser("nac", help="anticanonical coefficients at a chosen level")
     p.set_defaults(run=cli._cmd_nac)
-    commands["nac"] = cli._grammar(
+    commands["nac"] = _action_grammar(
         "nac",
         p,
         p.add_argument("file"),
@@ -1722,11 +1744,11 @@ def _referee_parser():
 
     p = sub.add_parser("index", help="smallest level with integer coefficients")
     p.set_defaults(run=cli._cmd_index)
-    commands["index"] = cli._grammar("index", p, p.add_argument("file"))
+    commands["index"] = _action_grammar("index", p, p.add_argument("file"))
 
     p = sub.add_parser("enumerate", help="canonical homology representations")
     p.set_defaults(run=cli._cmd_enumerate)
-    commands["enumerate"] = cli._grammar(
+    commands["enumerate"] = _action_grammar(
         "enumerate",
         p,
         p.add_argument("file"),
@@ -1740,7 +1762,7 @@ def _referee_parser():
 
     p = sub.add_parser("germ", help="validate contracting-germ parameters")
     p.set_defaults(run=cli._cmd_germ)
-    commands["germ"] = cli._grammar(
+    commands["germ"] = _action_grammar(
         "germ",
         p,
         p.add_argument("kind", choices=cli.GERM_KINDS),
@@ -1749,7 +1771,7 @@ def _referee_parser():
 
     p = sub.add_parser("selftest", help="run the built-in verification suites")
     p.set_defaults(run=cli._cmd_selftest)
-    commands["selftest"] = cli._grammar(
+    commands["selftest"] = _action_grammar(
         "selftest",
         p,
         p.add_argument("--seed", type=int, default=0, help="seed for randomized suites"),
@@ -1764,35 +1786,40 @@ def _help_texts(parser) -> dict:
     return {None: parser.format_help(), **{k: p.format_help() for k, p in sub.choices.items()}}
 
 
-def _grammar_shape(grammar):
-    """A grammar with each action as the dict of its attributes but the
-    argument group that holds it."""
+def _slots(grammar):
+    """An action grammar with each action as the (dest, nargs, type, choices)
+    slot cli._grammar gives it.  Every action is a plain store of one value
+    in an optional option or a required positional, which is what the slot
+    says of it."""
     if grammar is None:
         return None
     defaults, positionals, options = grammar
+    for action in [*positionals, *options.values()]:
+        assert type(action) is argparse._StoreAction and action.const is None
+        # a required option or an optional positional would read otherwise
+        assert action.nargs == "*" or action.required == (not action.option_strings)
 
-    def shape(action):
-        return {k: v for k, v in vars(action).items() if k != "container"}
+    def slot(action):
+        return action.dest, action.nargs, action.type, action.choices
 
-    return defaults, [shape(a) for a in positionals], {k: shape(a) for k, a in options.items()}
+    return defaults, [slot(a) for a in positionals], {k: slot(a) for k, a in options.items()}
 
 
 def test_the_command_table_builds_the_referee_parser():
-    parser, commands = cli._build_parser()
     referee, referee_commands = _referee_parser()
-    texts = _help_texts(parser)
+    texts = _help_texts(cli._build_parser())
     assert list(texts) == [None, *COMMAND_NAMES]
     assert texts == _help_texts(referee)
-    assert list(commands) == list(referee_commands)
-    for name, grammar in commands.items():
-        assert _grammar_shape(grammar) == _grammar_shape(referee_commands[name]), name
+    assert list(cli._GRAMMARS) == list(referee_commands)
+    for name, grammar in cli._GRAMMARS.items():
+        assert grammar == _slots(referee_commands[name]), name
 
 
 def _through_argparse(capsys, argv):
     """(exit, stdout, stderr) of argv read by this interpreter's parse_args
     and then run; the argv must not make its command raise."""
     try:
-        args = cli._build_parser()[0].parse_args(argv)
+        args = cli._build_parser().parse_args(argv)
     except SystemExit as exc:
         code = 0 if exc.code in (0, None) else 1
     else:
@@ -1819,7 +1846,7 @@ def test_plain_reader_builds_the_namespace_parse_args_builds(command, rest):
     got = cli._plain_args(argv)
     if got is not None:
         with contextlib.redirect_stderr(io.StringIO()):
-            want = cli._build_parser()[0].parse_args(argv)
+            want = cli._build_parser().parse_args(argv)
         assert vars(got) == vars(want)
 
 
@@ -1895,18 +1922,21 @@ def test_main_reads_str_subclass_tokens_as_before(capsys, singrat3_file):
     assert (main([Token(t) for t in plain]), *capsys.readouterr()) == want
 
 
+PLAIN_ARGV = [
+    ["classify", "FILE"],
+    ["nac", "FILE"],
+    ["nac", "FILE", "--m", "3"],
+    ["index", "FILE"],
+    ["enumerate", "FILE", "--max-solutions", "1"],
+    ["germ", "hopf-strong", "alpha=1/2", "a=1/8", "s=1", "m=1"],
+    ["germ", "hopf-primary", "alpha1=1/4", "alpha2=1/2", "s=0", "m=2"],
+    ["germ", "enoki", "t=1/2", "n=3", "a=1/3,0"],
+    ["germ", "enoki", "t=2", "n=1"],
+]
+
+
 def test_plain_command_lines_never_reach_parse_args(capsys, monkeypatch, singrat3_file):
-    argvs = [
-        ["classify", singrat3_file],
-        ["nac", singrat3_file],
-        ["nac", singrat3_file, "--m", "3"],
-        ["index", singrat3_file],
-        ["enumerate", singrat3_file, "--max-solutions", "1"],
-        ["germ", "hopf-strong", "alpha=1/2", "a=1/8", "s=1", "m=1"],
-        ["germ", "hopf-primary", "alpha1=1/4", "alpha2=1/2", "s=0", "m=2"],
-        ["germ", "enoki", "t=1/2", "n=3", "a=1/3,0"],
-        ["germ", "enoki", "t=2", "n=1"],
-    ]
+    argvs = [[singrat3_file if token == "FILE" else token for token in argv] for argv in PLAIN_ARGV]
     want = [_through_argparse(capsys, argv) for argv in argvs]
 
     def refuse(*args, **kwargs):
@@ -1915,6 +1945,35 @@ def test_plain_command_lines_never_reach_parse_args(capsys, monkeypatch, singrat
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
     assert [(main(argv), *capsys.readouterr()) for argv in argvs] == want
     assert [code for code, _, _ in want] == [0, 0, 0, 0, 0, 0, 0, 0, 1]
+
+
+def test_plain_command_lines_load_neither_argparse_nor_families_before_germ_enoki(singrat3_file):
+    # one fresh interpreter runs the plain command lines in turn; after each it
+    # reports the exit code and which of the two modules the run has added
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "before = set(sys.modules)\n"
+        "from viilattice.cli import main\n"
+        "seen = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    added = set(sys.modules) - before\n"
+        "    seen.append([code, 'argparse' in added, 'viilattice.families' in added])\n"
+        "print(json.dumps(seen))"
+    )
+    argvs = [[singrat3_file if token == "FILE" else token for token in argv] for argv in PLAIN_ARGV]
+    done = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(argvs)],
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    # the eighth line, the first germ enoki, realizes its surface: that loads families
+    codes = [0, 0, 0, 0, 0, 0, 0, 0, 1]
+    assert json.loads(done.stdout) == [[code, False, k >= 7] for k, code in enumerate(codes)]
 
 
 @pytest.mark.parametrize("rest", [["nac", "FILE", "--m", "2"], ["--help"]], ids=["plain", "help"])

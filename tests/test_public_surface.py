@@ -1,7 +1,7 @@
 """The names ``viilattice`` exports, pinned: adding or removing one is a
 library contract change and edits this set on purpose.  Also the modules
 ``import viilattice.cli`` loads: every one the benchmark's tracer wraps,
-and not ``selftest``."""
+and neither ``selftest``, ``families`` nor ``argparse``."""
 
 import importlib.util
 import inspect
@@ -138,6 +138,9 @@ def test_cli_import_loads_the_traced_modules_and_not_selftest():
     assert "viilattice.selftest" not in loaded
     # the immutable classes generate no code at start-up
     assert not {"dataclasses", "inspect"} & loaded
+    # a plain command line reads its grammar from the command table, and only
+    # germ enoki and library callers build a family
+    assert not {"argparse", "gettext", "viilattice.families"} & loaded
     traced = _traced_modules()
     assert {"configio", "curves", "linalg", "nac", "homology", "lattice", "germs", "cli"} <= traced
     assert {f"viilattice.{module}" for module in traced} <= loaded
