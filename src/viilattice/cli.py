@@ -53,7 +53,7 @@ from .germs import (
     validate_primary,
     validate_strong,
 )
-from .homology import enumerate_representations, verify_representation
+from .homology import _verify, enumerate_representations
 from .lattice import LatticeClass, _type_a
 from .nac import NacSolution, NoSolution, nac_structure_report, solve_nac, star_rows
 
@@ -493,11 +493,11 @@ def _cmd_enumerate(args) -> int:
     shown = reps[:limit] if truncated else reps
     entries = []
     for rep in shown:
-        verification = verify_representation(config, rep)
+        verification, forms = _verify(config, rep)
         if not verification.ok:
             raise _InternalError("enumerated representation failed re-verification")
-        pairs = zip(config.curves, rep.classes)
-        rows = [(c.id, k.coeffs, k.torsion2, _render_class(k)) for c, k in pairs]
+        triples = zip(config.curves, rep.classes, forms)
+        rows = [(c.id, k.coeffs, k.torsion2, _render_class(k, f)) for c, k, f in triples]
         classes = _Records(("curve", "coeffs", "torsion2", "pattern"), rows)
         entries.append((rep.odd_ih, classes, _Records(("name", "ok", "detail"), verification.results)))
     _emit(
@@ -511,15 +511,19 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _render_class(klass: LatticeClass) -> str:
+def _render_class(klass: LatticeClass, form=...) -> str:
+    # form is lattice._type_a(klass.coeffs); enumerate passes the one the
+    # verifier computed, None for a curve that is not smooth
     coeffs = klass.coeffs
-    if (form := _type_a(coeffs)) is not None:
+    if form is ...:
+        form = _type_a(coeffs)
+    if form is not None:
         base, blowups = form
         text = f"L{base}" + "".join([f" - L{i}" for i in range(len(coeffs)) if blowups >> i & 1])
     else:
-        # verify_representation passed every class shown, so one that is not
-        # TypeA is a 0/-1 cycle-sum class: minus the sum over its support
-        support = [f"L{i}" for i, x in enumerate(klass.coeffs) if x]
+        # the verifier passed every class shown, so a smooth curve's is TypeA;
+        # the others are sums of -1 entries: minus the sum over the support
+        support = [f"L{i}" for i, x in enumerate(coeffs) if x]
         text = "-(" + " + ".join(support) + ")" if support else "0"
     if klass.torsion2:
         text += " + order-2 twist"

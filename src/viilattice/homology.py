@@ -389,7 +389,21 @@ class VerificationReport(NamedTuple):
 
 
 def verify_representation(config: CurveConfig, rep: Representation) -> VerificationReport:
-    """Recompute every admissibility constraint from the lattice primitives."""
+    """Recompute every admissibility constraint from the lattice primitives.
+
+    "basis-covering" applies only to a negative definite form.  Once the
+    squares and products match, M = -V V^T for the matrix V of the class
+    vectors, as H^2 is the diagonal lattice -I_{b2} on the L_i (Donaldson):
+    M is definite exactly when the classes are linearly independent, so
+    never when there are more than b2.  Otherwise ``config.elimination``
+    decides.
+    """
+    return _verify(config, rep)[0]
+
+
+def _verify(config: CurveConfig, rep: Representation) -> tuple[VerificationReport, list]:
+    """(report, forms): forms[i] is ``lattice._type_a`` of curve i's class
+    when the curve is smooth, else None."""
     require_valid(config)
     n = config.b2
     vectors = _vectors(config, rep)
@@ -407,10 +421,11 @@ def verify_representation(config: CurveConfig, rep: Representation) -> Verificat
 
     # bases, and the indices in one and in two blowup sets so far, as masks
     problems, bases, once, twice, blow_sets = [], 0, 0, 0, []
-    for curve, vec in zip(curves, vectors):
+    forms = [_type_a(v) if c.kind == SMOOTH_RATIONAL else None for c, v in zip(curves, vectors)]
+    for curve, form in zip(curves, forms):
         if curve.kind != SMOOTH_RATIONAL:
             continue
-        if (form := _type_a(vec)) is None:
+        if form is None:
             problems.append(f"curve {curve.id} does not carry an exceptional-curve pattern")
             continue
         base, blowups = form
@@ -448,7 +463,11 @@ def verify_representation(config: CurveConfig, rep: Representation) -> Verificat
             sum_issues.append("two cycle supports overlap")
     results.append(_outcome("cycle-class-sums", sum_issues))
 
-    if cycles and config.curves and config.elimination[0] == DEFINITE:
+    if cycles and curves and (
+        config.elimination[0] == DEFINITE
+        if mismatches
+        else len(vectors) <= n and _independent(vectors)
+    ):
         missing = [t for t, column in enumerate(zip(*vectors)) if not any(column)]
         issues = [f"missing indices {missing}"] if missing else []
         results.append(_outcome("basis-covering", issues, "all basis indices are met"))
@@ -457,7 +476,32 @@ def verify_representation(config: CurveConfig, rep: Representation) -> Verificat
         results.append(_outcome("basis-covering", [], fine))
 
     results.append(_outcome("cycle-count-square-law", law_issues))
-    return VerificationReport(tuple(results))
+    return VerificationReport(tuple(results)), forms
+
+
+def _independent(vectors) -> bool:
+    """Whether the integer vectors are linearly independent over Q.
+
+    Bareiss elimination: each step pivots on the first nonzero entry p, in
+    column j, of the last row left, and sets each other row r to
+    (p r - r_j pivot) / q, q the previous pivot (at first 1).  Every entry
+    is then a minor up to sign, so the division is exact and no entry passes
+    the Hadamard bound.  When |p| = |q| a row with r_j = 0 would only change
+    sign and is kept.  A zero pivot row is a dependence.
+    """
+    rows, last = list(vectors), 1
+    while rows:
+        pivot = rows.pop()
+        if not (p := next(filter(None, pivot), 0)):
+            return False
+        j, keep = pivot.index(p), abs(p) == abs(last)
+        rows = [
+            r if keep and not c else [(p * x - c * y) // last for x, y in zip(r, pivot)]
+            for r in rows
+            for c in (r[j],)
+        ]
+        last = p
+    return True
 
 
 def _outcome(name: str, issues: list[str], fine: str = "ok") -> ConstraintResult:

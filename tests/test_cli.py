@@ -391,7 +391,7 @@ def test_enumerate_cap_env_override(capsys, singrat3_file, monkeypatch):
 
 def test_enumerate_exits_internal_when_re_verification_fails(capsys, monkeypatch, singrat3_file):
     failing = VerificationReport((ConstraintResult("pairwise-products", False, "corrupt"),))
-    monkeypatch.setattr(cli, "verify_representation", lambda config, rep: failing)
+    monkeypatch.setattr(cli, "_verify", lambda config, rep: (failing, [None] * 3))
     code = main(["enumerate", singrat3_file])
     assert (code, *capsys.readouterr()) == (
         2,
@@ -503,14 +503,56 @@ def test_classify_eliminates_once(capsys, singrat3_file, elimination_calls):
     assert elimination_calls == [3]
 
 
-def test_enumerate_eliminates_once_not_per_representation(
-    capsys, enoki3_file, elimination_calls
-):
+def test_enumerate_does_not_eliminate(capsys, enoki3_file, elimination_calls):
     code, doc, _ = run(capsys, ["enumerate", enoki3_file])
     assert code == 0
     assert doc["count"] == 2
     assert len(doc["representations"]) == 2
-    assert elimination_calls == [3]
+    assert elimination_calls == []
+
+
+def _enumerate_sweep():
+    """The seven heavy members of the enumerate-mixed benchmark, each as
+    built and reversed; the Enoki cycles up to b2 = 8 with and without the
+    elliptic curve; every blow-up word with b2 <= 6."""
+    branched = CurveConfig(
+        6,
+        tuple(Curve(i, SMOOTH_RATIONAL, -3 if i == 0 else -2) for i in range(6)),
+        tuple((i, (i + 1) % 5, 1) for i in range(5)) + ((2, 5, 1),),
+    )
+    heavy = [enoki_cycle_config(5, True), enoki_cycle_config(5), singrat_config(5, 4)]
+    heavy += [singrat_config(6, 5), _ring(5, -3), _ring(6, -3), branched]
+    for config in heavy:
+        yield config
+        yield CurveConfig(config.b2, config.curves[::-1], config.intersections)
+    for n in range(1, 9):
+        yield enoki_cycle_config(n)
+        yield enoki_cycle_config(n, with_elliptic=True)
+    for n in range(1, 7):
+        yield from map(gss_config, corpus(n))
+
+
+def test_enumerate_never_eliminates_beyond_the_search(capsys, tmp_path, monkeypatch):
+    def forbidden(rows, column):
+        raise AssertionError("enumerate eliminated")
+
+    monkeypatch.setattr(curves, "_symmetric_elimination", forbidden)
+    path, shown, searched = tmp_path / "config.json", 0, []
+    for config in _enumerate_sweep():
+        try:
+            count = len(enumerate_representations(config))
+        except AssertionError:
+            # the search's leaf test (d) reads the definiteness of a leaf
+            # whose classes miss a basis index
+            searched.append(config)
+            continue
+        path.write_text(config_to_text(config))
+        code, doc, _ = run(capsys, ["enumerate", str(path)])
+        assert (code, doc["count"]) == (0, count), config
+        shown += count
+    # only the nodal 0-curve, whose class is zero, has such a leaf here
+    assert searched == [enoki_cycle_config(1), gss_config("g")]
+    assert shown > 100
 
 
 @pytest.fixture

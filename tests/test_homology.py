@@ -360,6 +360,51 @@ def test_verify_covering_waived_on_degenerate_forms():
     assert "not applicable" in result(report, "basis-covering").detail
 
 
+def test_verify_covering_on_no_curve_and_on_a_lone_elliptic_curve():
+    # no curve, no class: the covering test is waived before any class is read
+    report = verify_representation(CurveConfig(2, ()), Representation(()))
+    covering = result(report, "basis-covering")
+    assert covering.detail == "not applicable: the form is degenerate or there is no cycle"
+    # one elliptic (-1)-curve with class -L0: one independent class, definite
+    config = CurveConfig(1, (Curve(0, ELLIPTIC, -1),))
+    report = verify_representation(config, Representation((LatticeClass((-1,)),)))
+    assert result(report, "basis-covering").detail == "all basis indices are met"
+
+
+@st.composite
+def integer_rows(draw):
+    """Up to seven integer vectors of one length n <= 7, entries in -2..2,
+    sometimes with a zero row or a repeated row put in."""
+    n = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=6))
+    extra = draw(st.sampled_from([None, "zero", "repeat"]))
+    if extra:
+        row = (0,) * n if extra == "zero" else draw(st.sampled_from(rows))
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows
+
+
+@settings(max_examples=300)
+@given(integer_rows())
+def test_independent_classes_are_exactly_a_definite_gram_form(rows):
+    # the lemma verification reads basis-covering by: M = -V V^T is negative
+    # definite exactly when the rows of V are linearly independent
+    gram = [[-sum(map(int.__mul__, u, v)) for v in rows] for u in rows]
+    assert homology._independent(rows) == (curves_module.is_negative_definite(gram) == DEFINITE)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_independence_beyond_the_cap_matches_the_gram_verdict(seed):
+    # sixteen dense vectors, in odd seeds with one the sum of two others
+    rng = random.Random(seed)
+    rows = [tuple(rng.randint(-2, 2) for _ in range(16)) for _ in range(16)]
+    if seed % 2:
+        rows[rng.randrange(2, 16)] = tuple(map(int.__add__, rows[0], rows[1]))
+    gram = [[-sum(map(int.__mul__, u, v)) for v in rows] for u in rows]
+    verdict = curves_module.is_negative_definite(gram)
+    assert homology._independent(rows) == (verdict == DEFINITE) == (seed % 2 == 0)
+
+
 def three_blowup_config():
     """A nodal (-3)-curve and three disjoint smooth (-3)-curves at rank 4."""
     curves = (Curve(0, NODAL_RATIONAL, -3),) + tuple(
