@@ -54,7 +54,7 @@ from .germs import (
     validate_strong,
 )
 from .homology import _verify, enumerate_representations
-from .lattice import LatticeClass, _type_a
+from .lattice import LatticeClass
 from .nac import NacSolution, NoSolution, nac_structure_report, solve_nac, star_rows
 
 EXIT_OK = 0
@@ -511,12 +511,10 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _render_class(klass: LatticeClass, form=...) -> str:
-    # form is lattice._type_a(klass.coeffs); enumerate passes the one the
-    # verifier computed, None for a curve that is not smooth
+def _render_class(klass: LatticeClass, form) -> str:
+    # form is lattice._type_a(klass.coeffs), as the verifier computed it for
+    # a smooth curve; None for a curve that is not smooth
     coeffs = klass.coeffs
-    if form is ...:
-        form = _type_a(coeffs)
     if form is not None:
         base, blowups = form
         text = f"L{base}" + "".join([f" - L{i}" for i in range(len(coeffs)) if blowups >> i & 1])

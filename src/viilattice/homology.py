@@ -52,9 +52,11 @@ two cases share the candidates and every pruning rule, so the tree is
 walked once.  Neither law removes a solution.
 
 Past the root a complete assignment needs no test of (c) or (e), only of
-(d), and (d) reads the definiteness verdict only at a leaf whose classes
-miss a basis index: a search whose leaves all cover the basis, or that
-reaches none, never eliminates.  With K the all-ones class, each candidate
+(d), and only at a leaf whose classes miss a basis index.  There (a) gives
+M = -V V^T for the matrix V of the class vectors, as H^2 is the diagonal
+lattice -I_{b2} on the L_i (Donaldson), so M is definite exactly when the
+classes are linearly independent: a rank test on them decides (d), and the
+search never eliminates M.  With K the all-ones class, each candidate
 has K.D = 2g - 2 - D^2 by construction, so K.S = -C^2: an r-cycle of
 smooth curves has C^2 = sum D^2 + 2r, a nodal or elliptic curve g = 1.  At
 a leaf (a) gives S^2 = C^2, so sum_t s_t (s_t + 1) = -(K.S + S^2) = 0, a
@@ -110,6 +112,7 @@ from .curves import (
 )
 from .errors import DimensionMismatch, DomainError, EnumerationCapError
 from .lattice import LatticeClass, _type_a
+from .linalg import _pivots
 
 DEFAULT_CAP = 8
 
@@ -263,14 +266,13 @@ def _search(config, cycles):
         # load1/load2: the indices in exactly one/two blowup sets
         if depth == len(order):
             touched = 0
-            for _, plus, minus in placed:
-                touched |= plus | minus
-            # (d) reads the definiteness only for a leaf that misses an index
-            if touched != full and config.elimination[0] == DEFINITE:
-                return
             vectors = [None] * len(curves)
             for p, plus, minus in placed:
+                touched |= plus | minus
                 vectors[p] = _vector(n, plus, minus)
+            # (d) asks for the rank only at a leaf that misses an index
+            if touched != full and len(_pivots(vectors, n)[0]) == len(vectors):
+                return
             yield torsion, tuple(vectors)
             return
         for plus, minus in fits(depth, cells, used, load1, load2):
@@ -395,8 +397,8 @@ def verify_representation(config: CurveConfig, rep: Representation) -> Verificat
     squares and products match, M = -V V^T for the matrix V of the class
     vectors, as H^2 is the diagonal lattice -I_{b2} on the L_i (Donaldson):
     M is definite exactly when the classes are linearly independent, so
-    never when there are more than b2.  Otherwise ``config.elimination``
-    decides.
+    never when there are more than b2, and a rank test decides.  When the
+    products fail, ``config.elimination`` decides.
     """
     return _verify(config, rep)[0]
 
@@ -466,7 +468,7 @@ def _verify(config: CurveConfig, rep: Representation) -> tuple[VerificationRepor
     if cycles and curves and (
         config.elimination[0] == DEFINITE
         if mismatches
-        else len(vectors) <= n and _independent(vectors)
+        else len(vectors) <= n and len(_pivots(vectors, n)[0]) == len(vectors)
     ):
         missing = [t for t, column in enumerate(zip(*vectors)) if not any(column)]
         issues = [f"missing indices {missing}"] if missing else []
@@ -477,31 +479,6 @@ def _verify(config: CurveConfig, rep: Representation) -> tuple[VerificationRepor
 
     results.append(_outcome("cycle-count-square-law", law_issues))
     return VerificationReport(tuple(results)), forms
-
-
-def _independent(vectors) -> bool:
-    """Whether the integer vectors are linearly independent over Q.
-
-    Bareiss elimination: each step pivots on the first nonzero entry p, in
-    column j, of the last row left, and sets each other row r to
-    (p r - r_j pivot) / q, q the previous pivot (at first 1).  Every entry
-    is then a minor up to sign, so the division is exact and no entry passes
-    the Hadamard bound.  When |p| = |q| a row with r_j = 0 would only change
-    sign and is kept.  A zero pivot row is a dependence.
-    """
-    rows, last = list(vectors), 1
-    while rows:
-        pivot = rows.pop()
-        if not (p := next(filter(None, pivot), 0)):
-            return False
-        j, keep = pivot.index(p), abs(p) == abs(last)
-        rows = [
-            r if keep and not c else [(p * x - c * y) // last for x, y in zip(r, pivot)]
-            for r in rows
-            for c in (r[j],)
-        ]
-        last = p
-    return True
 
 
 def _outcome(name: str, issues: list[str], fine: str = "ok") -> ConstraintResult:

@@ -53,7 +53,7 @@ from viilattice import (
     verify_representation,
     verify_star_recurrence,
 )
-from viilattice import cli, curves, linalg, selftest
+from viilattice import cli, curves, lattice, linalg, selftest
 from viilattice.cli import main
 
 from test_curves import meeting_configs
@@ -437,7 +437,7 @@ def test_enumerate_renders_every_class_up_to_b2_6():
                 # the two shapes _render_class names: a TypeA class, or a 0/-1 cycle sum
                 form = classify_normal_form(klass)
                 assert isinstance(form, TypeA) or set(klass.coeffs) <= {0, -1}, (name, klass)
-                assert cli._render_class(klass), (name, klass)
+                assert cli._render_class(klass, lattice._type_a(klass.coeffs)), (name, klass)
                 rendered += 1
     assert rendered > 100
 
@@ -473,7 +473,8 @@ def test_enumerate_blowup_rules_leave_nothing(capsys, tmp_path, config):
 
 @pytest.fixture
 def elimination_calls(monkeypatch):
-    """Count symmetric eliminations; make the general linalg routines unusable."""
+    """Count symmetric eliminations; make the public linalg routines unusable,
+    so that of linalg only the private elimination may run in the pipeline."""
     calls = []
     original = curves._symmetric_elimination
 
@@ -485,7 +486,7 @@ def elimination_calls(monkeypatch):
         raise AssertionError("linalg is not part of the pipeline")
 
     monkeypatch.setattr(curves, "_symmetric_elimination", counting)
-    for name in ("solve_exact", "determinant"):
+    for name in ("solve_exact", "determinant", "leading_principal_minors"):
         banned = getattr(linalg, name)
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("viilattice"):
@@ -532,26 +533,20 @@ def _enumerate_sweep():
         yield from map(gss_config, corpus(n))
 
 
-def test_enumerate_never_eliminates_beyond_the_search(capsys, tmp_path, monkeypatch):
+def test_enumerate_never_eliminates(capsys, tmp_path, monkeypatch):
     def forbidden(rows, column):
         raise AssertionError("enumerate eliminated")
 
     monkeypatch.setattr(curves, "_symmetric_elimination", forbidden)
-    path, shown, searched = tmp_path / "config.json", 0, []
+    path, shown = tmp_path / "config.json", 0
     for config in _enumerate_sweep():
-        try:
-            count = len(enumerate_representations(config))
-        except AssertionError:
-            # the search's leaf test (d) reads the definiteness of a leaf
-            # whose classes miss a basis index
-            searched.append(config)
-            continue
+        # the search's leaf test (d) reads a rank too, such as at the zero
+        # class of the nodal 0-curve
+        count = len(enumerate_representations(config))
         path.write_text(config_to_text(config))
         code, doc, _ = run(capsys, ["enumerate", str(path)])
         assert (code, doc["count"]) == (0, count), config
         shown += count
-    # only the nodal 0-curve, whose class is zero, has such a leaf here
-    assert searched == [enoki_cycle_config(1), gss_config("g")]
     assert shown > 100
 
 
@@ -1472,7 +1467,7 @@ def _referee_entries(config: CurveConfig, limit: int | None) -> list[dict]:
                     "curve": curve.id,
                     "coeffs": list(klass.coeffs),
                     "torsion2": klass.torsion2,
-                    "pattern": cli._render_class(klass),
+                    "pattern": cli._render_class(klass, lattice._type_a(klass.coeffs)),
                 }
                 for curve, klass in zip(config.curves, rep.classes)
             ],

@@ -34,7 +34,7 @@ from viilattice import (
     verify_representation,
 )
 from viilattice import curves as curves_module
-from viilattice import homology
+from viilattice import homology, linalg
 from viilattice.curves import DEFINITE, find_cycles
 from viilattice.homology import _class_key
 from test_gss import corpus
@@ -384,13 +384,18 @@ def integer_rows(draw):
     return rows
 
 
+def independent(rows) -> bool:
+    """The rank test of the verifier and the search: every row gets a pivot."""
+    return len(linalg._pivots(rows, len(rows[0]))[0]) == len(rows)
+
+
 @settings(max_examples=300)
 @given(integer_rows())
 def test_independent_classes_are_exactly_a_definite_gram_form(rows):
     # the lemma verification reads basis-covering by: M = -V V^T is negative
     # definite exactly when the rows of V are linearly independent
     gram = [[-sum(map(int.__mul__, u, v)) for v in rows] for u in rows]
-    assert homology._independent(rows) == (curves_module.is_negative_definite(gram) == DEFINITE)
+    assert independent(rows) == (curves_module.is_negative_definite(gram) == DEFINITE)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -402,7 +407,7 @@ def test_independence_beyond_the_cap_matches_the_gram_verdict(seed):
         rows[rng.randrange(2, 16)] = tuple(map(int.__add__, rows[0], rows[1]))
     gram = [[-sum(map(int.__mul__, u, v)) for v in rows] for u in rows]
     verdict = curves_module.is_negative_definite(gram)
-    assert homology._independent(rows) == (verdict == DEFINITE) == (seed % 2 == 0)
+    assert independent(rows) == (verdict == DEFINITE) == (seed % 2 == 0)
 
 
 def three_blowup_config():
@@ -988,8 +993,8 @@ def test_cycle_law_refuses_before_any_candidate_or_elimination(monkeypatch):
 
         return refuse
 
-    # the plain law holds on the Enoki 5-cycle, the twisted one on the 5-ring;
-    # their eliminations run first, so only the candidates are left to reach
+    # the plain law holds on the Enoki 5-cycle, the twisted one on the 5-ring,
+    # so their searches reach the candidates; no search eliminates
     searched = [enoki_cycle_config(5, True), _ring(5, -3)]
     assert [config.elimination[0] for config in searched] == ["semidefinite", "definite"]
     monkeypatch.setattr(homology, "_candidate_masks", forbidden("candidate classes built"))
@@ -1036,12 +1041,13 @@ def test_enumerate_reads_definiteness_only_at_a_leaf_that_misses_an_index():
         assert enumerate_representations(config)
         assert "elimination" not in vars(config)
     # a nodal (-1)-curve at b2 = 2 is definite; its one leaf leaves index 1
-    # untouched, so (d) reads the verdict there and refuses it
+    # untouched, so (d) reads the rank of its class there and refuses it,
+    # without the elimination, whose verdict agrees
     config = _cycle_with_trees(random.Random(225))
     assert config == CurveConfig(2, (Curve(0, NODAL_RATIONAL, -1),))
     cycles = find_cycles(config)
     orbits = _orbit_set(homology._search(config, cycles))
-    assert "elimination" in vars(config) and config.elimination[0] == DEFINITE
+    assert "elimination" not in vars(config) and config.elimination[0] == DEFINITE
     order = homology._search_order(config, cycles)
 
     def reference(covering):

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from viilattice import (
 )
 from viilattice import cli
 from viilattice.nac import star_rows
-from viilattice.selftest import definiteness_oracle, random_definite_config
+from viilattice.selftest import det_cofactor, definiteness_oracle, random_definite_config
 
 from test_peel import caterpillars, random_config, relabelled, word_configs
 
@@ -116,6 +117,40 @@ def test_determinant_matches_sarrus(rows):
     g, h, i = rows[2]
     expected = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     assert determinant(rows) == expected
+
+
+@st.composite
+def square_matrices(draw):
+    """Integer matrices of size n <= 6, entries in -3..3 and often 0,
+    sometimes with a zero row, a zero column or a repeated row put in, and
+    then with their rows permuted, so the pivots fall in any order."""
+    n = draw(st.integers(0, 6))
+    entry = st.integers(-3, 3) | st.just(0)
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    extra = draw(st.sampled_from([None, "zero row", "zero column", "repeat"]))
+    if n and extra:
+        i, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if extra == "zero row":
+            rows[i] = [0] * n
+        elif extra == "zero column":
+            rows = [row[:i] + [0] + row[i + 1 :] for row in rows]
+        else:
+            rows[i] = list(rows[k])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=400)
+@given(square_matrices(), st.data())
+def test_elimination_matches_cofactors_and_solves(rows, data):
+    # determinant and solve_exact share one elimination: its pivot order
+    # decides the determinant's sign, its pivot rows the back substitution
+    det = determinant(rows)
+    assert det == det_cofactor(rows)
+    rhs = data.draw(st.lists(st.integers(-4, 4), min_size=len(rows), max_size=len(rows)))
+    x = solve_exact(rows, rhs)
+    assert (x is None) == (det == 0)
+    if x is not None:
+        assert [sum(map(operator.mul, row, x)) for row in rows] == rhs
 
 
 # --- the anticanonical solver -----------------------------------------------
