@@ -68,9 +68,9 @@ def config_from_doc(doc: Any) -> CurveConfig:
     for i, entry in enumerate(curves):
         if (
             type(entry) is dict
-            and entry.keys() == _CURVE_KEYS
-            and type(cid := entry["id"]) is type(self_int := entry["self_int"]) is int
-            and (kind := entry["kind"]) in CURVE_KINDS
+            and len(entry) == 3
+            and type(cid := entry.get("id")) is type(self_int := entry.get("self_int")) is int
+            and (kind := entry.get("kind")) in CURVE_KINDS
         ):
             parsed.append(Curve(cid, kind, self_int))
         else:

@@ -20,7 +20,6 @@ tied to two cycle members, is structurally impossible and rejected.
 
 from __future__ import annotations
 
-import functools
 from math import prod
 from typing import NamedTuple
 
@@ -36,6 +35,7 @@ CURVE_KINDS = tuple(_KIND_RULES)
 DEFINITE = "definite"
 SEMIDEFINITE = "semidefinite"
 NEITHER = "neither"
+_record = tuple.__new__  # _record(Cls, fields): a NamedTuple without its generated __new__
 
 
 class _Frozen:
@@ -78,6 +78,21 @@ class _Frozen:
     __replace__ = _replace
 
 
+class _cached:
+    """``functools.cached_property`` as from Python 3.12 on: the first read
+    stores the value in the instance dict, where later reads find it, with
+    no lock (up to 3.11 every instance shares one RLock)."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 # not a tuple: every layer reads these fields, and a slot reads faster than a NamedTuple's
 class Curve(_Frozen):
     """A curve: its id, its kind (one of CURVE_KINDS) and its self-intersection."""
@@ -102,7 +117,8 @@ class CurveConfig(_Frozen):
     ``bool`` is not), a duplicate id or a bad pair raises
     :class:`InvalidConfigError`.  Validity is checked once,
     here, and stored for :func:`validate`: an invalid configuration is still
-    built, and refused by each computation that needs it valid.
+    built, and refused by each computation that needs it valid.  The facts
+    derived from it are cached on first read, with no lock.
     """
 
     _fields = ("b2", "curves", "intersections")  # a __dict__ holds the caches
@@ -135,7 +151,7 @@ class CurveConfig(_Frozen):
             issues.append(ValidationIssue(f"{rational} rational curves exceed b2 = {b2}; {why}"))
         if elliptic > 1:
             issues.append(ValidationIssue(f"at most one elliptic curve allowed, got {elliptic}"))
-        mult: dict[tuple[int, int], int] = {}
+        mult, triples = {}, []  # {(low id, high id): mult} and its (low, high, mult) triples
         met: dict[int, list[tuple[int, int]]] = {cid: [] for cid in by_id}  # in row order
         for entry in intersections:
             i, j, m = entry if isinstance(entry, (tuple, list)) and len(entry) == 3 else (None,) * 3
@@ -151,13 +167,14 @@ class CurveConfig(_Frozen):
                 raise InvalidConfigError(f"intersection names unknown curve in ({i}, {j})")
             if m == 0:
                 continue
-            key = (i, j) if i < j else (j, i)
-            if key in mult:
-                raise InvalidConfigError(f"duplicate intersection entry for pair {key}")
-            mult[key] = m
             met[i].append((j, m))
             met[j].append((i, m))
-        normalized = tuple(sorted((i, j, m) for (i, j), m in mult.items()))
+            i, j = (i, j) if i < j else (j, i)
+            if (i, j) in mult:
+                raise InvalidConfigError(f"duplicate intersection entry for pair {(i, j)}")
+            mult[i, j] = m
+            triples.append((i, j, m))
+        triples.sort()
         position = {cid: k for k, cid in enumerate(by_id)}
         # by the other curve's listing order: a bucket sort of all meeting ends
         adj: dict[int, list[tuple[int, int]]] = {cid: [] for cid in by_id}
@@ -165,8 +182,8 @@ class CurveConfig(_Frozen):
             for other, m in met[cid]:
                 adj[other].append((cid, m))
         self.__dict__.update(
-            b2=b2, curves=curves, intersections=normalized, _mult=mult, _by_id=by_id,
-            _adj=adj, _position=position, _validation=ValidationReport(tuple(issues)),
+            b2=b2, curves=curves, intersections=tuple(triples), _mult=mult, _by_id=by_id,
+            _adj=adj, _position=position, _validation=_record(ValidationReport, (tuple(issues),)),
         )
 
     def mult(self, i: int, j: int) -> int:
@@ -182,7 +199,7 @@ class CurveConfig(_Frozen):
         """(other id, multiplicity) pairs for every curve meeting cid, in listing order."""
         return list(self._adj.get(cid, ()))
 
-    @functools.cached_property
+    @_cached
     def elimination(self) -> tuple[str, tuple[tuple[int, ...], int] | None]:
         """(definiteness verdict, (y, det) if definite, else None).
 
@@ -201,12 +218,12 @@ class CurveConfig(_Frozen):
             rows[a][b] = -v
         return _symmetric_elimination(rows, self._kd_column)
 
-    @functools.cached_property
+    @_cached
     def _kd_column(self) -> tuple[int, ...]:
         """K.D_i of each curve by adjunction, in listing order."""
         return tuple([adjunction_degree(c) for c in self.curves])
 
-    @functools.cached_property
+    @_cached
     def _peel(self) -> tuple[dict[int, int | None], dict[int, int]]:
         """(stripped, core): the smooth rational curves stripped down to the
         2-core of their intersection graph, counting multiplicities, one
@@ -233,7 +250,7 @@ class CurveConfig(_Frozen):
                             stack.append(u)
         return stripped, core
 
-    @functools.cached_property
+    @_cached
     def cycles(self) -> tuple[CycleRecord, ...] | StructureError:
         """The cycle decomposition, or the StructureError refuting one; read
         it through :func:`find_cycles`."""
@@ -501,30 +518,39 @@ def _decompose(config: CurveConfig) -> tuple[CycleRecord, ...]:
     require_valid(config)
     stripped, core = config._peel
     adj = config._adj  # read, never copied: neighbors() copies per call
-    for v in sorted(core):
+    starts = sorted(core)
+    for v in starts:
         if core[v] != 2:
             raise StructureError(
                 f"curve {v} lies on more than one cycle "
                 "(its pruned intersection graph degree exceeds 2)"
             )
 
-    cycles, seen = [], set()
-    for start in sorted(core):
-        if start in seen:
+    # each core vertex has multiplicity-degree 2: it meets one core curve twice
+    # (a 2-cycle, whose walk steps back) or two once each; a walk starts at its least member
+    walks, cycle_of = [], {}  # walks as (member ids, length)
+    for start in starts:
+        if start in cycle_of:
             continue
-        members = _walk_cycle(config, core, start)
-        seen.update(members)
-        cycles.append(CycleRecord(tuple(members), len(members)))
+        cycle_of[start] = k = len(walks)
+        members, prev, cur = [start], start, min(u for u, _ in adj[start] if u in core)
+        while cur != start:
+            members.append(cur)
+            cycle_of[cur] = k
+            prev, cur = cur, next((u for u, _ in adj[cur] if u in core and u != prev), start)
+        walks.append((tuple(members), len(members)))
 
-    # a nodal curve is a 1-cycle and the elliptic one a 0-cycle
-    cycles += [CycleRecord((c.id,), int(c.kind == NODAL_RATIONAL))
-               for c in config.curves if c.kind != SMOOTH_RATIONAL]
+    for c in config.curves:
+        if c.kind != SMOOTH_RATIONAL:  # a nodal curve is a 1-cycle and the elliptic one a 0-cycle
+            cycle_of[c.id] = len(walks)
+            walks.append(((c.id,), int(c.kind == NODAL_RATIONAL)))
 
-    cycle_of = {cid: k for k, rec in enumerate(cycles) for cid in rec.member_ids}
-    # the triples are sorted, so the first offending pair is the least one
-    for a, b, _ in config.intersections:
-        if a in cycle_of and b in cycle_of and cycle_of[a] != cycle_of[b]:
-            raise StructureError(f"curves {a} and {b} join two distinct cycles")
+    if len(walks) > 1:
+        # the triples are sorted, so the first offending pair is the least one
+        for a, b, _ in config.intersections:
+            if a in cycle_of and b in cycle_of and cycle_of[a] != cycle_of[b]:
+                raise StructureError(f"curves {a} and {b} join two distinct cycles")
+        walks.sort()  # by least member: the walks are disjoint, each led by its least
 
     # trees: the stripped curves.  Two of them meet only if the first one
     # stripped met the other, so a curve joins the tree of the curve it met
@@ -545,24 +571,9 @@ def _decompose(config: CurveConfig) -> tuple[CycleRecord, ...]:
             )
         assigned.setdefault(attachments[0], []).append(component)
 
-    out = []
-    for rec in sorted(cycles, key=lambda r: min(r.member_ids)):
-        branches = [Branch(root, tuple(members))
-                    for root in rec.member_ids for members in assigned.get(root, ())]
-        out.append(CycleRecord(rec.member_ids, rec.length, tuple(branches)))
-    return tuple(out)
-
-
-def _walk_cycle(config: CurveConfig, core: dict[int, int], start: int) -> list[int]:
-    # every core vertex has multiplicity-degree exactly 2 here, so it meets one
-    # core curve twice (a 2-cycle, whose walk steps back to the start) or two
-    # core curves once each
-    adj = config._adj
-    members, prev, cur = [start], start, min(u for u, _ in adj[start] if u in core)
-    while cur != start:
-        members.append(cur)
-        prev, cur = cur, next((u for u, _ in adj[cur] if u in core and u != prev), start)
-    return members
+    return tuple([_record(CycleRecord, (ids, length, tuple([
+        _record(Branch, (root, tuple(members))) for root in ids for members in assigned.get(root, ())
+    ]))) for ids, length in walks])
 
 
 # --- numerical classification ----------------------------------------------
@@ -639,12 +650,13 @@ def sigma_classify(config: CurveConfig) -> SigmaClassification:
 
 
 def _cycle_square(config: CurveConfig, rec: CycleRecord) -> int:
-    members = set(rec.member_ids)
-    total = sum(config.curve(a).self_int for a in rec.member_ids)
-    for i, j, v in config.intersections:
-        if i in members and j in members:
-            total += 2 * v
-    return total
+    """C^2 = sum D_i^2 + 2 sum_{i<j} D_i.D_j for a record of :func:`find_cycles`.
+    An r-cycle with r >= 2 is one component of the 2-core, where each member
+    has multiplicity-degree exactly 2, all of it to its walk neighbours: the
+    meetings add up to r, and C^2 = sum D_i^2 + 2r.  A 1- or 0-cycle is one
+    curve, with C^2 = D^2."""
+    square = sum([config._by_id[cid].self_int for cid in rec.member_ids])
+    return square + 2 * rec.length if rec.length >= 2 else square
 
 
 def adjunction_degree(curve: Curve) -> int:

@@ -106,6 +106,7 @@ from .curves import (
     CycleRecord,
     _cycle_square,
     _is_int,
+    _record,
     find_cycles,
     intersection_matrix,
     require_valid,
@@ -154,7 +155,9 @@ def enumerate_representations(
             "splits between them)"
         )
     found = list(_search(config, cycles))
-    torsion = bool(found) and found[0][0]
+    if not found:
+        return []
+    torsion = found[0][0]
     # the multiset of basis columns is an exact orbit invariant, so each
     # orbit is canonicalised once
     orbits = {tuple(sorted(zip(*vectors))): vectors for _, vectors in found}
@@ -478,10 +481,10 @@ def _verify(config: CurveConfig, rep: Representation) -> tuple[VerificationRepor
         results.append(_outcome("basis-covering", [], fine))
 
     results.append(_outcome("cycle-count-square-law", law_issues))
-    return VerificationReport(tuple(results)), forms
+    return _record(VerificationReport, (tuple(results),)), forms
 
 
 def _outcome(name: str, issues: list[str], fine: str = "ok") -> ConstraintResult:
     """The result of one constraint: met when there are no issues, and then
     described by fine; otherwise described by the issues joined."""
-    return ConstraintResult(name, not issues, "; ".join(issues) if issues else fine)
+    return _record(ConstraintResult, (name, not issues, "; ".join(issues) if issues else fine))

@@ -24,7 +24,6 @@ those integers; ``coeffs`` builds the Fractions on first use.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -36,6 +35,7 @@ from .curves import (
     CurveConfig,
     CycleRecord,
     _Frozen,
+    _cached,
     _is_int,
     _ints,
     find_cycles,
@@ -64,7 +64,7 @@ class NacSolution(_Frozen):
                 raise DomainError(f"NacSolution.{name} must be a bool, got {type(flag).__name__}")
         self._set(m, scaled, index, effective, square, parabolic)
 
-    @cached_property
+    @_cached
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients k_i of D_m, in curve listing order."""
         return tuple(Fraction(self.m * v, self.index) for v in self.scaled)

@@ -56,7 +56,7 @@ from viilattice import (
 from viilattice import cli, curves, lattice, linalg, selftest
 from viilattice.cli import main
 
-from test_curves import meeting_configs
+from test_curves import fold_to_zero_config, meeting_configs
 from test_gss import corpus
 
 
@@ -148,6 +148,14 @@ def test_classify_worked_instance(capsys, singrat3_file):
     assert doc["nac_at_index"]["coeffs"] == ["3", "2", "1"]
     assert doc["structure"]["cycles"][0]["max_at_branch_root"] is True
     assert doc["star_recurrence"]["ok"] is True
+
+
+def test_classify_sees_a_diagonal_folded_to_zero(capsys, tmp_path):
+    # the nodal leaf folds the second curve's diagonal to 0 in the elimination
+    path = tmp_path / "fold.json"
+    path.write_text(config_to_text(fold_to_zero_config()))
+    code, doc, _ = run(capsys, ["classify", str(path)])
+    assert (code, doc["definiteness"]) == (0, "neither")
 
 
 def test_classify_never_renders_decimals(capsys, singrat3_file):

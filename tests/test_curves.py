@@ -352,6 +352,52 @@ def test_definiteness_fixed_points():
     assert definiteness_oracle(mid_zero_pivot) == NEITHER
 
 
+# a triangle of smooth rational curves (-4, -4, -3) and a nodal (-1)-curve
+# meeting the second one twice: folding the nodal leaf takes the second
+# row's diagonal of -M from 4 to exactly 0, and that row then meets two others
+FOLD_TO_ZERO = [[-4, 1, 1, 0], [1, -4, 1, 2], [1, 1, -3, 0], [0, 2, 0, -1]]
+
+
+def fold_to_zero_config():
+    kinds = [SMOOTH_RATIONAL] * 3 + [NODAL_RATIONAL]
+    curves = tuple(Curve(i, kind, FOLD_TO_ZERO[i][i]) for i, kind in enumerate(kinds))
+    pairs = tuple((i, j, FOLD_TO_ZERO[i][j]) for i in range(4) for j in range(i + 1, 4))
+    return CurveConfig(4, curves, tuple(p for p in pairs if p[2]))
+
+
+def test_a_diagonal_folded_to_zero_is_not_the_stored_one():
+    assert definiteness_oracle(FOLD_TO_ZERO) == NEITHER
+    assert is_negative_definite(FOLD_TO_ZERO) == NEITHER
+    config = fold_to_zero_config()
+    assert intersection_matrix(config) == FOLD_TO_ZERO
+    assert config.elimination == (NEITHER, None)
+
+
+@st.composite
+def small_trees_on_a_cycle(draw):
+    """M with b2 <= 7 rows: a cycle of 3 or more rows, or none, and every
+    other row meeting one earlier row or none; diagonal entries in -4 .. 1,
+    off-diagonal ones -1, 1 or 2, rows listed in a drawn order."""
+    size = draw(st.integers(1, 7))
+    ring = draw(st.sampled_from([0] + list(range(3, size + 1))))
+    edges = [(k, (k + 1) % ring) for k in range(ring)]
+    for v in range(max(ring, 1), size):
+        if draw(st.booleans()) or not ring:
+            edges.append((draw(st.integers(0, v - 1)), v))
+    at = draw(st.permutations(range(size)))
+    m = [[0] * size for _ in range(size)]
+    for i, j in edges:
+        m[at[i]][at[j]] = m[at[j]][at[i]] = draw(st.sampled_from([-1, 1, 2]))
+    for i in range(size):
+        m[i][i] = draw(st.integers(-4, 1))
+    return m
+
+
+@given(small_trees_on_a_cycle())
+def test_trees_on_a_cycle_match_the_minor_oracle(m):
+    assert is_negative_definite(m) == definiteness_oracle(m)
+
+
 def test_definiteness_requires_symmetric_square():
     with pytest.raises(DomainError):
         is_negative_definite([[1, 2], [3, 4]])

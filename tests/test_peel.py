@@ -8,7 +8,14 @@ one Bareiss elimination of the rows in listing order, where
 into its neighbour and hands only the rows left to Bareiss.
 ``listing_decompose`` strips the smooth curves down to their 2-core on its
 own and then finds each tree again with a second search, where
-``find_cycles`` follows the links the one peel records.  The corpus: seeded
+``find_cycles`` follows the links the one peel records.
+``two_pass_decompose`` reads that peel as ``find_cycles`` does, but walks
+each cycle in a helper, maps every member to its cycle in a second pass,
+scans every meeting for one across cycles and builds each record twice;
+``scanned_cycle_square`` sums the squares and the meetings of a cycle's
+members over every intersection, where ``curves._cycle_square`` reads the
+2-core's degree 2 off the record.  The cached facts of a configuration are
+each computed once per instance.  The corpus: seeded
 random definite configurations, the two families, every blow-up word with
 b2 <= 8, seeded random configurations that are often not definite or not
 even a union of cycles with trees, stars and caterpillars of high degree
@@ -17,8 +24,10 @@ shuffled; and, for the elimination alone, sparse random symmetric matrices
 and forests and cycles with trees whose entries are not all +-1.
 """
 
+import ast
 import contextlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -55,7 +64,7 @@ from viilattice.curves import (
     _symmetric_elimination,
     _upper_rows,
 )
-from viilattice.nac import star_rows
+from viilattice.nac import NacSolution, star_rows
 from viilattice.selftest import _random_symmetric, random_definite_config
 
 from test_gss import corpus
@@ -197,6 +206,74 @@ def listing_decompose(config: CurveConfig):
     return tuple(out)
 
 
+def two_pass_decompose(config: CurveConfig):
+    """find_cycles as it stood before one walk per cycle: the walks in a
+    helper, the cycle of each member mapped afterwards, every meeting scanned
+    for one across cycles, and each record built twice."""
+    require_valid(config)
+    stripped, core = config._peel
+    adj = config._adj
+    for v in sorted(core):
+        if core[v] != 2:
+            raise StructureError(
+                f"curve {v} lies on more than one cycle "
+                "(its pruned intersection graph degree exceeds 2)"
+            )
+    cycles, seen = [], set()
+    for start in sorted(core):
+        if start in seen:
+            continue
+        members = _walk_cycle(config, core, start)
+        seen.update(members)
+        cycles.append(CycleRecord(tuple(members), len(members)))
+    cycles += [CycleRecord((c.id,), int(c.kind == NODAL_RATIONAL))
+               for c in config.curves if c.kind != SMOOTH_RATIONAL]
+    cycle_of = {cid: k for k, rec in enumerate(cycles) for cid in rec.member_ids}
+    for a, b, _ in config.intersections:
+        if a in cycle_of and b in cycle_of and cycle_of[a] != cycle_of[b]:
+            raise StructureError(f"curves {a} and {b} join two distinct cycles")
+    top, trees = {}, {}
+    for v, met in reversed(stripped.items()):
+        top[v] = t = top.get(met, v)
+        trees.setdefault(t, []).append(v)
+    assigned = {}
+    for component in sorted(map(sorted, trees.values())):
+        attachments = [u for v in component for u, m in adj[v] if u in cycle_of for _ in range(m)]
+        if not attachments:
+            continue
+        if len(attachments) > 1:
+            raise StructureError(
+                f"tree through curve {component[0]} attaches to a cycle more than once "
+                f"(roots {sorted(set(attachments))})"
+            )
+        assigned.setdefault(attachments[0], []).append(component)
+    out = []
+    for rec in sorted(cycles, key=lambda r: min(r.member_ids)):
+        branches = [Branch(root, tuple(members))
+                    for root in rec.member_ids for members in assigned.get(root, ())]
+        out.append(CycleRecord(rec.member_ids, rec.length, tuple(branches)))
+    return tuple(out)
+
+
+def _walk_cycle(config: CurveConfig, core: dict, start: int) -> list:
+    adj = config._adj
+    members, prev, cur = [start], start, min(u for u, _ in adj[start] if u in core)
+    while cur != start:
+        members.append(cur)
+        prev, cur = cur, next((u for u, _ in adj[cur] if u in core and u != prev), start)
+    return members
+
+
+def scanned_cycle_square(config: CurveConfig, rec: CycleRecord) -> int:
+    """C^2 of the record's cycle from every intersection of the configuration."""
+    members = set(rec.member_ids)
+    total = sum(config.curve(a).self_int for a in rec.member_ids)
+    for i, j, v in config.intersections:
+        if i in members and j in members:
+            total += 2 * v
+    return total
+
+
 def decomposition(find, config):
     """find(config), or the text of the StructureError it raises."""
     try:
@@ -327,6 +404,19 @@ def assert_matches_referees(config: CurveConfig) -> None:
     )
     assert config.elimination == listing_elimination(config)
     assert decomposition(find_cycles, config) == decomposition(listing_decompose, config)
+    assert_matches_the_two_pass_referee(config)
+
+
+def assert_matches_the_two_pass_referee(config: CurveConfig) -> None:
+    """The same records, of the same types, or the same StructureError text
+    as two_pass_decompose; and each record's square as the full scan's."""
+    expected, got = decomposition(two_pass_decompose, config), decomposition(find_cycles, config)
+    assert got == expected
+    if isinstance(got, str):
+        return
+    for rec in got:
+        assert type(rec) is CycleRecord and all(type(b) is Branch for b in rec.branches)
+        assert curves._cycle_square(config, rec) == scanned_cycle_square(config, rec), rec
 
 
 def test_random_definite_configurations_match_the_referees():
@@ -359,6 +449,23 @@ def test_every_word_up_to_b2_8_matches_the_referees():
             assert_matches_referees(copy)
 
 
+def test_relabelled_corpora_match_the_two_pass_referee():
+    # the corpora above, each configuration also renamed and reordered
+    rng = random.Random(23)
+    draw_definite, draw_random = random.Random(20261019), random.Random(7)
+    configs = [random_definite_config(draw_definite) for _ in range(1000)]
+    configs += [random_config(draw_random) for _ in range(1000)]
+    configs += [*family_configs(), *word_configs(), centre_first_star(40)]
+    configs += [nodal_star(40, *shape) for shape in NODAL_STARS]
+    configs += [copy for c in STRUCTURE_FIXTURES.values() for copy in relistings(c, 3)]
+    errors = 0
+    for config in configs:
+        for copy in (config, relabelled(config, rng)[0]):
+            assert_matches_the_two_pass_referee(copy)
+            errors += isinstance(decomposition(find_cycles, copy), str)
+    assert errors > 100
+
+
 @pytest.mark.parametrize("name", STRUCTURE_FIXTURES)
 def test_structure_errors_match_the_referee(name):
     for seed, config in enumerate(relistings(STRUCTURE_FIXTURES[name], 3)):
@@ -366,6 +473,7 @@ def test_structure_errors_match_the_referee(name):
         assert isinstance(expected, str), (name, seed)
         assert decomposition(find_cycles, config) == expected, (name, seed)
         assert config.elimination == listing_elimination(config)
+        assert decomposition(two_pass_decompose, config) == expected, (name, seed)
 
 
 @st.composite
@@ -581,6 +689,51 @@ def test_index_and_nac_never_peel():
         assert "_peel" not in vars(config)
         solve_nac(config, 2)
         assert "_peel" not in vars(config)
+
+
+CACHED = [(CurveConfig, name) for name in ("elimination", "_kd_column", "_peel", "cycles")]
+CACHED += [(NacSolution, "coeffs")]
+
+
+def cache_owners(cls):
+    """Two equal instances of cls, built apart."""
+    if cls is CurveConfig:
+        return [gss_config("gaab"), gss_config("gaab")]
+    return [solve_nac(singrat_config(5, 4), 2), solve_nac(singrat_config(5, 4), 2)]
+
+
+@pytest.mark.parametrize("cls, name", CACHED)
+def test_each_cached_fact_is_computed_once_per_instance(monkeypatch, cls, name):
+    cache = vars(cls)[name]
+    calls, compute = [], cache.func
+
+    def counting(instance):
+        calls.append(instance)
+        return compute(instance)
+
+    monkeypatch.setattr(cache, "func", counting)
+    owners = cache_owners(cls)
+    for owner in owners:
+        first = getattr(owner, name)
+        assert all(getattr(owner, name) is first for _ in range(3))
+        assert vars(owner)[name] is first
+    assert [id(owner) for owner in calls] == [id(owner) for owner in owners]
+
+
+@pytest.mark.parametrize("cls, name", CACHED)
+def test_a_cache_read_on_its_class_is_the_cache(cls, name):
+    cache = getattr(cls, name)
+    assert cache is vars(cls)[name]
+    assert cache.__doc__ and cache.__doc__ == cache.func.__doc__
+
+
+def test_no_module_caches_through_functools():
+    # functools.cached_property takes a lock on each first read up to Python 3.11
+    for path in sorted(Path(curves.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [alias.name for alias in getattr(node, "names", ())]
+            names += [getattr(node, "attr", None), getattr(node, "id", None)]
+            assert "cached_property" not in names, (path.name, node.lineno)
 
 
 # --- metamorphic: no relabelling changes an answer ----------------------------
